@@ -9,7 +9,6 @@ from pathlib import Path
 from spidernets.cli import _verdict_line, format_fraction
 from spidernets.small_world import (
     geometric_steps,
-    numerator,
     ratio_sequence,
     verdict_table,
 )
@@ -36,9 +35,8 @@ def main() -> int:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("step,N,numerator,lnN,ratio\n")
             for value, pt in zip(steps, points):
-                num = numerator(notion, direction.params_at(value))
                 fh.write(
-                    f"{value},{pt.n},{format_fraction(num)},"
+                    f"{value},{pt.n},{format_fraction(pt.numerator)},"
                     f"{math.log(pt.n):.6g},{pt.ratio:.6g}\n"
                 )
     return 0

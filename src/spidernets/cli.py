@@ -5,7 +5,7 @@ significant digits) so files and stdout are stable across runs and suitable
 for golden-file comparison.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 usage error, 3 I/O failure,
-4 resource guard (oracle requested beyond the node cap).
+4 resource guard (oracle requested beyond the node cap, or out of memory).
 """
 
 from __future__ import annotations
@@ -29,14 +29,21 @@ REPORT_CAP_DEFAULT = 20000
 VERIFY_CAP_DEFAULT = 2000
 
 
-def _default_cap(fallback: int) -> int:
-    raw = os.environ.get(NODE_CAP_ENV)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        return fallback
+def _node_cap(cap: int | None, fallback: int) -> int:
+    """The --cap value, else SPIDERNETS_NODE_CAP when set, else the fallback."""
+    name = "--cap"
+    if cap is None:
+        raw = os.environ.get(NODE_CAP_ENV)
+        if raw is None:
+            return fallback
+        name = NODE_CAP_ENV
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValueError(f"{NODE_CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ValueError(f"{name} must be non-negative, got {cap}")
+    return cap
 
 
 def format_fraction(value: Fraction) -> str:
@@ -102,7 +109,9 @@ def _oracle_rows(g: graph_core.Graph) -> dict[str, str]:
         "diameter": str(ind.diameter),
         "h-index": str(ind.h_index),
         "neighboring-index": str(ind.neighboring_index),
-        "mean-distance": format_fraction(graph_core.mean_distance(g)),
+        "mean-distance": format_fraction(
+            Fraction(ind.total_distance, g.n * (g.n - 1) // 2)
+        ),
     }
 
 
@@ -120,11 +129,12 @@ ROW_ORDER = (
 
 def cmd_report(args) -> int:
     p = spiders.normalize(args.m, args.k, args.l)
+    cap = _node_cap(args.cap, REPORT_CAP_DEFAULT)
     n = spiders.node_count(p)
     need_oracle = args.source in ("oracle", "both")
-    if need_oracle and n > args.cap:
+    if need_oracle and n > cap:
         print(
-            f"error: oracle computation needs {n} nodes, above the cap {args.cap}",
+            f"error: oracle computation needs {n} nodes, above the cap {cap}",
             file=sys.stderr,
         )
         return EXIT_RESOURCE
@@ -174,26 +184,18 @@ def iter_grid(mmax: int, kmax: int, lmax: int, node_cap: int):
 
 def compare_point(p: spiders.SpiderParams) -> list[str]:
     """Mismatch descriptions between closed forms and the brute-force oracle."""
-    g = spiders.build_spider(p)
+    ind = graph_core.all_indicators(spiders.build_spider(p))
     prefix = f"M={p.m} K={p.k} L={p.l}"
     mismatches = []
     try:
         pairs = (
-            ("delta", closed_form.delta_closed(p), graph_core.degree_array(g)),
-            ("gamma", closed_form.gamma_closed(p), graph_core.gamma_array(g)),
-            ("alpha", closed_form.alpha_closed(p), graph_core.alpha_array(g)),
-            ("diameter", closed_form.diameter_closed(p), graph_core.diameter(g)),
-            ("density", closed_form.density_closed(p), graph_core.density(g)),
-            (
-                "h-index",
-                closed_form.h_index_closed(p),
-                graph_core.h_index(graph_core.degree_array(g)),
-            ),
-            (
-                "total-distance",
-                closed_form.total_distance_closed(p),
-                graph_core.total_distance(g),
-            ),
+            ("delta", closed_form.delta_closed(p), ind.delta),
+            ("gamma", closed_form.gamma_closed(p), ind.gamma),
+            ("alpha", closed_form.alpha_closed(p), ind.alpha),
+            ("diameter", closed_form.diameter_closed(p), ind.diameter),
+            ("density", closed_form.density_closed(p), ind.density),
+            ("h-index", closed_form.h_index_closed(p), ind.h_index),
+            ("total-distance", closed_form.total_distance_closed(p), ind.total_distance),
         )
     except closed_form.ConsistencyError as exc:
         return [f"{prefix} internal consistency: {exc}"]
@@ -222,7 +224,10 @@ def compare_point(p: spiders.SpiderParams) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    points = iter_grid(args.mmax, args.kmax, args.lmax, args.cap)
+    cap = _node_cap(args.cap, VERIFY_CAP_DEFAULT)
+    points = iter_grid(args.mmax, args.kmax, args.lmax, cap)
+    if not points:
+        raise ValueError(f"the grid has no parameter point with 2 <= nodes <= {cap}")
     failures = 0
     for p in points:
         for line in compare_point(p):
@@ -290,9 +295,8 @@ def cmd_asymptotics(args) -> int:
         with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("step,N,numerator,lnN,ratio\n")
             for value, pt in zip(steps, points):
-                num = small_world.numerator(notion, direction.params_at(value))
                 fh.write(
-                    f"{value},{pt.n},{format_fraction(num)},"
+                    f"{value},{pt.n},{format_fraction(pt.numerator)},"
                     f"{math.log(pt.n):.6g},{pt.ratio:.6g}\n"
                 )
     print(_verdict_line(notion, direction, verdict))
@@ -327,8 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument(
         "--cap",
         type=int,
-        default=_default_cap(REPORT_CAP_DEFAULT),
-        help="largest node count allowed for oracle computation",
+        help=f"largest node count allowed for oracle computation (default {REPORT_CAP_DEFAULT})",
     )
     rep.set_defaults(func=cmd_report)
 
@@ -336,7 +339,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--Mmax", dest="mmax", type=int, default=8)
     ver.add_argument("--Kmax", dest="kmax", type=int, default=5)
     ver.add_argument("--Lmax", dest="lmax", type=int, default=6)
-    ver.add_argument("--cap", type=int, default=_default_cap(VERIFY_CAP_DEFAULT))
+    ver.add_argument(
+        "--cap", type=int, help=f"largest node count in the grid (default {VERIFY_CAP_DEFAULT})"
+    )
     ver.set_defaults(func=cmd_verify)
 
     asym = sub.add_parser("asymptotics", help="classify growing spider families")
@@ -368,6 +373,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("error: out of memory (resource guard)", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -22,11 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from spidernets.graph_core import h_index
-from spidernets.spiders import SpiderParams, edge_count, node_count, pair_count
-
-
-class ConsistencyError(RuntimeError):
-    """An internal counting identity failed; the formula is wrong."""
+from spidernets.spiders import (
+    ConsistencyError,
+    SpiderParams,
+    edge_count,
+    node_count,
+    pair_count,
+)
 
 
 def _check(condition: bool, message: str) -> None:

@@ -1,10 +1,10 @@
 """Undirected simple graphs with brute-force network indicators.
 
-Everything here is computed directly from the adjacency structure (BFS for
-all distances), so results can serve as ground truth for the analytic
-formulas in ``closed_form``.  Density and mean distance are exact fractions,
-never floats, so cross-checks are exact equality.  All functions are pure
-and safe to call concurrently.
+Everything here is computed directly from the adjacency structure, so results
+can serve as ground truth for the analytic formulas in ``closed_form``.  The
+distance indicators all come from one BFS sweep per graph.  Density and mean
+distance are exact fractions, never floats, so cross-checks are exact
+equality.  All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency[u]
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
@@ -113,35 +110,46 @@ def neighboring_index(g: Graph) -> int:
 
 
 def alpha_array(g: Graph) -> tuple[int, ...]:
-    """Frequency of each distance value over unordered node pairs.
+    """Unordered node pairs at each distance j = 1..n-1, at index j-1.
 
-    Entry at index j-1 counts the pairs at distance j, for j in 1..n-1.
-    Requires a connected graph; a single node yields the empty array.
+    One level-synchronous BFS per source counts ordered pairs by level; they
+    sum to n * n only on a connected graph.  A single node yields ().
     """
-    if g.n <= 1:
-        return ()
-    counts = [0] * (g.n - 1)
-    for u in range(g.n):
-        dist = bfs_distances(g, u)
-        for v in range(u + 1, g.n):
-            d = dist[v]
-            if d == UNREACHABLE:
-                raise ValueError("distance frequencies need a connected graph")
-            counts[d - 1] += 1
-    return tuple(counts)
+    adjacency = g.adjacency
+    counts = [0] * g.n
+    for source in range(g.n):
+        seen = [False] * g.n
+        seen[source] = True
+        frontier = [source]
+        level = 0
+        while frontier:
+            counts[level] += len(frontier)
+            level += 1
+            nxt = []
+            for u in frontier:
+                for v in adjacency[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        nxt.append(v)
+            frontier = nxt
+    if sum(counts) < g.n * g.n:
+        raise ValueError("distance indicators need a connected graph")
+    return tuple(c // 2 for c in counts[1:])
+
+
+def _diameter_of(alpha: tuple[int, ...]) -> int:
+    return max((j for j, a in enumerate(alpha, start=1) if a), default=0)
+
+
+def _total_of(alpha: tuple[int, ...]) -> int:
+    return sum(j * a for j, a in enumerate(alpha, start=1))
 
 
 def diameter(g: Graph) -> int:
     """Largest geodesic distance; 0 for a single node."""
     if g.n == 0:
         raise ValueError("diameter of the empty graph is undefined")
-    best = 0
-    for u in range(g.n):
-        dist = bfs_distances(g, u)
-        if UNREACHABLE in dist:
-            raise ValueError("diameter needs a connected graph")
-        best = max(best, max(dist))
-    return best
+    return _diameter_of(alpha_array(g))
 
 
 def density(g: Graph) -> Fraction:
@@ -173,17 +181,8 @@ def h_index(values) -> int:
 
 
 def total_distance(g: Graph) -> int:
-    """Sum of geodesic distances over unordered node pairs."""
-    if g.n <= 1:
-        return 0
-    total = 0
-    for u in range(g.n):
-        dist = bfs_distances(g, u)
-        for v in range(u + 1, g.n):
-            if dist[v] == UNREACHABLE:
-                raise ValueError("total distance needs a connected graph")
-            total += dist[v]
-    return total
+    """Sum of geodesic distances over unordered node pairs (the Wiener index)."""
+    return _total_of(alpha_array(g))
 
 
 def mean_distance(g: Graph) -> Fraction:
@@ -197,13 +196,14 @@ def all_indicators(g: Graph) -> IndicatorArrays:
     """Compute the full indicator record for a connected graph with n >= 2."""
     delta = degree_array(g)
     gamma = gamma_array(g)
+    alpha = alpha_array(g)
     return IndicatorArrays(
         delta=delta,
         gamma=gamma,
-        alpha=alpha_array(g),
+        alpha=alpha,
         density=density(g),
-        diameter=diameter(g),
+        diameter=_diameter_of(alpha),
         h_index=h_index(delta),
         neighboring_index=sum(gamma),
-        total_distance=total_distance(g),
+        total_distance=_total_of(alpha),
     )

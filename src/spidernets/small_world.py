@@ -103,9 +103,10 @@ CANONICAL_DIRECTIONS = (
 
 @dataclass(frozen=True)
 class RatioPoint:
-    """One sample of indicator / ln(n) along a growth direction."""
+    """One sample along a growth direction: the exact indicator and its ratio to ln(n)."""
 
     n: int
+    numerator: Fraction
     ratio: float
 
 
@@ -218,7 +219,8 @@ def ratio_sequence(
     for value in steps:
         p = direction.params_at(value)
         n = node_count(p)
-        points.append(RatioPoint(n, float(numerator(notion, p)) / math.log(n)))
+        num = numerator(notion, p)
+        points.append(RatioPoint(n, num, float(num) / math.log(n)))
     return points
 
 

@@ -23,6 +23,10 @@ from spidernets.graph_core import Graph, build_graph
 EXPORT_FORMATS = ("edge-list", "dot", "adjacency-csv")
 
 
+class ConsistencyError(RuntimeError):
+    """An internal counting identity failed; the formula is wrong."""
+
+
 @dataclass(frozen=True)
 class SpiderParams:
     """Normalized spider parameters: core size m, legs per core node k, leg length l."""
@@ -84,7 +88,8 @@ def pair_count(p: SpiderParams) -> int:
     n = node_count(p)
     m, k, l = p.m, p.k, p.l
     expanded = m * (m - 1) - m * k * l + 2 * m * m * k * l + m * m * k * k * l * l
-    assert n * (n - 1) == expanded, "pair count expansion mismatch"
+    if n * (n - 1) != expanded:
+        raise ConsistencyError("pair count expansion mismatch")
     return n * (n - 1) // 2
 
 
@@ -136,7 +141,8 @@ def build_spider(p: SpiderParams) -> Graph:
                 edges.append((prev, node))
                 prev = node
     g = build_graph(node_count(p), edges)
-    assert g.num_edges == edge_count(p), "spider edge count mismatch"
+    if g.num_edges != edge_count(p):
+        raise ConsistencyError("spider edge count mismatch")
     return g
 
 

@@ -1,4 +1,6 @@
-from spidernets import cli, closed_form
+import pytest
+
+from spidernets import cli, closed_form, small_world
 
 
 def run(capsys, *argv):
@@ -84,6 +86,30 @@ class TestReport:
         assert code == 0
         assert "alpha: 5 6 4 0 0" in out
 
+    def test_negative_cap_rejected(self, capsys):
+        code, _, err = run(capsys, "report", "-M", "2", "-K", "2", "-L", "1", "--cap", "-1")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw", ["abc", "-5"])
+    def test_bad_cap_env_var_rejected(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv(cli.NODE_CAP_ENV, raw)
+        code, _, err = run(capsys, "report", "-M", "2", "-K", "2", "-L", "1")
+        assert code == 2
+        assert err.startswith("error:") and cli.NODE_CAP_ENV in err
+        assert err.count("\n") == 1
+
+    def test_out_of_memory_is_resource_guard(self, capsys, monkeypatch):
+        def exhausted(p):
+            raise MemoryError
+
+        monkeypatch.setattr(closed_form, "closed_form_report", exhausted)
+        code, _, err = run(
+            capsys, "report", "-M", "2", "-K", "2", "-L", "1", "--source", "closed"
+        )
+        assert code == 4
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_single_node(self, capsys):
         code, out, _ = run(capsys, "report", "-M", "1", "-K", "0", "-L", "0")
         assert code == 0
@@ -101,6 +127,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--Mmax", "4", "--Kmax", "3", "--Lmax", "3")
         assert code == 0
         assert "MISMATCH" not in out
+
+    @pytest.mark.parametrize(
+        "options", [("--Mmax", "0"), ("--cap", "-1"), ("--cap", "1")]
+    )
+    def test_empty_or_negative_grid_rejected(self, capsys, options):
+        code, out, err = run(capsys, "verify", *options)
+        assert code == 2
+        assert "verified" not in out
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_corrupted_formula_detected(self, capsys, monkeypatch):
         real = closed_form.diameter_closed
@@ -147,6 +182,32 @@ class TestAsymptotics:
         node_counts = [int(line.split(",")[1]) for line in lines[1:]]
         assert node_counts == sorted(node_counts) and len(set(node_counts)) == 3
         assert lines[1].split(",")[2] == "3/1"
+
+    def test_csv_computes_each_numerator_once(self, capsys, monkeypatch, tmp_path):
+        real_numerator, real_classify = small_world.numerator, small_world.classify
+        calls = {"all": 0, "classify": 0}
+
+        def counting_numerator(notion, p):
+            calls["all"] += 1
+            return real_numerator(notion, p)
+
+        def counting_classify(notion, direction):
+            before = calls["all"]
+            verdict = real_classify(notion, direction)
+            calls["classify"] += calls["all"] - before
+            return verdict
+
+        monkeypatch.setattr(small_world, "numerator", counting_numerator)
+        monkeypatch.setattr(small_world, "classify", counting_classify)
+        steps = ",".join(str(s) for s in range(1, 51))
+        code, _, _ = run(
+            capsys,
+            "asymptotics", "--notion", "SWA", "--vary", "L", "--fix", "M=2,K=1",
+            "--steps", steps, "--out-csv", str(tmp_path / "swa.csv"),
+        )
+        assert code == 0
+        assert calls["classify"] > 0
+        assert calls["all"] - calls["classify"] == 50
 
     def test_invalid_cell(self, capsys):
         code, _, err = run(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import connected_graphs, graphs
 from spidernets.graph_core import (
@@ -262,6 +263,29 @@ class TestInvariants:
         )
         assert ind.neighboring_index == sum(ind.gamma)
         assert ind.h_index == h_index(ind.delta)
+
+    @given(st.one_of(graphs(), connected_graphs()))
+    def test_sweep_matches_all_pairs_reference(self, g):
+        d = all_pairs_distances(g)
+        pairs = [d[u][v] for u in range(g.n) for v in range(u + 1, g.n)]
+        if UNREACHABLE in pairs:
+            for indicator in (
+                alpha_array, diameter, total_distance, mean_distance, all_indicators
+            ):
+                with pytest.raises(ValueError):
+                    indicator(g)
+            return
+        alpha = tuple(pairs.count(j) for j in range(1, g.n))
+        assert alpha_array(g) == alpha
+        assert diameter(g) == max(pairs, default=0)
+        assert total_distance(g) == sum(pairs)
+        if g.n < 2:
+            return
+        assert mean_distance(g) == Fraction(sum(pairs), len(pairs))
+        ind = all_indicators(g)
+        assert (ind.alpha, ind.diameter, ind.total_distance) == (
+            alpha, max(pairs), sum(pairs)
+        )
 
     def test_bfs_distances_from_each_source(self):
         g = path(4)

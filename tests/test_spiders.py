@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given
 
 from conftest import spider_params
+from spidernets import spiders
 from spidernets.graph_core import degree_array, is_connected
 from spidernets.spiders import (
+    ConsistencyError,
     NodeLabel,
     SpiderParams,
     build_spider,
@@ -101,6 +103,16 @@ class TestBuildSpider:
         g = build_spider(p)
         assert g.num_edges == edge_count(p)
         assert is_connected(g)
+
+    def test_edge_count_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(spiders, "edge_count", lambda p: 0)
+        with pytest.raises(ConsistencyError, match="edge count"):
+            build_spider(normalize(2, 2, 1))
+
+    def test_pair_count_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(spiders, "node_count", lambda p: 7)
+        with pytest.raises(ConsistencyError, match="pair count"):
+            pair_count(normalize(2, 2, 1))
 
 
 class TestLabels:
