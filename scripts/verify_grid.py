@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Sweep a spider parameter grid and check every closed form against brute force."""
+"""Sweep a spider parameter grid and check every closed form against brute force.
+
+Runs ``spidernets verify`` with the same grid and exit codes.
+"""
 
 import argparse
 import sys
-import time
 
-from spidernets.cli import compare_point, iter_grid
+from spidernets import cli
 
 
 def main() -> int:
@@ -15,20 +17,15 @@ def main() -> int:
     parser.add_argument("--lmax", type=int, default=6)
     parser.add_argument("--cap", type=int, default=2000, help="largest node count")
     args = parser.parse_args()
-
-    start = time.perf_counter()
-    points = iter_grid(args.mmax, args.kmax, args.lmax, args.cap)
-    failures = 0
-    for p in points:
-        for line in compare_point(p):
-            failures += 1
-            print(f"MISMATCH {line}")
-    elapsed = time.perf_counter() - start
-    print(f"{len(points)} parameter points verified in {elapsed:.2f}s")
-    if failures:
-        print(f"{failures} mismatches found")
-        return 1
-    return 0
+    return cli.main(
+        [
+            "verify",
+            "--Mmax", str(args.mmax),
+            "--Kmax", str(args.kmax),
+            "--Lmax", str(args.lmax),
+            "--cap", str(args.cap),
+        ]
+    )
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ significant digits) so files and stdout are stable across runs and suitable
 for golden-file comparison.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 usage error, 3 I/O failure,
-4 resource guard (oracle requested beyond the node cap, or out of memory).
+4 resource guard (oracle requested beyond the node cap or its BFS work
+bound, out of memory, or a result too large to index).
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ def format_array(values) -> str:
     return " ".join(str(v) for v in values)
 
 
+def format_runs(groups) -> str:
+    """format_array of the expanded (value, count) groups, built run by run."""
+    return "".join((str(v) + " ") * c for v, c in groups)[:-1]
+
+
 def _print_counts(p: spiders.SpiderParams) -> None:
     print(f"spider M={p.m} K={p.k} L={p.l}")
     print(f"nodes: {spiders.node_count(p)}")
@@ -85,14 +91,15 @@ def cmd_export(args) -> int:
 
 def _closed_rows(p: spiders.SpiderParams) -> dict[str, str]:
     report = closed_form.closed_form_report(p)
+    head = report.alpha_head
     return {
-        "delta": format_array(report.delta),
-        "gamma": format_array(report.gamma),
-        "alpha": format_array(report.alpha),
+        "delta": format_runs(report.delta_groups),
+        "gamma": format_runs(report.gamma_groups),
+        "alpha": format_array(head) + " 0" * (report.alpha_length - len(head)),
         "density": format_fraction(report.density),
         "diameter": str(report.diameter),
         "h-index": str(report.h_index),
-        "neighboring-index": str(sum(report.gamma)),
+        "neighboring-index": str(sum(v * c for v, c in report.gamma_groups)),
         "mean-distance": format_fraction(
             Fraction(report.total_distance, spiders.pair_count(p))
         ),
@@ -131,22 +138,27 @@ def cmd_report(args) -> int:
     p = spiders.normalize(args.m, args.k, args.l)
     cap = _node_cap(args.cap, REPORT_CAP_DEFAULT)
     n = spiders.node_count(p)
-    need_oracle = args.source in ("oracle", "both")
-    if need_oracle and n > cap:
-        print(
-            f"error: oracle computation needs {n} nodes, above the cap {cap}",
-            file=sys.stderr,
-        )
-        return EXIT_RESOURCE
+    if args.source in ("oracle", "both"):
+        # A BFS from every node visits n nodes and 2E adjacency entries per
+        # source; dense graphs get at most the work of a tree on cap nodes.
+        work, work_cap = n * (n + 2 * spiders.edge_count(p)), cap * (3 * cap - 2)
+        need = None
+        if n > cap:
+            need = f"{n} nodes, above the cap {cap}"
+        elif work > work_cap:
+            need = f"{work} BFS steps, above the {work_cap} of a {cap}-node tree"
+        if need:
+            print(f"error: oracle computation needs {need}", file=sys.stderr)
+            return EXIT_RESOURCE
     _print_counts(p)
     if n < 2:
         print("single node: distance indicators are undefined")
-        delta = closed_form.delta_closed(p)
-        print(f"delta: {format_array(delta)}")
-        print(f"gamma: {format_array(closed_form.gamma_closed(p))}")
+        gamma = closed_form.gamma_groups(p)
+        print(f"delta: {format_runs(closed_form.delta_groups(p))}")
+        print(f"gamma: {format_runs(gamma)}")
         print(f"diameter: {closed_form.diameter_closed(p)}")
         print(f"h-index: {closed_form.h_index_closed(p)}")
-        print(f"neighboring-index: {sum(closed_form.gamma_closed(p))}")
+        print(f"neighboring-index: {sum(v * c for v, c in gamma)}")
         return EXIT_OK
     if args.source == "closed":
         rows = _closed_rows(p)
@@ -331,7 +343,11 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument(
         "--cap",
         type=int,
-        help=f"largest node count allowed for oracle computation (default {REPORT_CAP_DEFAULT})",
+        help=(
+            "largest node count allowed for oracle computation, whose BFS work "
+            "may not exceed that of a tree on this many nodes "
+            f"(default {REPORT_CAP_DEFAULT})"
+        ),
     )
     rep.set_defaults(func=cmd_report)
 
@@ -375,6 +391,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except MemoryError:
         print("error: out of memory (resource guard)", file=sys.stderr)
+        return EXIT_RESOURCE
+    except OverflowError as exc:
+        print(f"error: result too large ({exc}) (resource guard)", file=sys.stderr)
         return EXIT_RESOURCE
 
 

@@ -11,9 +11,12 @@ distance bookkeeping works by classifying unordered node pairs:
 * leg-leg pairs in different bundles cross two core nodes: p + q + 1;
 * a leg node and a foreign core node are at distance p + 1.
 
-Each function asserts its own counting identities (array lengths, sum rules)
-before returning and raises ConsistencyError on any disagreement, so a wrong
-formula can never propagate silently.
+Degree and gamma multisets are computed as (value, count) groups and the
+alpha array as its head up to distance 2L+1 plus its length n-1; the
+``*_closed`` functions expand them to full arrays.  Each function asserts its
+own counting identities (node totals, sum rules) before returning and raises
+ConsistencyError on any disagreement, so a wrong formula can never propagate
+silently.
 """
 
 from __future__ import annotations
@@ -36,12 +39,24 @@ def _check(condition: bool, message: str) -> None:
         raise ConsistencyError(message)
 
 
+def _groups(pairs) -> tuple[tuple[int, int], ...]:
+    """(value, count) pairs as non-increasing groups, equal values merged.
+
+    Groups with count 0 are dropped; a negative count is a formula error.
+    """
+    merged: dict[int, int] = {}
+    for value, count in pairs:
+        _check(count >= 0, "a multiplicity is negative")
+        if count:
+            merged[value] = merged.get(value, 0) + count
+    return tuple(sorted(merged.items(), reverse=True))
+
+
 def _expand(groups) -> tuple[int, ...]:
-    """Turn (value, multiplicity) groups into a sorted non-increasing tuple."""
+    """The array that non-increasing (value, count) groups stand for."""
     values: list[int] = []
     for value, count in groups:
-        values.extend([value] * count)
-    values.sort(reverse=True)
+        values += [value] * count
     return tuple(values)
 
 
@@ -51,21 +66,29 @@ def _delta_groups(p: SpiderParams):
     return [(m - 1 + k, m), (2, k * m * (l - 1)), (1, k * m)]
 
 
+def delta_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
+    """Degree multiset as non-increasing (degree, count) groups, at most 3."""
+    groups = _groups(_delta_groups(p))
+    _check(sum(c for _, c in groups) == node_count(p), "degree groups miss nodes")
+    _check(
+        sum(v * c for v, c in groups) == 2 * edge_count(p),
+        "total degree is not twice the edge count",
+    )
+    return groups
+
+
 def delta_closed(p: SpiderParams) -> tuple[int, ...]:
     """Degrees sorted non-increasing, from the multiset alone."""
-    delta = _expand(_delta_groups(p))
-    _check(len(delta) == node_count(p), "degree array has wrong length")
-    _check(sum(delta) == 2 * edge_count(p), "total degree is not twice the edge count")
-    return delta
+    return _expand(delta_groups(p))
 
 
 def max_degree(p: SpiderParams) -> int:
     """Largest degree, without materializing the array."""
-    return max(value for value, count in _delta_groups(p) if count > 0)
+    return delta_groups(p)[0][0]
 
 
-def gamma_closed(p: SpiderParams) -> tuple[int, ...]:
-    """Own degree plus neighbor degrees per node, sorted non-increasing.
+def _gamma_groups(p: SpiderParams):
+    """Own degree plus neighbor degrees per node, as (value, count) pairs.
 
     Needs genuine case dispatch on the leg length: the neighbors of a leg
     node change character at l = 1 and l = 2, and interior degree-6 nodes
@@ -73,28 +96,36 @@ def gamma_closed(p: SpiderParams) -> tuple[int, ...]:
     """
     m, k, l = p.m, p.k, p.l
     if k == 0:
-        groups = [(m * (m - 1), m)]
-    elif l == 1:
-        groups = [(m * (m - 1 + k) + k, m), (m + k, m * k)]
-    elif l == 2:
-        groups = [(m * (m - 1 + k) + 2 * k, m), (m + k + 2, m * k), (3, m * k)]
-    else:
-        groups = [
-            (m * (m - 1 + k) + 2 * k, m),
-            (m + k + 3, m * k),
-            (6, (l - 3) * m * k),
-            (5, m * k),
-            (3, m * k),
-        ]
-    gamma = _expand(groups)
-    _check(len(gamma) == node_count(p), "gamma array has wrong length")
+        return [(m * (m - 1), m)]
+    if l == 1:
+        return [(m * (m - 1 + k) + k, m), (m + k, m * k)]
+    if l == 2:
+        return [(m * (m - 1 + k) + 2 * k, m), (m + k + 2, m * k), (3, m * k)]
+    return [
+        (m * (m - 1 + k) + 2 * k, m),
+        (m + k + 3, m * k),
+        (6, (l - 3) * m * k),
+        (5, m * k),
+        (3, m * k),
+    ]
+
+
+def gamma_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
+    """Gamma multiset as non-increasing (value, count) groups, at most 5."""
+    groups = _groups(_gamma_groups(p))
+    _check(sum(c for _, c in groups) == node_count(p), "gamma groups miss nodes")
     # Summing gamma over nodes counts each degree once plus once per neighbor.
     degree_square_sum = sum(count * value * value for value, count in _delta_groups(p))
     _check(
-        sum(gamma) == 2 * edge_count(p) + degree_square_sum,
+        sum(v * c for v, c in groups) == 2 * edge_count(p) + degree_square_sum,
         "gamma sum identity failed",
     )
-    return gamma
+    return groups
+
+
+def gamma_closed(p: SpiderParams) -> tuple[int, ...]:
+    """Own degree plus neighbor degrees per node, sorted non-increasing."""
+    return _expand(gamma_groups(p))
 
 
 def _pairs_summing_to(l: int, s: int) -> int:
@@ -102,11 +133,12 @@ def _pairs_summing_to(l: int, s: int) -> int:
     return max(0, min(s - 1, 2 * l + 1 - s))
 
 
-def alpha_closed(p: SpiderParams) -> tuple[int, ...]:
-    """Distance frequencies over unordered pairs, entries for j = 1..n-1.
+def alpha_head(p: SpiderParams) -> tuple[tuple[int, ...], int]:
+    """Distance frequencies for j = 1..min(2L+1, n-1), and the length n-1.
 
-    One uniform formula covers all normalized parameters; groups that do not
-    apply contribute zero through their pair counts.
+    No two nodes are farther apart than 2L+1, so every entry past the head
+    is zero.  One uniform formula covers all normalized parameters; groups
+    that do not apply contribute zero through their pair counts.
     """
     n = node_count(p)
     if n < 2:
@@ -114,16 +146,21 @@ def alpha_closed(p: SpiderParams) -> tuple[int, ...]:
     m, k, l = p.m, p.k, p.l
     same_bundle_leg_pairs = m * (k * (k - 1) // 2)
     cross_bundle_leg_pairs = (m * (m - 1) // 2) * k * k
-    alpha = [0] * (n - 1)
-    alpha[0] = m * (m - 1) // 2 + m * k * l
+    head = [m * (m - 1) // 2 + m * k * l]
     for j in range(2, min(2 * l + 1, n - 1) + 1):
         within_leg = k * m * (l - (j - 1)) if j <= l else 0
         same_bundle = same_bundle_leg_pairs * _pairs_summing_to(l, j)
         cross_bundle = cross_bundle_leg_pairs * _pairs_summing_to(l, j - 1)
         to_foreign_core = k * m * (m - 1) if j <= l + 1 else 0
-        alpha[j - 1] = within_leg + same_bundle + cross_bundle + to_foreign_core
-    _check(sum(alpha) == pair_count(p), "distance frequencies do not sum to all pairs")
-    return tuple(alpha)
+        head.append(within_leg + same_bundle + cross_bundle + to_foreign_core)
+    _check(sum(head) == pair_count(p), "distance frequencies do not sum to all pairs")
+    return tuple(head), n - 1
+
+
+def alpha_closed(p: SpiderParams) -> tuple[int, ...]:
+    """Distance frequencies over unordered pairs, entries for j = 1..n-1."""
+    head, length = alpha_head(p)
+    return head + (0,) * (length - len(head))
 
 
 def diameter_closed(p: SpiderParams) -> int:
@@ -152,12 +189,10 @@ def density_closed(p: SpiderParams) -> Fraction:
 
 
 def _h_from_groups(groups) -> int:
-    """h-index of a value multiset given as (value, multiplicity) groups."""
+    """h-index of a value multiset given as non-increasing (value, count) groups."""
     h = 0
     rank = 0
-    for value, count in sorted(groups, reverse=True):
-        if count <= 0:
-            continue
+    for value, count in groups:
         rank += count
         h = max(h, min(value, rank))
     return h
@@ -175,7 +210,7 @@ def h_index_closed(p: SpiderParams) -> int:
     else:
         value = 2 if l > 2 else 1
     _check(
-        value == _h_from_groups(_delta_groups(p)),
+        value == _h_from_groups(delta_groups(p)),
         "h-index regime disagrees with the degree multiset",
     )
     return value
@@ -247,11 +282,17 @@ def mean_distance_closed(p: SpiderParams) -> Fraction:
 
 @dataclass(frozen=True)
 class ClosedFormReport:
-    """All closed-form indicators of one spider."""
+    """All closed-form indicators of one spider, in grouped form.
 
-    delta: tuple[int, ...]
-    gamma: tuple[int, ...]
-    alpha: tuple[int, ...]
+    ``delta_groups`` and ``gamma_groups`` are non-increasing (value, count)
+    groups; the alpha array is ``alpha_head`` followed by zeros up to
+    ``alpha_length`` = n - 1 entries.
+    """
+
+    delta_groups: tuple[tuple[int, int], ...]
+    gamma_groups: tuple[tuple[int, int], ...]
+    alpha_head: tuple[int, ...]
+    alpha_length: int
     diameter: int
     density: Fraction
     h_index: int
@@ -263,19 +304,22 @@ def closed_form_report(p: SpiderParams) -> ClosedFormReport:
     """Evaluate every closed form and verify they agree with each other."""
     if node_count(p) < 2:
         raise ValueError("indicator report needs at least 2 nodes")
-    alpha = alpha_closed(p)
+    # The h-index cross-check expands the degree array first, so a spider
+    # too large to list fails here at once, before the O(L) alpha head.
+    delta = delta_groups(p)
+    h = h_index_closed(p)
+    _check(h == h_index(_expand(delta)), "h-index disagrees with the degree array")
+    alpha, length = alpha_head(p)
     total = total_distance_closed(p)
     _check(
         total == sum(j * a for j, a in enumerate(alpha, start=1)),
         "total distance disagrees with the distance frequencies",
     )
-    delta = delta_closed(p)
-    h = h_index_closed(p)
-    _check(h == h_index(delta), "h-index disagrees with the degree array")
     return ClosedFormReport(
-        delta=delta,
-        gamma=gamma_closed(p),
-        alpha=alpha,
+        delta_groups=delta,
+        gamma_groups=gamma_groups(p),
+        alpha_head=alpha,
+        alpha_length=length,
         diameter=diameter_closed(p),
         density=density_closed(p),
         h_index=h,

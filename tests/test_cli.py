@@ -1,6 +1,15 @@
+import pathlib
+import runpy
+import sys
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spidernets import cli, closed_form, small_world
+from spidernets.closed_form import _expand
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run(capsys, *argv):
@@ -116,6 +125,61 @@ class TestReport:
         assert "delta: 0" in out
         assert "distance indicators are undefined" in out
 
+    def test_overflowing_spider_is_resource_guard(self, capsys):
+        huge = "10000000000"
+        code, _, err = run(
+            capsys, "report", "-M", "1", "-K", huge, "-L", huge, "--source", "closed"
+        )
+        assert code == 4
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_dense_oracle_work_guard(self, capsys):
+        code, out, err = run(capsys, "report", "-M", "30", "-K", "0", "-L", "0", "--cap", "40")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:") and "40-node tree" in err
+
+    def test_tree_sized_oracle_work_allowed(self, capsys):
+        code, out, _ = run(capsys, "report", "-M", "2", "-K", "2", "-L", "1", "--cap", "6")
+        assert code == 0
+        assert "MISMATCH" not in out
+
+    @pytest.mark.parametrize(
+        "m,k,l",
+        [
+            (1, 0, 0),
+            (5, 0, 0),
+            (1, 3, 1),
+            (3, 2, 1),
+            (1, 2, 2),
+            (3, 2, 2),
+            (1, 1, 6),
+            (1, 3, 4),
+            (2, 2, 3),
+        ],
+    )
+    def test_closed_rows_equal_oracle_rows(self, capsys, m, k, l):
+        shape = ("-M", str(m), "-K", str(k), "-L", str(l))
+        code, closed, _ = run(capsys, "report", *shape, "--source", "closed")
+        assert code == 0
+        code, oracle, _ = run(capsys, "report", *shape, "--source", "oracle")
+        assert code == 0
+        assert closed == oracle
+
+
+runs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=4)),
+    max_size=6,
+).map(lambda groups: sorted(groups, key=lambda group: group[0], reverse=True))
+
+
+@given(runs)
+@example([(7, 3)])
+@example([(5, 0), (3, 2)])
+@example([(4, 1), (4, 2), (1, 0)])
+def test_run_formatter_matches_expanded_array(groups):
+    assert cli.format_runs(groups) == cli.format_array(_expand(groups))
+
 
 class TestVerify:
     def test_small_grid_passes(self, capsys):
@@ -136,6 +200,16 @@ class TestVerify:
         assert code == 2
         assert "verified" not in out
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mmax,code", [("0", 2), ("1", 0)])
+    def test_script_runs_the_verify_command(self, capsys, monkeypatch, mmax, code):
+        argv = ["verify_grid.py", "--mmax", mmax, "--kmax", "1", "--lmax", "1"]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path(str(SCRIPTS / "verify_grid.py"), run_name="__main__")
+        assert exited.value.code == code
+        out = capsys.readouterr().out
+        assert ("parameter points verified" in out) == (code == 0)
 
     def test_corrupted_formula_detected(self, capsys, monkeypatch):
         real = closed_form.diameter_closed

@@ -4,15 +4,20 @@ import pytest
 from hypothesis import given
 
 from conftest import spider_params
-from spidernets import graph_core
+from spidernets import closed_form, graph_core
 from spidernets.closed_form import (
+    ConsistencyError,
+    _expand,
     alpha_closed,
+    alpha_head,
     average_degree_closed,
     closed_form_report,
     delta_closed,
+    delta_groups,
     density_closed,
     diameter_closed,
     gamma_closed,
+    gamma_groups,
     h_index_closed,
     max_degree,
     mean_distance_closed,
@@ -199,8 +204,61 @@ class TestIdentities:
                 closed_form_report(p)
         else:
             report = closed_form_report(p)
-            assert len(report.delta) == node_count(p)
-            assert len(report.alpha) == node_count(p) - 1
+            assert sum(c for _, c in report.delta_groups) == node_count(p)
+            assert sum(c for _, c in report.gamma_groups) == node_count(p)
+            assert report.alpha_length == node_count(p) - 1
+            assert len(report.alpha_head) <= report.alpha_length
+            assert _expand(report.delta_groups) == delta_closed(p)
+            assert _expand(report.gamma_groups) == gamma_closed(p)
+
+
+class TestGroupedForms:
+    @given(spider_params)
+    def test_groups_are_non_increasing_distinct_and_positive(self, p):
+        for groups, most in ((delta_groups(p), 3), (gamma_groups(p), 5)):
+            assert 1 <= len(groups) <= most
+            values = [v for v, _ in groups]
+            assert values == sorted(set(values), reverse=True)
+            assert all(c > 0 for _, c in groups)
+
+    @given(spider_params)
+    def test_expansions_match_the_oracle(self, p):
+        g = build_spider(p)
+        assert _expand(delta_groups(p)) == graph_core.degree_array(g)
+        assert _expand(gamma_groups(p)) == graph_core.gamma_array(g)
+        if node_count(p) >= 2:
+            head, length = alpha_head(p)
+            alpha = graph_core.alpha_array(g)
+            assert length == len(alpha) == node_count(p) - 1
+            assert len(head) == min(2 * p.l + 1, length)
+            assert alpha == head + (0,) * (length - len(head))
+
+    def test_alpha_head_stays_short_on_long_arrays(self):
+        head, length = alpha_head(normalize(3, 16666, 2))
+        assert (len(head), length) == (5, 3 * 16666 * 2 + 2)
+
+    def test_single_node_head_rejected(self):
+        with pytest.raises(ValueError):
+            alpha_head(normalize(1, 0, 0))
+
+    def test_corrupted_group_detected(self, monkeypatch):
+        real = closed_form._delta_groups
+
+        def shifted(p):
+            (core, m), interior, terminal = real(p)
+            return [(core + 1, m), interior, terminal]
+
+        monkeypatch.setattr(closed_form, "_delta_groups", shifted)
+        with pytest.raises(ConsistencyError):
+            closed_form_report(normalize(3, 2, 2))
+
+    def test_negative_multiplicity_detected(self, monkeypatch):
+        real = closed_form._gamma_groups
+        monkeypatch.setattr(
+            closed_form, "_gamma_groups", lambda p: real(p) + [(7, 1), (7, -1)]
+        )
+        with pytest.raises(ConsistencyError):
+            gamma_groups(normalize(2, 1, 3))
 
 
 class TestDensityTrend:
