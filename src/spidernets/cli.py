@@ -4,7 +4,8 @@ Output is deterministic (sorted edges, exact fractions as p/q, floats with 6
 significant digits) so files and stdout are stable across runs and suitable
 for golden-file comparison.
 
-Exit codes: 0 ok, 1 verification mismatch, 2 usage error, 3 I/O failure,
+Exit codes: 0 ok, 1 verification mismatch (a closed form that disagrees with
+the oracle or fails its own consistency check), 2 usage error, 3 I/O failure,
 4 resource guard (oracle requested beyond the node cap or its BFS work
 bound, out of memory, or a result too large to index).
 """
@@ -134,19 +135,31 @@ ROW_ORDER = (
 )
 
 
+def oracle_refusal(p: spiders.SpiderParams, cap: int) -> str | None:
+    """Why the oracle would exceed its budget for a node cap on p, or None.
+
+    The budget is cap nodes and the BFS work of a tree on cap nodes.
+    ``graph_core.alpha_array`` visits n nodes and 2E adjacency entries once
+    per source, or, on graphs of at most ``graph_core.SWEEP_MAX_NODES``
+    nodes, once per level for at most n levels, so n * (n + 2E) bounds its
+    steps; a tree has E = n - 1, and a dense core of far fewer nodes can
+    reach the same work.
+    """
+    n = spiders.node_count(p)
+    if n > cap:
+        return f"{n} nodes, above the cap {cap}"
+    work, work_cap = n * (n + 2 * spiders.edge_count(p)), cap * (3 * cap - 2)
+    if work > work_cap:
+        return f"{work} BFS steps, above the {work_cap} of a {cap}-node tree"
+    return None
+
+
 def cmd_report(args) -> int:
     p = spiders.normalize(args.m, args.k, args.l)
     cap = _node_cap(args.cap, REPORT_CAP_DEFAULT)
     n = spiders.node_count(p)
     if args.source in ("oracle", "both"):
-        # A BFS from every node visits n nodes and 2E adjacency entries per
-        # source; dense graphs get at most the work of a tree on cap nodes.
-        work, work_cap = n * (n + 2 * spiders.edge_count(p)), cap * (3 * cap - 2)
-        need = None
-        if n > cap:
-            need = f"{n} nodes, above the cap {cap}"
-        elif work > work_cap:
-            need = f"{work} BFS steps, above the {work_cap} of a {cap}-node tree"
+        need = oracle_refusal(p, cap)
         if need:
             print(f"error: oracle computation needs {need}", file=sys.stderr)
             return EXIT_RESOURCE
@@ -178,7 +191,10 @@ def cmd_report(args) -> int:
 
 
 def iter_grid(mmax: int, kmax: int, lmax: int, node_cap: int):
-    """Distinct normalized parameters in the grid with 2 <= nodes <= cap."""
+    """Distinct normalized parameters in the grid with at least 2 nodes.
+
+    Points that ``oracle_refusal`` refuses under node_cap are dropped.
+    """
     seen = set()
     points = []
     for m in range(1, mmax + 1):
@@ -188,7 +204,7 @@ def iter_grid(mmax: int, kmax: int, lmax: int, node_cap: int):
                 if p in seen:
                     continue
                 seen.add(p)
-                if 2 <= spiders.node_count(p) <= node_cap:
+                if spiders.node_count(p) >= 2 and not oracle_refusal(p, node_cap):
                     points.append(p)
     points.sort(key=lambda p: (p.m, p.k, p.l))
     return points
@@ -239,7 +255,9 @@ def cmd_verify(args) -> int:
     cap = _node_cap(args.cap, VERIFY_CAP_DEFAULT)
     points = iter_grid(args.mmax, args.kmax, args.lmax, cap)
     if not points:
-        raise ValueError(f"the grid has no parameter point with 2 <= nodes <= {cap}")
+        raise ValueError(
+            f"the grid has no parameter point with at least 2 nodes within the cap {cap}"
+        )
     failures = 0
     for p in points:
         for line in compare_point(p):
@@ -356,7 +374,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--Kmax", dest="kmax", type=int, default=5)
     ver.add_argument("--Lmax", dest="lmax", type=int, default=6)
     ver.add_argument(
-        "--cap", type=int, help=f"largest node count in the grid (default {VERIFY_CAP_DEFAULT})"
+        "--cap",
+        type=int,
+        help=(
+            "largest node count in the grid; points whose BFS work exceeds that "
+            f"of a tree on this many nodes are dropped too (default {VERIFY_CAP_DEFAULT})"
+        ),
     )
     ver.set_defaults(func=cmd_verify)
 
@@ -383,6 +406,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except closed_form.ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, graphs
+from spidernets import graph_core
 from spidernets.graph_core import (
     UNREACHABLE,
     all_indicators,
@@ -32,6 +34,51 @@ def path(n):
 
 def complete(n):
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def star(n):
+    return build_graph(n, [(0, i) for i in range(1, n)])
+
+
+def lollipop(head, tail):
+    """A complete graph on head nodes with a path of tail more nodes hanging off it."""
+    edges = [(i, j) for i in range(head) for j in range(i + 1, head)]
+    edges += [(i, i + 1) for i in range(head - 1, head + tail - 1)]
+    return build_graph(head + tail, edges)
+
+
+def assert_sweep_matches_reference(g):
+    """Both BFS schemes give the per-source reference distances; a split graph makes each raise.
+
+    The bit-parallel sweep and one BFS per source are each forced through
+    ``SWEEP_MAX_NODES``, so both are checked at every size.
+    """
+    for sweep_max_nodes in (g.n, g.n - 1):
+        with mock.patch.object(graph_core, "SWEEP_MAX_NODES", sweep_max_nodes):
+            assert_indicators_match_reference(g)
+
+
+def assert_indicators_match_reference(g):
+    d = all_pairs_distances(g)
+    pairs = [d[u][v] for u in range(g.n) for v in range(u + 1, g.n)]
+    if UNREACHABLE in pairs:
+        for indicator in (
+            alpha_array, diameter, total_distance, mean_distance, all_indicators
+        ):
+            with pytest.raises(ValueError):
+                indicator(g)
+        return
+    alpha = tuple(pairs.count(j) for j in range(1, g.n))
+    assert alpha_array(g) == alpha
+    assert diameter(g) == max(pairs, default=0)
+    assert total_distance(g) == sum(pairs)
+    if g.n < 2:
+        return
+    assert mean_distance(g) == Fraction(sum(pairs), len(pairs))
+    ind = all_indicators(g)
+    assert (ind.alpha, ind.diameter, ind.total_distance) == (
+        alpha, max(pairs), sum(pairs)
+    )
 
 
 class TestBuildGraph:
@@ -266,26 +313,34 @@ class TestInvariants:
 
     @given(st.one_of(graphs(), connected_graphs()))
     def test_sweep_matches_all_pairs_reference(self, g):
-        d = all_pairs_distances(g)
-        pairs = [d[u][v] for u in range(g.n) for v in range(u + 1, g.n)]
-        if UNREACHABLE in pairs:
-            for indicator in (
-                alpha_array, diameter, total_distance, mean_distance, all_indicators
-            ):
-                with pytest.raises(ValueError):
-                    indicator(g)
-            return
-        alpha = tuple(pairs.count(j) for j in range(1, g.n))
-        assert alpha_array(g) == alpha
-        assert diameter(g) == max(pairs, default=0)
-        assert total_distance(g) == sum(pairs)
-        if g.n < 2:
-            return
-        assert mean_distance(g) == Fraction(sum(pairs), len(pairs))
-        ind = all_indicators(g)
-        assert (ind.alpha, ind.diameter, ind.total_distance) == (
-            alpha, max(pairs), sum(pairs)
-        )
+        assert_sweep_matches_reference(g)
+
+    @settings(max_examples=15, deadline=None)
+    @given(connected_graphs(max_nodes=150))
+    def test_sweep_beyond_one_machine_word(self, g):
+        assert_sweep_matches_reference(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            path(64),
+            path(65),
+            path(130),
+            star(65),
+            star(200),
+            lollipop(40, 90),
+            lollipop(70, 5),
+            build_graph(100, [(i, i + 1) for i in range(99) if i != 70]),
+            path(300),
+            lollipop(20, 280),
+            build_graph(300, [(i, i + 1) for i in range(299) if i != 150]),
+        ],
+        ids=["path64", "path65", "path130", "star65", "star200", "lollipop40+90",
+             "lollipop70+5", "split-path100", "path300", "lollipop20+280",
+             "split-path300"],
+    )
+    def test_sweep_on_wide_eccentricity_ranges(self, g):
+        assert_sweep_matches_reference(g)
 
     def test_bfs_distances_from_each_source(self):
         g = path(4)
