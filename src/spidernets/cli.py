@@ -279,6 +279,8 @@ def _parse_fix(text: str) -> dict[str, int]:
         name = name.strip().upper()
         if name not in ("M", "K", "L") or not raw.strip():
             raise ValueError(f"cannot parse fixed parameter {part!r}; expected e.g. K=1")
+        if name in fixed:
+            raise ValueError(f"fixed parameter {name} given more than once")
         fixed[name] = int(raw)
     return fixed
 
@@ -304,31 +306,47 @@ def _verdict_line(
     return f"{notion.value} vary {direction.varying} ({direction.describe_fixed()}): {label}"
 
 
+def _write_ratio_csv(path: str, steps, points) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("step,N,numerator,lnN,ratio\n")
+        for value, pt in zip(steps, points):
+            fh.write(
+                f"{value},{pt.n},{format_fraction(pt.numerator)},"
+                f"{math.log(pt.n):.6g},{pt.ratio:.6g}\n"
+            )
+
+
 def cmd_asymptotics(args) -> int:
     if args.all:
         if args.notion or args.vary or args.fix or args.steps or args.out_csv:
             raise ValueError("--all cannot be combined with single-cell options")
+        if args.csv_dir:
+            os.makedirs(args.csv_dir, exist_ok=True)
+        steps = small_world.geometric_steps()
         for notion, direction, verdict in small_world.verdict_table():
             print(_verdict_line(notion, direction, verdict))
+            if args.csv_dir:
+                _write_ratio_csv(
+                    os.path.join(args.csv_dir, f"{notion.value}_vary_{direction.varying}.csv"),
+                    steps,
+                    small_world.ratio_sequence(notion, direction, steps),
+                )
         return EXIT_OK
+    if args.csv_dir:
+        raise ValueError("--csv-dir needs --all; write one cell with --out-csv")
     if not args.notion or not args.vary:
         raise ValueError("either --all or both --notion and --vary are required")
+    if args.steps and not args.out_csv:
+        raise ValueError("--steps needs --out-csv")
     notion = small_world.SmallWorldNotion(args.notion)
     direction = _direction_from_args(args)
-    if args.steps:
-        steps = [int(s) for s in args.steps.split(",")]
-    else:
-        steps = small_world.geometric_steps(direction)
-    points = small_world.ratio_sequence(notion, direction, steps)
     verdict = small_world.classify(notion, direction)
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("step,N,numerator,lnN,ratio\n")
-            for value, pt in zip(steps, points):
-                fh.write(
-                    f"{value},{pt.n},{format_fraction(pt.numerator)},"
-                    f"{math.log(pt.n):.6g},{pt.ratio:.6g}\n"
-                )
+        if args.steps:
+            steps = [int(s) for s in args.steps.split(",")]
+        else:
+            steps = small_world.geometric_steps()
+        _write_ratio_csv(args.out_csv, steps, small_world.ratio_sequence(notion, direction, steps))
     print(_verdict_line(notion, direction, verdict))
     return EXIT_OK
 
@@ -387,9 +405,17 @@ def _build_parser() -> argparse.ArgumentParser:
     asym.add_argument("--notion", choices=[n.value for n in small_world.SmallWorldNotion])
     asym.add_argument("--vary", choices=("M", "K", "L"))
     asym.add_argument("--fix", help="fixed parameters, e.g. K=1,L=1")
-    asym.add_argument("--steps", help="comma-separated increasing parameter values")
+    asym.add_argument(
+        "--steps",
+        help="comma-separated increasing parameter values for --out-csv (default 2,4,...,4096)",
+    )
     asym.add_argument("--out-csv", dest="out_csv", help="write the ratio sequence as CSV")
     asym.add_argument("--all", action="store_true", help="print the full 12-cell verdict table")
+    asym.add_argument(
+        "--csv-dir",
+        dest="csv_dir",
+        help="with --all, also write each cell's ratio sequence to DIR/<notion>_vary_<M|K|L>.csv",
+    )
     asym.set_defaults(func=cmd_asymptotics)
 
     exp = sub.add_parser("export", help="write a spider graph file")

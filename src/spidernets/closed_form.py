@@ -226,7 +226,7 @@ def average_degree_closed(p: SpiderParams) -> Fraction:
     return value
 
 
-def _weighted_distance_sums(l):
+def _weighted_distance_sums(l: int):
     """Six distance-weighted pair counts inside and between legs.
 
     In order: within one leg (distances 2..l weighted by occurrences); leg to
@@ -234,9 +234,6 @@ def _weighted_distance_sums(l):
     rising part (distances 2..l+1, multiplicity s-1) and the falling part
     (distances l+2..2l, multiplicity 2l+1-s); cross-bundle leg pairs likewise
     (distances 3..l+2 and l+3..2l+1, shifted by the extra core hop).
-
-    Works for any arithmetic that supports + and * with Fractions, so the
-    asymptotics code can evaluate it on polynomials.
     """
     within = l * (l - 1) * (l + 4) * Fraction(1, 6)
     foreign_core = l * (l + 3) * Fraction(1, 2)
@@ -247,14 +244,17 @@ def _weighted_distance_sums(l):
     return within, foreign_core, same_rising, same_falling, cross_rising, cross_falling
 
 
-def total_distance_expression(m, k, l):
-    """Sum of all pair distances as a single expression in m, k, l.
-
-    Accepts plain integers (returns a Fraction) or polynomial-like values.
-    """
-    within, foreign, same_r, same_f, cross_r, cross_f = _weighted_distance_sums(l)
+def total_distance_closed(p: SpiderParams) -> int:
+    """Exact total distance over unordered pairs."""
+    if node_count(p) < 2:
+        raise ValueError("total distance needs at least 2 nodes")
+    sums = _weighted_distance_sums(p.l)
+    for piece in sums:
+        _check(piece.denominator == 1, "weighted distance sum is not an integer")
+    within, foreign, same_r, same_f, cross_r, cross_f = sums
+    m, k, l = p.m, p.k, p.l
     half = Fraction(1, 2)
-    return (
+    total = (
         m * (m - 1) * half
         + m * k * l
         + k * m * within
@@ -262,15 +262,6 @@ def total_distance_expression(m, k, l):
         + m * k * (k - 1) * half * (same_r + same_f)
         + m * k * k * (m - 1) * half * (cross_r + cross_f)
     )
-
-
-def total_distance_closed(p: SpiderParams) -> int:
-    """Exact total distance over unordered pairs."""
-    if node_count(p) < 2:
-        raise ValueError("total distance needs at least 2 nodes")
-    for piece in _weighted_distance_sums(p.l):
-        _check(piece.denominator == 1, "weighted distance sum is not an integer")
-    total = total_distance_expression(p.m, p.k, p.l)
     _check(total.denominator == 1, "total distance is not an integer")
     return int(total)
 

@@ -12,10 +12,13 @@ tested, each comparing an indicator against ln(n):
 
 A converging SWD or SWA ratio with C = 0 is an ultra-small world.
 
-Classification is analytic and exact: each indicator is a ratio of
-polynomials in the growing parameter, so comparing polynomial degrees
-decides whether it outgrows the logarithm.  A geometric-step ratio sequence
-corroborates every verdict numerically.
+Classification is analytic and exact: each indicator is an integer ratio
+P / Q of closed forms that are polynomials in the growing parameter t, so
+comparing their degrees decides whether it outgrows the logarithm.  The
+degrees are read off exact forward differences of P and Q at t = 2..8.  A
+ratio sequence at doubling steps corroborates every verdict numerically:
+the first 12 doublings (t up to 4096), then one more doubling at a time, up
+to t = 2**128, until the trend shows.
 """
 
 from __future__ import annotations
@@ -29,14 +32,13 @@ from spidernets.closed_form import (
     ConsistencyError,
     diameter_closed,
     max_degree,
-    mean_distance_closed,
-    average_degree_closed,
-    total_distance_expression,
+    total_distance_closed,
 )
-from spidernets.spiders import SpiderParams, node_count, normalize
+from spidernets.spiders import SpiderParams, edge_count, node_count, normalize, pair_count
 
-NODE_CAP = 10_000_000
+GROWTH_PROBES = range(2, 9)  # seven samples pin down degrees up to 5
 STEP_COUNT = 12
+MAX_DOUBLINGS = 128
 
 
 class SmallWorldNotion(Enum):
@@ -125,87 +127,22 @@ class SmallWorldVerdict:
     is_ultra_small: bool
 
 
-class _Poly:
-    """Dense polynomial with Fraction coefficients, just enough for growth orders."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def variable(cls) -> "_Poly":
-        return cls((0, 1))
-
-    @classmethod
-    def const(cls, value) -> "_Poly":
-        return cls((value,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> Fraction:
-        return self.coeffs[-1]
-
-    def _coerce(self, other):
-        if isinstance(other, _Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _Poly.const(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (size - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (size - len(other.coeffs))
-        return _Poly([x + y for x, y in zip(a, b)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return _Poly(out)
-
-    __rmul__ = __mul__
+def _indicator_pair(notion: SmallWorldNotion, p: SpiderParams) -> tuple[int, int]:
+    """The notion's indicator as an integer ratio P / Q of closed forms."""
+    if notion is SmallWorldNotion.DSWL:
+        return max_degree(p), 1
+    if notion is SmallWorldNotion.DSWA:
+        return 2 * edge_count(p), node_count(p)
+    if notion is SmallWorldNotion.SWD:
+        return diameter_closed(p), 1
+    return total_distance_closed(p), pair_count(p)
 
 
 def numerator(notion: SmallWorldNotion, p: SpiderParams) -> Fraction:
     """The notion's indicator for one concrete spider, exact."""
     if node_count(p) < 3:
         raise ValueError("small-world indicators need at least 3 nodes")
-    if notion is SmallWorldNotion.DSWL:
-        return Fraction(max_degree(p))
-    if notion is SmallWorldNotion.DSWA:
-        return average_degree_closed(p)
-    if notion is SmallWorldNotion.SWD:
-        return Fraction(diameter_closed(p))
-    return mean_distance_closed(p)
+    return Fraction(*_indicator_pair(notion, p))
 
 
 def ratio_sequence(
@@ -224,49 +161,57 @@ def ratio_sequence(
     return points
 
 
-def geometric_steps(
-    direction: GrowthDirection, base: int = 2, count: int = STEP_COUNT
-) -> list[int]:
-    """Doubling parameter values, capped so node counts stay tractable."""
-    steps = []
-    for i in range(1, count + 1):
-        value = base * 2 ** (i - 1)
-        if node_count(direction.params_at(value)) > NODE_CAP:
-            break
-        steps.append(value)
-    return steps
+def geometric_steps(count: int = STEP_COUNT) -> list[int]:
+    """Doubling parameter values 2, 4, ..., 2**count."""
+    return [2 ** i for i in range(1, count + 1)]
 
 
-def _numerator_polynomials(notion: SmallWorldNotion, direction: GrowthDirection):
-    """The indicator as a ratio of polynomials in the growing parameter."""
-    t = _Poly.variable()
-    m = t if direction.varying == "M" else _Poly.const(direction.m)
-    k = t if direction.varying == "K" else _Poly.const(direction.k)
-    l = t if direction.varying == "L" else _Poly.const(direction.l)
-    if notion is SmallWorldNotion.DSWL:
-        # The core degree m - 1 + k is the maximum in every valid regime.
-        return m + k - 1, _Poly.const(1)
-    if notion is SmallWorldNotion.DSWA:
-        return m + 2 * k * l - 1, 1 + k * l
-    if notion is SmallWorldNotion.SWD:
-        return 2 * l + 1, _Poly.const(1)
-    n = m * (1 + k * l)
-    return total_distance_expression(m, k, l), n * (n - 1) * Fraction(1, 2)
+def polynomial_degree(samples) -> int:
+    """Degree of a polynomial with positive lead, from its values at consecutive integers.
+
+    A polynomial of degree d has constant d-th forward differences, d! times
+    its leading coefficient, and vanishing higher ones, so the degree is the
+    highest order with a nonzero difference.  Raises ConsistencyError unless
+    the last difference (the 6th for seven samples) vanishes and the top
+    nonzero difference is positive.
+    """
+    rows = [list(samples)]
+    while len(rows[-1]) > 1:
+        row = rows[-1]
+        rows.append([b - a for a, b in zip(row, row[1:])])
+    if rows[-1][0] != 0:
+        raise ConsistencyError("growth samples are not a polynomial of low enough degree")
+    degree = max((d for d, row in enumerate(rows) if any(row)), default=None)
+    if degree is None or rows[degree][0] <= 0:
+        raise ConsistencyError("growth polynomial must have a positive lead")
+    return degree
+
+
+def _shows_trend(ratios: list[float], rising: bool) -> bool:
+    """The last four ratios strictly monotone in the expected direction.
+
+    The last ratio must also lie past the first.
+    """
+    if not rising:
+        ratios = [-r for r in ratios]
+    tail = ratios[-4:]
+    return all(a < b for a, b in zip(tail, tail[1:])) and ratios[-1] > ratios[0]
 
 
 def classify(notion: SmallWorldNotion, direction: GrowthDirection) -> SmallWorldVerdict:
     """Decide one cell of the verdict table.
 
-    The analytic verdict compares polynomial degrees: an indicator of
-    positive degree outgrows ln(n); one of degree <= 0 tends to a finite
-    constant, so its ratio to ln(n) vanishes.  A doubling-step ratio
-    sequence must show the matching monotone trend, otherwise the formulas
-    and the asymptotics disagree and we fail loudly.
+    The indicator is P / Q for closed forms P and Q that are polynomials in
+    the growing parameter t, so it outgrows ln(n) exactly when deg P > deg Q;
+    otherwise it tends to a finite constant and its ratio to ln(n) vanishes.
+    The degrees come from exact forward differences at t = 2..8.  The ratios
+    at t = 2, 4, ..., 2**STEP_COUNT, extended one doubling at a time up to
+    t = 2**MAX_DOUBLINGS where they do not yet show it, must show the
+    matching monotone trend; otherwise the formulas and the asymptotics
+    disagree and we fail loudly.
     """
-    num, den = _numerator_polynomials(notion, direction)
-    if num.lead <= 0 or den.lead <= 0:
-        raise ConsistencyError("indicator polynomials must have positive leads")
-    diverges = num.degree > den.degree
+    pairs = [_indicator_pair(notion, direction.params_at(t)) for t in GROWTH_PROBES]
+    diverges = polynomial_degree(p for p, _ in pairs) > polynomial_degree(q for _, q in pairs)
     limit = None if diverges else Fraction(0)
     is_small_world = diverges if notion in DEGREE_NOTIONS else not diverges
     verdict = SmallWorldVerdict(
@@ -275,14 +220,15 @@ def classify(notion: SmallWorldNotion, direction: GrowthDirection) -> SmallWorld
         is_small_world=is_small_world,
         is_ultra_small=notion in DISTANCE_NOTIONS and not diverges,
     )
-    ratios = [pt.ratio for pt in ratio_sequence(notion, direction, geometric_steps(direction))]
-    tail = ratios[-4:]
-    rising = all(a < b for a, b in zip(tail, tail[1:]))
-    falling = all(a > b for a, b in zip(tail, tail[1:]))
-    if diverges and not (rising and ratios[-1] > ratios[0]):
-        raise ConsistencyError(f"{notion.value} vs {direction.varying}: expected rising ratios")
-    if not diverges and not (falling and ratios[-1] < ratios[0]):
-        raise ConsistencyError(f"{notion.value} vs {direction.varying}: expected falling ratios")
+    ratios = [pt.ratio for pt in ratio_sequence(notion, direction, geometric_steps())]
+    while not _shows_trend(ratios, diverges):
+        if len(ratios) == MAX_DOUBLINGS:
+            trend = "rising" if diverges else "falling"
+            raise ConsistencyError(
+                f"{notion.value} vs {direction.varying}: expected {trend} ratios"
+            )
+        step = 2 ** (len(ratios) + 1)
+        ratios += [pt.ratio for pt in ratio_sequence(notion, direction, [step])]
     return verdict
 
 

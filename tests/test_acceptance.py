@@ -171,7 +171,7 @@ def test_criterion_6_small_world_verdicts():
             assert got == expected[(notion.value, direction.varying)]
         for notion in SmallWorldNotion:
             for direction in CANONICAL_DIRECTIONS:
-                steps = geometric_steps(direction)
+                steps = geometric_steps()
                 assert len(steps) == 12
                 ratios = [pt.ratio for pt in ratio_sequence(notion, direction, steps)]
                 tail = ratios[-6:]

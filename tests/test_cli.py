@@ -309,6 +309,55 @@ class TestAsymptotics:
         assert code == 2
         assert "error" in err
 
+    def test_ratio_minimum_past_twelve_doublings(self, capsys):
+        # The ratio falls until M ~ 460 and has risen for only two of the
+        # doublings up to M = 4096.
+        code, out, err = run(
+            capsys, "asymptotics", "--notion", "DSWA", "--vary", "M", "--fix", "K=30,L=100"
+        )
+        assert (code, err) == (0, "")
+        assert out == "DSWA vary M (K=30, L=100): small world (ratio -> +inf)\n"
+
+    def test_repeated_fixed_parameter_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "asymptotics", "--notion", "SWD", "--vary", "M", "--fix", "K=1,K=5,L=1"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "K" in err
+
+    def test_steps_need_csv(self, capsys):
+        code, out, err = run(
+            capsys,
+            "asymptotics", "--notion", "SWD", "--vary", "M", "--fix", "K=1,L=1",
+            "--steps", "3,7,9",
+        )
+        assert (code, out) == (2, "")
+        assert "--out-csv" in err
+
+    def test_all_csv_dir(self, capsys, tmp_path):
+        csv_dir = tmp_path / "cells"
+        code, out, _ = run(capsys, "asymptotics", "--all", "--csv-dir", str(csv_dir))
+        assert code == 0
+        assert len(out.splitlines()) == 12
+        files = sorted(csv_dir.iterdir())
+        assert len(files) == 12
+        assert files[0].name == "DSWA_vary_K.csv"
+        for path in files:
+            lines = path.read_text().splitlines()
+            assert lines[0] == "step,N,numerator,lnN,ratio"
+            assert [int(line.split(",")[0]) for line in lines[1:]] == [
+                2 ** i for i in range(1, 13)
+            ]
+
+    def test_csv_dir_needs_all(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "asymptotics", "--notion", "SWD", "--vary", "M", "--fix", "K=1,L=1",
+            "--csv-dir", str(tmp_path / "cells"),
+        )
+        assert code == 2
+        assert not (tmp_path / "cells").exists()
+
     def test_all_excludes_cell_options(self, capsys):
         code, _, err = run(capsys, "asymptotics", "--all", "--notion", "SWD")
         assert code == 2

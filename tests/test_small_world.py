@@ -1,15 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spidernets import graph_core
+from spidernets.closed_form import ConsistencyError
 from spidernets.small_world import (
     CANONICAL_DIRECTIONS,
+    GROWTH_PROBES,
     GrowthDirection,
     SmallWorldNotion,
     classify,
     geometric_steps,
     numerator,
+    polynomial_degree,
     ratio_sequence,
     verdict_label,
     verdict_table,
@@ -116,18 +121,11 @@ class TestRatioSequences:
         assert [pt.n for pt in points] == [6, 10, 18]
 
     def test_geometric_steps_doubling(self):
-        d = GrowthDirection("M", k=1, l=1)
-        steps = geometric_steps(d)
-        assert steps == [2 ** i for i in range(1, 13)]
-
-    def test_geometric_steps_respect_node_cap(self):
-        d = GrowthDirection("L", m=2, k=1)
-        for value in geometric_steps(d):
-            assert node_count(d.params_at(value)) <= 10_000_000
+        assert geometric_steps() == [2 ** i for i in range(1, 13)]
 
     def test_diameter_ratio_quantified_convergence(self):
         for d in (GrowthDirection("M", k=1, l=1), GrowthDirection("K", m=2, l=1)):
-            ratios = [pt.ratio for pt in ratio_sequence(SWD, d, geometric_steps(d))]
+            ratios = [pt.ratio for pt in ratio_sequence(SWD, d, geometric_steps())]
             assert ratios[-1] < 0.5
             assert ratios[-1] < ratios[0] / 2
 
@@ -176,3 +174,46 @@ class TestClassification:
         assert verdict_label(DSWA, classify(DSWA, CANONICAL_DIRECTIONS[1])) == (
             "not a small world (ratio -> 0)"
         )
+
+
+fixed_values = st.integers(min_value=2, max_value=1000)
+valid_directions = st.one_of(
+    st.builds(lambda k, l: GrowthDirection("M", k=k, l=l), fixed_values, fixed_values),
+    st.builds(lambda m, l: GrowthDirection("K", m=m, l=l), fixed_values, fixed_values),
+    st.builds(lambda m, k: GrowthDirection("L", m=m, k=k), fixed_values, fixed_values),
+)
+
+
+class TestGrowthOrders:
+    @given(
+        st.lists(st.integers(min_value=-50, max_value=50), min_size=0, max_size=5),
+        st.integers(min_value=1, max_value=50),
+    )
+    def test_degree_of_integer_polynomials(self, lower, lead):
+        coeffs = lower + [lead]
+        samples = [sum(c * t ** i for i, c in enumerate(coeffs)) for t in GROWTH_PROBES]
+        assert polynomial_degree(samples) == len(coeffs) - 1
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [2 ** t for t in GROWTH_PROBES],
+            [t ** 6 for t in GROWTH_PROBES],
+            [-t for t in GROWTH_PROBES],
+            [5 - t * t for t in GROWTH_PROBES],
+            [-3] * 7,
+            [0] * 7,
+        ],
+        ids=["2^t", "t^6", "-t", "5-t^2", "-3", "zero"],
+    )
+    def test_rejects_non_polynomial_or_non_positive_lead(self, samples):
+        with pytest.raises(ConsistencyError):
+            polynomial_degree(samples)
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_directions)
+    def test_classify_never_raises_on_valid_directions(self, direction):
+        for notion in SmallWorldNotion:
+            verdict = classify(notion, direction)
+            want = EXPECTED_TABLE[(notion, direction.varying)]
+            assert (verdict.diverges, verdict.is_small_world, verdict.is_ultra_small) == want
