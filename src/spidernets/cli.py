@@ -139,11 +139,14 @@ def oracle_refusal(p: spiders.SpiderParams, cap: int) -> str | None:
     """Why the oracle would exceed its budget for a node cap on p, or None.
 
     The budget is cap nodes and the BFS work of a tree on cap nodes.
-    ``graph_core.alpha_array`` visits n nodes and 2E adjacency entries once
-    per source, or, on graphs of at most ``graph_core.SWEEP_MAX_NODES``
-    nodes, once per level for at most n levels, so n * (n + 2E) bounds its
-    steps; a tree has E = n - 1, and a dense core of far fewer nodes can
-    reach the same work.
+    Per-source BFS visits n nodes and 2E adjacency entries once per source,
+    n * (n + 2E) steps; a tree has E = n - 1, and a dense core of far fewer
+    nodes can reach the same work.  ``graph_core.alpha_array`` lets a node
+    that shares its parent's row across a bridge count n lanes instead, and
+    runs the bit-parallel sweep only when its cost model estimates the sweep
+    no dearer than per-source BFS, so that budget bounds the work of the
+    scheme it picks.  The sweep holds up to 3 * n^2 / 8 bytes of bitsets
+    (150 MB at n = 20000); running out of memory exits 4.
     """
     n = spiders.node_count(p)
     if n > cap:

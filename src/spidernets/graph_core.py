@@ -2,21 +2,28 @@
 
 Everything here is computed directly from the adjacency structure, so results
 can serve as ground truth for the analytic formulas in ``closed_form``.  The
-distance indicators all come from one distance histogram per graph.  Up to
-``SWEEP_MAX_NODES`` nodes it comes from one sweep that advances a BFS from
-every source together, one level per pass over the adjacency, with the
-sources packed as bits of Python ints; larger graphs run one BFS per source.
-Neither uses any symmetry of the graph.  ``bfs_distances`` and
-``all_pairs_distances`` are the plain BFS that tests check both against.
-Density and mean distance are exact fractions, never floats, so cross-checks
-are exact equality.  All functions are pure and safe to call concurrently.
+distance indicators all come from one distance histogram per graph, counted
+by one of two BFS schemes: one sweep that advances a BFS from every source
+together, one level per pass over the adjacency, with the sources packed as
+bits of Python ints, or one BFS per source.  Per-source BFS shares rows
+across bridges: a node joined to its DFS parent by a bridge takes its
+parent's distances, one less on its own side of the bridge and one more
+elsewhere, so only the other nodes run a BFS.  The sweep's cost follows the
+diameter, per-source BFS's does not.  Neither scheme uses any symmetry of
+the graph.  ``bfs_distances`` and ``all_pairs_distances`` are the plain BFS
+that tests check both against.  Density and mean distance are exact
+fractions, never floats, so cross-checks are exact equality.  All functions
+are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 UNREACHABLE = -1
 
@@ -114,34 +121,73 @@ def neighboring_index(g: Graph) -> int:
     return sum(gamma_array(g))
 
 
-# The largest graph the bit-parallel sweep takes: four 64-bit words per
-# bitset, which covers every graph of the default verify grid (n <= 248).
-SWEEP_MAX_NODES = 256
+# The oracle's cost model, in nanoseconds per step as fitted on a shared
+# 2-vCPU VM under Python 3.11.7 (the timings are in CHANGES.md).  The
+# bit-parallel sweep runs about (D + 1) * (n + 2E) steps of SWEEP_STEP_NS plus
+# SWEEP_WORD_NS per 64-bit word of an n-bit int; per-source BFS runs at most
+# n * (n + 2E) steps of SOURCE_STEP_NS.  Only the ratio of the sweep's step to
+# the per-source step steers the choice.  SWEEP_STEP_NS + 4 * SWEEP_WORD_NS
+# <= SOURCE_STEP_NS, so graphs of up to 256 nodes take the sweep unprobed.
+SWEEP_STEP_NS = 70.0
+SWEEP_WORD_NS = 3.7
+SOURCE_STEP_NS = 85.0
 
 
 def alpha_array(g: Graph) -> tuple[int, ...]:
     """Unordered node pairs at each distance j = 1..n-1, at index j-1.
 
-    Ordered pairs are counted by distance with one of two BFS schemes and
-    halved; they sum to n * n only on a connected graph.  A single node
-    yields ().  Graphs of at most ``SWEEP_MAX_NODES`` nodes take the
-    bit-parallel sweep, whose steps are (diameter + 1) * (n + 2E) operations
-    on n-bit ints; larger graphs take one BFS per source, n * (n + 2E) steps
-    whatever their shape.  Up to that size even a bare path, the widest
-    diameter, sweeps about as fast as per-source BFS; above it the sweep's
-    time on graphs of one size swings with the diameter (30x across spiders
-    of 1000 nodes) and on long chains falls behind (2.5x at n = 4000).
+    Ordered pairs are counted by distance with the BFS scheme that
+    ``_pick_scheme`` picks, and halved; they sum to n * n only on a
+    connected graph.  A single node yields ().  Graphs of up to 256 nodes
+    take the bit-parallel sweep.  Larger graphs on which at least half the
+    nodes share a row across a bridge take per-source BFS, whose cost there
+    is about n^2 lane counts whatever the diameter D; the rest take the
+    cheaper scheme by the cost model, since the sweep's time follows D.
+    Neither scheme uses any symmetry of the graph.
     """
     n = g.n
     if n <= 1:
         return ()
-    if n <= SWEEP_MAX_NODES:
+    forest = None if _sweep_step(n) <= SOURCE_STEP_NS else _bridge_forest(g)
+    sweep, row0 = _pick_scheme(g, forest)
+    if sweep:
         counts = _ordered_pairs_by_sweep(g)
     else:
-        counts = _ordered_pairs_by_source(g)
+        counts = _ordered_pairs_by_source(g, row0, forest)
     if sum(counts) < n * n:
         raise ValueError("distance indicators need a connected graph")
     return tuple(c // 2 for c in counts[1:n])
+
+
+def _sweep_step(n: int) -> float:
+    return SWEEP_STEP_NS + SWEEP_WORD_NS * -(-n // 64)
+
+
+def _pick_scheme(g: Graph, forest: _Forest | None = None) -> tuple[bool, list[int] | None]:
+    """Whether to run the sweep rather than per-source BFS, and the probe's row.
+
+    When the sweep is estimated no dearer than per-source BFS even at the
+    worst case D = n - 1, it runs unprobed and the row is None.  Otherwise,
+    when at least half the nodes share a row across a bridge, per-source BFS
+    runs unprobed: its cost is then about n^2 lane counts, whatever the
+    diameter, and the oracle keeps that cost even where a short diameter
+    would make the sweep cheaper.  Otherwise both estimates share the factor
+    n + 2E, so the sweep wins when (D + 1) * sweep_step <= n *
+    SOURCE_STEP_NS: one BFS from node 0 gives its eccentricity e and its
+    level sizes (the row), and d(u, v) <= d(u, 0) + d(0, v) <= 2e bounds
+    the diameter.  ``forest`` is ``_bridge_forest(g)`` if the caller has it.
+    """
+    n = g.n
+    sweep_step = _sweep_step(n)
+    if sweep_step <= SOURCE_STEP_NS:
+        return True, None
+    if forest is None:
+        forest = _bridge_forest(g)
+    if 2 * sum(forest.shared) >= n:
+        return False, None
+    row0 = [0] * n
+    diameter_bound = min(2 * _add_level_sizes(g, 0, row0), n - 1)
+    return (diameter_bound + 1) * sweep_step <= n * SOURCE_STEP_NS, row0
 
 
 def _ordered_pairs_by_sweep(g: Graph) -> list[int]:
@@ -179,29 +225,151 @@ def _ordered_pairs_by_sweep(g: Graph) -> list[int]:
                 growing.append(u)
         ring, active = next_ring, growing
         counts.append(pairs)
-    return counts + [0] * (n - len(counts))
+    return counts[:n] + [0] * (n - len(counts))
 
 
-def _ordered_pairs_by_source(g: Graph) -> list[int]:
-    """Ordered pairs at each distance 0..n-1, by one level-synchronous BFS per source."""
+class _Forest(NamedTuple):
+    """A DFS forest of a graph, one tree per connected component."""
+
+    order: list[int]  # nodes in preorder, tree by tree
+    pre: list[int]  # each node's index in order
+    parent: list[int]  # tree parent, -1 at roots
+    size: list[int]  # nodes in each node's subtree
+    shared: list[bool]  # whether the tree edge to the parent is a bridge
+
+
+def _bridge_forest(g: Graph) -> _Forest:
+    """DFS forest from nodes 0, 1, ... in turn, with its bridges by Tarjan's low points.
+
+    low[u] is the least preorder index that a back edge from u's subtree
+    reaches; the tree edge (p, u) is a bridge exactly when low[u] > pre[p].
+    """
+    n = g.n
     adjacency = g.adjacency
-    counts = [0] * g.n
-    for source in range(g.n):
-        seen = [False] * g.n
-        seen[source] = True
-        frontier = [source]
-        level = 0
-        while frontier:
-            counts[level] += len(frontier)
-            level += 1
-            nxt = []
-            for u in frontier:
-                for v in adjacency[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        nxt.append(v)
-            frontier = nxt
+    pre = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    order: list[int] = []
+    for root in range(n):
+        if pre[root] >= 0:
+            continue
+        pre[root] = low[root] = len(order)
+        order.append(root)
+        stack = [(root, iter(adjacency[root]))]
+        while stack:
+            u, neighbors = stack[-1]
+            for v in neighbors:
+                if pre[v] < 0:
+                    parent[v] = u
+                    pre[v] = low[v] = len(order)
+                    order.append(v)
+                    stack.append((v, iter(adjacency[v])))
+                    break
+                if v != parent[u] and pre[v] < low[u]:
+                    low[u] = pre[v]
+            else:
+                stack.pop()
+                p = parent[u]
+                if p >= 0 and low[u] < low[p]:
+                    low[p] = low[u]
+    size = [1] * n
+    for u in reversed(order):
+        if parent[u] >= 0:
+            size[parent[u]] += size[u]
+    shared = [parent[u] >= 0 and low[u] > pre[parent[u]] for u in range(n)]
+    return _Forest(order, pre, parent, size, shared)
+
+
+def _ordered_pairs_by_source(
+    g: Graph, row0: list[int] | None = None, forest: _Forest | None = None
+) -> list[int]:
+    """Ordered pairs at each distance 0..n-1, by one BFS per source, rows shared across bridges.
+
+    Removing a bridge (p, u) leaves u's DFS subtree on u's side, so u is one
+    step nearer than p to the nodes of its subtree and one step farther from
+    every other node.  Each tree numbers its nodes by preorder, so u's
+    subtree is one run of lanes in a row: a Python int with one 16-bit lane
+    (32-bit above 65535 nodes) per node of the tree, holding the distances
+    from a source.  u's row is then p's row plus 1 in every lane, minus 2
+    in the run, and its lanes are counted.  Nodes whose tree edge is not a
+    bridge run a level-synchronous BFS, which also fills their row when a
+    child shares it.  Children are visited largest subtree last, so a row
+    stays held only while a smaller sibling's subtree runs: at most about
+    log2(n) rows at once.  ``row0``, when given, holds source 0's level
+    sizes from an earlier BFS, which is not run again unless a child of
+    node 0 needs its row.
+    """
+    n = g.n
+    order, pre, parent, size, shared = forest or _bridge_forest(g)
+    typecode = _lane_typecode(n)
+    width = 8 * array(typecode).itemsize
+    children: list[list[int]] = [[] for _ in range(n)]
+    for u in order:
+        if parent[u] >= 0:
+            children[parent[u]].append(u)
+    counts = [0] * n
+    rows: dict[int, int] = {}
+    waiting = [0] * n  # children that have yet to take a node's row
+    for root in order:
+        if parent[root] >= 0:
+            continue
+        base, lanes = pre[root], size[root]
+        tree = order[base:base + lanes]
+        ones = ((1 << width * lanes) - 1) // ((1 << width) - 1)
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            kids = sorted(children[u], key=size.__getitem__, reverse=True)
+            waiting[u] = sum(shared[c] for c in kids)
+            if shared[u]:
+                p = parent[u]
+                run = ones >> width * (lanes - size[u]) << width * (pre[u] - base)
+                row = rows[p] + ones - (run << 1)
+                waiting[p] -= 1
+                if not waiting[p]:
+                    del rows[p]
+            elif waiting[u]:
+                dist = bfs_distances(g, u)
+                row = int.from_bytes(array(typecode, [dist[x] for x in tree]), sys.byteorder)
+            else:
+                if u == 0 and row0 is not None:
+                    counts = [c + r for c, r in zip(counts, row0)]
+                else:
+                    _add_level_sizes(g, u, counts)
+                row = None
+            if row is not None:
+                row_bytes = row.to_bytes(lanes * width // 8, sys.byteorder)
+                for d in memoryview(row_bytes).cast(typecode):
+                    counts[d] += 1
+                if waiting[u]:
+                    rows[u] = row
+            stack.extend(kids)
     return counts
+
+
+def _lane_typecode(n: int) -> str:
+    """The array typecode of a row's lanes: 16 bits hold distances of up to 65535 nodes."""
+    return "H" if n <= 0xFFFF else "I"
+
+
+def _add_level_sizes(g: Graph, source: int, counts: list[int]) -> int:
+    """Add the nodes at each distance j from source to counts[j]; return source's eccentricity."""
+    adjacency = g.adjacency
+    seen = [False] * g.n
+    seen[source] = True
+    frontier = [source]
+    level = 0
+    while frontier:
+        counts[level] += len(frontier)
+        level += 1
+        nxt = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    nxt.append(v)
+        frontier = nxt
+    return level - 1
 
 
 def _diameter_of(alpha: tuple[int, ...]) -> int:

@@ -222,7 +222,10 @@ class TestVerify:
         args = cli._build_parser().parse_args(["verify"])
         points = cli.iter_grid(args.mmax, args.kmax, args.lmax, cli.VERIFY_CAP_DEFAULT)
         assert len(points) == 247
-        assert max(spiders.node_count(p) for p in points) <= graph_core.SWEEP_MAX_NODES
+        picks = [graph_core._pick_scheme(spiders.build_spider(p)) for p in points]
+        assert all(sweep for sweep, _ in picks)
+        # every grid graph wins even at diameter n - 1, so none runs the probe
+        assert all(row0 is None for _, row0 in picks)
 
     def test_wider_grid_matches_oracle(self):
         points = cli.iter_grid(12, 6, 8, 2000)

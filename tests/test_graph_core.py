@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -47,15 +48,34 @@ def lollipop(head, tail):
     return build_graph(head + tail, edges)
 
 
-def assert_sweep_matches_reference(g):
-    """Both BFS schemes give the per-source reference distances; a split graph makes each raise.
+def cycle_with_tail(ring, tail, at=0):
+    """A cycle of ring nodes with a path of tail more nodes hanging off cycle node at."""
+    edges = [(i, (i + 1) % ring) for i in range(ring)]
+    edges += [(at, ring)] if tail else []
+    edges += [(i, i + 1) for i in range(ring, ring + tail - 1)]
+    return build_graph(ring + tail, edges)
 
-    The bit-parallel sweep and one BFS per source are each forced through
-    ``SWEEP_MAX_NODES``, so both are checked at every size.
+
+def assert_sweep_matches_reference(g):
+    """Both BFS schemes count the reference's ordered pairs by distance, and so does the dispatch.
+
+    ``_ordered_pairs_by_sweep`` and ``_ordered_pairs_by_source`` are called
+    directly, so both are checked at every size whichever one the cost model
+    picks; on a split graph they count the pairs that a path joins.  The
+    per-source scheme is also run from source 0's row, as after a probe.
     """
-    for sweep_max_nodes in (g.n, g.n - 1):
-        with mock.patch.object(graph_core, "SWEEP_MAX_NODES", sweep_max_nodes):
-            assert_indicators_match_reference(g)
+    d = all_pairs_distances(g)
+    want = [0] * g.n
+    for row in d:
+        for dist in row:
+            if dist != UNREACHABLE:
+                want[dist] += 1
+    assert graph_core._ordered_pairs_by_sweep(g) == want
+    assert graph_core._ordered_pairs_by_source(g) == want
+    if g.n:
+        row0 = [d[0].count(j) for j in range(g.n)]
+        assert graph_core._ordered_pairs_by_source(g, row0) == want
+    assert_indicators_match_reference(g)
 
 
 def assert_indicators_match_reference(g):
@@ -334,15 +354,119 @@ class TestInvariants:
             path(300),
             lollipop(20, 280),
             build_graph(300, [(i, i + 1) for i in range(299) if i != 150]),
+            cycle_with_tail(30, 200, at=7),
+            build_graph(255, [((i - 1) // 2, i) for i in range(1, 255)]),
+            build_graph(120, [(i, j) for i in range(10) for j in range(i + 1, 10)]
+                        + [(i, i + 1) for i in range(9, 109)]
+                        + [(i, j) for i in range(109, 120) for j in range(i + 1, 120)]),
+            build_graph(90, [(0, 1), (1, 2), (0, 2)] + [(i, i + 1) for i in range(3, 89)]),
         ],
         ids=["path64", "path65", "path130", "star65", "star200", "lollipop40+90",
              "lollipop70+5", "split-path100", "path300", "lollipop20+280",
-             "split-path300"],
+             "split-path300", "cycle30+tail200", "binary-tree255", "barbell10+100+11",
+             "triangle+path87"],
     )
     def test_sweep_on_wide_eccentricity_ranges(self, g):
         assert_sweep_matches_reference(g)
+
+    @given(connected_graphs())
+    def test_diameter_within_twice_the_eccentricity_of_node_0(self, g):
+        if g.n >= 1:
+            ecc0 = max(bfs_distances(g, 0))
+            assert ecc0 <= diameter(g) <= 2 * ecc0
 
     def test_bfs_distances_from_each_source(self):
         g = path(4)
         assert bfs_distances(g, 0) == [0, 1, 2, 3]
         assert bfs_distances(g, 3) == [3, 2, 1, 0]
+
+
+class TestSchemeChoice:
+    """The dispatch's picks, which follow from the graph and the constants, not from timings."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [build_spider(normalize(*shape)) for shape in [(21, 1, 47), (2, 166, 3), (2, 3, 166)]]
+        + [path(3000)],
+        ids=["spider21,1,47", "spider2,166,3", "spider2,3,166", "path3000"],
+    )
+    def test_per_source_without_probe_where_most_rows_are_shared(self, g):
+        assert graph_core._pick_scheme(g) == (False, None)
+
+    def test_sweep_picked_on_a_complete_core(self):
+        sweep, row0 = graph_core._pick_scheme(build_spider(normalize(998, 0, 0)))
+        assert sweep
+        assert row0 == [1, 997] + [0] * 996
+
+    def test_probe_bounds_the_diameter_by_twice_the_depth_of_node_0(self):
+        # 498 of 1000 nodes share rows, so the probe runs; node 0 has depth
+        # 498 and the diameter is 749, and the sweep would win if the bound
+        # were the depth alone
+        g = cycle_with_tail(502, 498)
+        assert diameter(g) == 749
+        sweep, row0 = graph_core._pick_scheme(g)
+        assert not sweep
+        dist = bfs_distances(g, 0)
+        assert row0 == [dist.count(j) for j in range(g.n)]
+
+    def test_probe_row_is_not_run_again(self):
+        g = cycle_with_tail(600, 400, at=300)
+        assert not graph_core._pick_scheme(g)[0]
+        want = alpha_by_sweep(g)
+        with mock.patch.object(
+            graph_core, "_add_level_sizes", wraps=graph_core._add_level_sizes
+        ) as levels, mock.patch.object(
+            graph_core, "bfs_distances", wraps=graph_core.bfs_distances
+        ) as rows:
+            assert alpha_array(g) == want
+        # one BFS per cycle node, node 0's being the probe; node 300 also
+        # fills the row its tail shares, and the tail runs no BFS
+        assert (levels.call_count, rows.call_count) == (599, 1)
+
+
+class TestSharedRows:
+    """Per-source BFS takes a row across each bridge instead of running a BFS."""
+
+    def test_one_bfs_on_a_path(self):
+        g = path(300)
+        with mock.patch.object(
+            graph_core, "_add_level_sizes", wraps=graph_core._add_level_sizes
+        ) as levels, mock.patch.object(
+            graph_core, "bfs_distances", wraps=graph_core.bfs_distances
+        ) as rows:
+            assert alpha_array(g) == tuple(range(299, 0, -1))
+        assert (levels.call_count, rows.call_count) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "g",
+        [path(70), lollipop(10, 60), cycle_with_tail(9, 40, at=4),
+         build_graph(30, [(i, i + 1) for i in range(29) if i != 12])],
+        ids=["path70", "lollipop10+60", "cycle9+tail40", "split-path30"],
+    )
+    def test_32_bit_lanes(self, g):
+        want = graph_core._ordered_pairs_by_sweep(g)
+        with mock.patch.object(graph_core, "_lane_typecode", return_value="I"):
+            assert graph_core._ordered_pairs_by_source(g) == want
+
+    def test_rows_held_stay_few(self):
+        # a caterpillar: each spine node's leaf is visited before the rest of
+        # the spine, so a spine node's row is dropped as soon as the next
+        # spine node has taken it
+        spine = 200
+        g = build_graph(
+            2 * spine,
+            [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)],
+        )
+        forest = graph_core._bridge_forest(g)
+        tracemalloc.start()
+        try:
+            graph_core._ordered_pairs_by_source(g, None, forest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # holding every spine node's row until its leaf would take spine * 2n bytes
+        assert peak < spine * 2 * g.n // 2
+
+
+def alpha_by_sweep(g):
+    return tuple(c // 2 for c in graph_core._ordered_pairs_by_sweep(g)[1:])
