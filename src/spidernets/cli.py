@@ -7,7 +7,8 @@ for golden-file comparison.
 Exit codes: 0 ok, 1 verification mismatch (a closed form that disagrees with
 the oracle or fails its own consistency check), 2 usage error, 3 I/O failure,
 4 resource guard (oracle requested beyond the node cap or its BFS work
-bound, out of memory, or a result too large to index).
+bound, a closed report above the output budget, out of memory, or a result
+too large to index).  A report that exits 4 prints nothing to stdout.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ EXIT_RESOURCE = 4
 NODE_CAP_ENV = "SPIDERNETS_NODE_CAP"
 REPORT_CAP_DEFAULT = 20000
 VERIFY_CAP_DEFAULT = 2000
+# Characters of the delta, gamma and alpha rows a report may print (128 MiB),
+# counted from groups and runs before any row is built.
+OUTPUT_BUDGET = 2**27
 
 
 def _node_cap(cap: int | None, fallback: int) -> int:
@@ -61,6 +65,53 @@ def format_runs(groups) -> str:
     return "".join((str(v) + " ") * c for v, c in groups)[:-1]
 
 
+def format_linear_runs(runs) -> str:
+    """format_array of the array that linear runs (first, last, a, b) stand for.
+
+    A run's entries a + b*j are one range, or one repeated string when b is
+    0, so no Python code runs per entry.
+    """
+    return "".join(
+        " ".join(map(str, range(a + b * first, a + b * (last + 1), b))) + " "
+        if b
+        else (str(a) + " ") * (last - first + 1)
+        for first, last, a, b in runs
+    )[:-1]
+
+
+def _linear_run_chars(first: int, last: int, a: int, b: int) -> int:
+    """Characters of a + b*j for j = first..last, with one separator each.
+
+    The values of a run are non-negative and monotone in j, so those of at
+    least d + 1 digits, the ones >= 10**d, are a prefix or a suffix of it.
+    """
+    count = last - first + 1
+    chars = 2 * count
+    threshold = 10
+    while threshold <= max(a + b * first, a + b * last):
+        if b > 0:
+            chars += last + 1 - max(first, -((a - threshold) // b))
+        elif b < 0:
+            chars += min(last, (a - threshold) // -b) + 1 - first
+        else:
+            chars += count
+        threshold *= 10
+    return chars
+
+
+def array_row_chars(report: closed_form.ClosedFormReport) -> int:
+    """Characters of the delta, gamma and alpha row values, one separator after each.
+
+    Counted from the groups and runs alone, in time linear in their number
+    and in the digits of their values.
+    """
+    return sum(
+        count * (len(str(value)) + 1)
+        for groups in (report.delta_groups, report.gamma_groups)
+        for value, count in groups
+    ) + sum(_linear_run_chars(*run) for run in report.alpha_runs)
+
+
 def _print_counts(p: spiders.SpiderParams) -> None:
     print(f"spider M={p.m} K={p.k} L={p.l}")
     print(f"nodes: {spiders.node_count(p)}")
@@ -90,13 +141,11 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _closed_rows(p: spiders.SpiderParams) -> dict[str, str]:
-    report = closed_form.closed_form_report(p)
-    head = report.alpha_head
+def _closed_rows(p: spiders.SpiderParams, report: closed_form.ClosedFormReport) -> dict[str, str]:
     return {
         "delta": format_runs(report.delta_groups),
         "gamma": format_runs(report.gamma_groups),
-        "alpha": format_array(head) + " 0" * (report.alpha_length - len(head)),
+        "alpha": format_linear_runs(report.alpha_runs),
         "density": format_fraction(report.density),
         "diameter": str(report.diameter),
         "h-index": str(report.h_index),
@@ -158,16 +207,16 @@ def oracle_refusal(p: spiders.SpiderParams, cap: int) -> str | None:
 
 
 def cmd_report(args) -> int:
+    """Print a report; every row is computed before the first line is printed."""
     p = spiders.normalize(args.m, args.k, args.l)
     cap = _node_cap(args.cap, REPORT_CAP_DEFAULT)
-    n = spiders.node_count(p)
     if args.source in ("oracle", "both"):
         need = oracle_refusal(p, cap)
         if need:
             print(f"error: oracle computation needs {need}", file=sys.stderr)
             return EXIT_RESOURCE
-    _print_counts(p)
-    if n < 2:
+    if spiders.node_count(p) < 2:
+        _print_counts(p)
         print("single node: distance indicators are undefined")
         gamma = closed_form.gamma_groups(p)
         print(f"delta: {format_runs(closed_form.delta_groups(p))}")
@@ -176,20 +225,27 @@ def cmd_report(args) -> int:
         print(f"h-index: {closed_form.h_index_closed(p)}")
         print(f"neighboring-index: {sum(v * c for v, c in gamma)}")
         return EXIT_OK
-    if args.source == "closed":
-        rows = _closed_rows(p)
-        for name in ROW_ORDER:
-            print(f"{name}: {rows[name]}")
-    elif args.source == "oracle":
-        rows = _oracle_rows(spiders.build_spider(p))
-        for name in ROW_ORDER:
-            print(f"{name}: {rows[name]}")
-    else:
-        closed_rows = _closed_rows(p)
+    closed_rows = oracle_rows = None
+    if args.source != "oracle":
+        report = closed_form.closed_form_report(p)
+        size = array_row_chars(report)
+        if size > OUTPUT_BUDGET:
+            print(
+                f"error: report needs {size} characters of arrays, "
+                f"above the output budget {OUTPUT_BUDGET}",
+                file=sys.stderr,
+            )
+            return EXIT_RESOURCE
+        closed_rows = _closed_rows(p, report)
+    if args.source != "closed":
         oracle_rows = _oracle_rows(spiders.build_spider(p))
-        for name in ROW_ORDER:
+    _print_counts(p)
+    for name in ROW_ORDER:
+        if closed_rows and oracle_rows:
             flag = "MATCH" if closed_rows[name] == oracle_rows[name] else "MISMATCH"
             print(f"{name}: {closed_rows[name]}  [{flag}]")
+        else:
+            print(f"{name}: {(closed_rows or oracle_rows)[name]}")
     return EXIT_OK
 
 

@@ -12,11 +12,12 @@ distance bookkeeping works by classifying unordered node pairs:
 * a leg node and a foreign core node are at distance p + 1.
 
 Degree and gamma multisets are computed as (value, count) groups and the
-alpha array as its head up to distance 2L+1 plus its length n-1; the
-``*_closed`` functions expand them to full arrays.  Each function asserts its
-own counting identities (node totals, sum rules) before returning and raises
-ConsistencyError on any disagreement, so a wrong formula can never propagate
-silently.
+alpha array as at most 4 linear runs, alpha_j = a + b*j on a range of j, so
+``closed_form_report`` costs the same at every n; the ``*_closed`` functions
+expand them to full arrays.  Each function asserts its own counting
+identities (node totals, sum rules, evaluated as sums of arithmetic series on
+the runs) before returning and raises ConsistencyError on any disagreement,
+so a wrong formula can never propagate silently.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from spidernets.graph_core import h_index
+from spidernets.graph_core import h_index_of_groups
 from spidernets.spiders import (
     ConsistencyError,
     SpiderParams,
@@ -128,39 +129,69 @@ def gamma_closed(p: SpiderParams) -> tuple[int, ...]:
     return _expand(gamma_groups(p))
 
 
-def _pairs_summing_to(l: int, s: int) -> int:
-    """Number of position pairs (p, q) in [1, l]^2 with p + q = s."""
-    return max(0, min(s - 1, 2 * l + 1 - s))
+def _alpha_lines(p: SpiderParams):
+    """Distance frequencies as lines (first, last, a, b): alpha_j = a + b*j.
+
+    Counting pairs at distance j >= 2 by class: within one leg k*m*(L+1-j)
+    up to j = L+1; leg to foreign core k*m*(m-1) up to j = L+1; same-bundle
+    leg pairs j-1 per pair of legs, rising up to L+1 and falling as 2L+1-j
+    after; and cross-bundle leg pairs, one core hop longer, rising as j-2 up
+    to L+2 and falling as 2L+2-j after.  So alpha is linear on 2..L+1 and on
+    L+2..2L+1, and zero beyond the diameter.  Ranges may be empty or reach
+    past n-1, where they hold only zeros.
+    """
+    m, k, l = p.m, p.k, p.l
+    legs = k * m
+    same = m * (k * (k - 1) // 2)
+    cross = (m * (m - 1) // 2) * k * k
+    return [
+        (1, 1, m * (m - 1) // 2 + legs * l, 0),
+        (2, l + 1, legs * (l + 1) - same - 2 * cross + legs * (m - 1), same + cross - legs),
+        (l + 2, 2 * l + 1, same * (2 * l + 1) + cross * (2 * l + 2), -same - cross),
+        (2 * l + 2, node_count(p) - 1, 0, 0),
+    ]
 
 
-def alpha_head(p: SpiderParams) -> tuple[tuple[int, ...], int]:
-    """Distance frequencies for j = 1..min(2L+1, n-1), and the length n-1.
+def alpha_runs(p: SpiderParams) -> tuple[tuple[int, int, int, int], ...]:
+    """Distance frequencies for j = 1..n-1 as at most 4 linear runs.
 
-    No two nodes are farther apart than 2L+1, so every entry past the head
-    is zero.  One uniform formula covers all normalized parameters; groups
-    that do not apply contribute zero through their pair counts.
+    A run (first, last, a, b) stands for alpha_j = a + b*j at
+    j = first..last; the runs follow each other without gaps and end at n-1.
     """
     n = node_count(p)
     if n < 2:
         raise ValueError("distance frequencies need at least 2 nodes")
-    m, k, l = p.m, p.k, p.l
-    same_bundle_leg_pairs = m * (k * (k - 1) // 2)
-    cross_bundle_leg_pairs = (m * (m - 1) // 2) * k * k
-    head = [m * (m - 1) // 2 + m * k * l]
-    for j in range(2, min(2 * l + 1, n - 1) + 1):
-        within_leg = k * m * (l - (j - 1)) if j <= l else 0
-        same_bundle = same_bundle_leg_pairs * _pairs_summing_to(l, j)
-        cross_bundle = cross_bundle_leg_pairs * _pairs_summing_to(l, j - 1)
-        to_foreign_core = k * m * (m - 1) if j <= l + 1 else 0
-        head.append(within_leg + same_bundle + cross_bundle + to_foreign_core)
-    _check(sum(head) == pair_count(p), "distance frequencies do not sum to all pairs")
-    return tuple(head), n - 1
+    runs = tuple(
+        (first, min(last, n - 1), a, b)
+        for first, last, a, b in _alpha_lines(p)
+        if first <= min(last, n - 1)
+    )
+    _check(_run_sums(runs)[0] == pair_count(p), "distance frequencies do not sum to all pairs")
+    return runs
+
+
+def _run_sums(runs) -> tuple[int, int]:
+    """Sums of alpha_j and of j * alpha_j over linear runs, as arithmetic series."""
+    pairs = total = 0
+    for first, last, a, b in runs:
+        count = last - first + 1
+        j_sum = (first + last) * count // 2
+        j_square_sum = (
+            last * (last + 1) * (2 * last + 1) - (first - 1) * first * (2 * first - 1)
+        ) // 6
+        pairs += a * count + b * j_sum
+        total += a * j_sum + b * j_square_sum
+    return pairs, total
+
+
+def _expand_runs(runs) -> tuple[int, ...]:
+    """The array that linear runs (first, last, a, b) stand for."""
+    return tuple(a + b * j for first, last, a, b in runs for j in range(first, last + 1))
 
 
 def alpha_closed(p: SpiderParams) -> tuple[int, ...]:
     """Distance frequencies over unordered pairs, entries for j = 1..n-1."""
-    head, length = alpha_head(p)
-    return head + (0,) * (length - len(head))
+    return _expand_runs(alpha_runs(p))
 
 
 def diameter_closed(p: SpiderParams) -> int:
@@ -276,14 +307,13 @@ class ClosedFormReport:
     """All closed-form indicators of one spider, in grouped form.
 
     ``delta_groups`` and ``gamma_groups`` are non-increasing (value, count)
-    groups; the alpha array is ``alpha_head`` followed by zeros up to
-    ``alpha_length`` = n - 1 entries.
+    groups; ``alpha_runs`` holds the linear runs (first, last, a, b) of the
+    function of that name, covering j = 1..n-1.
     """
 
     delta_groups: tuple[tuple[int, int], ...]
     gamma_groups: tuple[tuple[int, int], ...]
-    alpha_head: tuple[int, ...]
-    alpha_length: int
+    alpha_runs: tuple[tuple[int, int, int, int], ...]
     diameter: int
     density: Fraction
     h_index: int
@@ -295,22 +325,19 @@ def closed_form_report(p: SpiderParams) -> ClosedFormReport:
     """Evaluate every closed form and verify they agree with each other."""
     if node_count(p) < 2:
         raise ValueError("indicator report needs at least 2 nodes")
-    # The h-index cross-check expands the degree array first, so a spider
-    # too large to list fails here at once, before the O(L) alpha head.
     delta = delta_groups(p)
     h = h_index_closed(p)
-    _check(h == h_index(_expand(delta)), "h-index disagrees with the degree array")
-    alpha, length = alpha_head(p)
+    _check(h == h_index_of_groups(delta), "h-index disagrees with the degree array")
+    alpha = alpha_runs(p)
     total = total_distance_closed(p)
     _check(
-        total == sum(j * a for j, a in enumerate(alpha, start=1)),
+        total == _run_sums(alpha)[1],
         "total distance disagrees with the distance frequencies",
     )
     return ClosedFormReport(
         delta_groups=delta,
         gamma_groups=gamma_groups(p),
-        alpha_head=alpha,
-        alpha_length=length,
+        alpha_runs=alpha,
         diameter=diameter_closed(p),
         density=density_closed(p),
         h_index=h,

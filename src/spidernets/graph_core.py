@@ -415,6 +415,31 @@ def h_index(values) -> int:
     return h
 
 
+def h_index_of_groups(groups) -> int:
+    """``h_index`` of the array that (value, count) groups stand for, run by run.
+
+    The groups must be in non-increasing value order with non-negative
+    values and counts; a group with count 0 stands for no entries.  Same
+    rule and same errors as ``h_index`` on the expanded array, in time
+    linear in the number of groups.
+    """
+    groups = [(value, count) for value, count in groups if count]
+    if any(count < 0 for _, count in groups):
+        raise ValueError("h-index group counts must be non-negative")
+    for (a, _), (b, _) in zip(groups, groups[1:]):
+        if a < b:
+            raise ValueError("h-index input must be sorted non-increasing")
+    if groups and groups[-1][0] < 0:
+        raise ValueError("h-index input must be non-negative")
+    h = 0
+    for value, count in groups:
+        if value < h + count:
+            # Entries of this group qualify up to rank value; no later one does.
+            return max(h, value)
+        h += count
+    return h
+
+
 def total_distance(g: Graph) -> int:
     """Sum of geodesic distances over unordered node pairs (the Wiener index)."""
     return _total_of(alpha_array(g))

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import spider_params
 from spidernets import cli, closed_form, graph_core, small_world, spiders
-from spidernets.closed_form import _expand
+from spidernets.closed_form import _expand, _expand_runs
 
 
 def run(capsys, *argv):
@@ -113,6 +116,44 @@ class TestReport:
         assert code == 4
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("source", ["oracle", "both"])
+    def test_out_of_memory_prints_no_partial_report(self, capsys, monkeypatch, source):
+        def exhausted(g):
+            raise MemoryError
+
+        monkeypatch.setattr(graph_core, "all_indicators", exhausted)
+        code, out, err = run(
+            capsys, "report", "-M", "2", "-K", "2", "-L", "1", "--source", source
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_output_budget_refuses_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "report", "-M", "1", "-K", "1", "-L", "1000000000000", "--source", "closed"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("m,k,l", [(1, 2000, 2000), (1, 1000, 10000), (4, 255, 980)])
+    def test_output_budget_admits_large_reports(self, m, k, l):
+        report = closed_form.closed_form_report(spiders.normalize(m, k, l))
+        assert cli.array_row_chars(report) <= cli.OUTPUT_BUDGET
+
+    def test_long_leg_alpha_row(self, capsys):
+        code, out, _ = run(capsys, "report", "-M", "2", "-K", "1", "-L", "20000", "--source", "closed")
+        assert code == 0
+        alpha = closed_form.alpha_closed(spiders.normalize(2, 1, 20000))
+        assert f"\nalpha: {cli.format_array(alpha)}\n" in out
+
     @pytest.mark.parametrize("source", ["closed", "both"])
     def test_failed_consistency_check_is_mismatch(self, capsys, monkeypatch, source):
         real = closed_form._delta_groups
@@ -188,6 +229,38 @@ runs = st.lists(
 @example([(4, 1), (4, 2), (1, 0)])
 def test_run_formatter_matches_expanded_array(groups):
     assert cli.format_runs(groups) == cli.format_array(_expand(groups))
+
+
+@st.composite
+def linear_runs(draw):
+    """Runs (first, last, a, b) that follow each other from j = 1, values non-negative."""
+    runs = []
+    first = 1
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        last = first + draw(st.integers(min_value=0, max_value=30))
+        b = draw(st.integers(min_value=-10**7, max_value=10**7))
+        low = draw(st.integers(min_value=0, max_value=10**9))
+        runs.append((first, last, low - b * (last if b < 0 else first), b))
+        first = last + 1
+    return runs
+
+
+@given(linear_runs())
+@example([(1, 1, 45, 0), (2, 3, 7, 2), (4, 9, 99, -11), (10, 12, 0, 0)])
+def test_linear_run_formatter_and_size(runs):
+    text = cli.format_linear_runs(runs)
+    assert text == cli.format_array(_expand_runs(runs))
+    assert sum(cli._linear_run_chars(*run) for run in runs) == len(text) + bool(runs)
+
+
+@given(spider_params)
+def test_array_row_chars_counts_the_printed_rows(p):
+    if spiders.node_count(p) >= 2:
+        report = closed_form.closed_form_report(p)
+        rows = cli._closed_rows(p, report)
+        assert cli.array_row_chars(report) == sum(
+            len(rows[name]) + 1 for name in ("delta", "gamma", "alpha")
+        )
 
 
 class TestVerify:

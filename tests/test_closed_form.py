@@ -8,8 +8,9 @@ from spidernets import closed_form, graph_core
 from spidernets.closed_form import (
     ConsistencyError,
     _expand,
+    _expand_runs,
     alpha_closed,
-    alpha_head,
+    alpha_runs,
     average_degree_closed,
     closed_form_report,
     delta_closed,
@@ -206,8 +207,8 @@ class TestIdentities:
             report = closed_form_report(p)
             assert sum(c for _, c in report.delta_groups) == node_count(p)
             assert sum(c for _, c in report.gamma_groups) == node_count(p)
-            assert report.alpha_length == node_count(p) - 1
-            assert len(report.alpha_head) <= report.alpha_length
+            assert report.alpha_runs == alpha_runs(p)
+            assert len(_expand_runs(report.alpha_runs)) == node_count(p) - 1
             assert _expand(report.delta_groups) == delta_closed(p)
             assert _expand(report.gamma_groups) == gamma_closed(p)
 
@@ -227,19 +228,37 @@ class TestGroupedForms:
         assert _expand(delta_groups(p)) == graph_core.degree_array(g)
         assert _expand(gamma_groups(p)) == graph_core.gamma_array(g)
         if node_count(p) >= 2:
-            head, length = alpha_head(p)
+            runs = alpha_runs(p)
             alpha = graph_core.alpha_array(g)
-            assert length == len(alpha) == node_count(p) - 1
-            assert len(head) == min(2 * p.l + 1, length)
-            assert alpha == head + (0,) * (length - len(head))
+            assert len(alpha) == node_count(p) - 1
+            assert 1 <= len(runs) <= 4
+            assert runs[0][0] == 1 and runs[-1][1] == len(alpha)
+            assert all(first <= last for first, last, _, _ in runs)
+            assert all(r[1] + 1 == s[0] for r, s in zip(runs, runs[1:]))
+            assert _expand_runs(runs) == alpha
 
-    def test_alpha_head_stays_short_on_long_arrays(self):
-        head, length = alpha_head(normalize(3, 16666, 2))
-        assert (len(head), length) == (5, 3 * 16666 * 2 + 2)
+    @given(spider_params)
+    def test_run_sums_are_pairs_and_total_distance(self, p):
+        if node_count(p) >= 2:
+            runs = alpha_runs(p)
+            alpha = _expand_runs(runs)
+            sums = (sum(alpha), sum(j * a for j, a in enumerate(alpha, start=1)))
+            assert closed_form._run_sums(runs) == sums
+            assert sums == (pair_count(p), total_distance_closed(p))
 
-    def test_single_node_head_rejected(self):
+    def test_alpha_runs_stay_few_on_long_arrays(self):
+        runs = alpha_runs(normalize(3, 16666, 2))
+        assert len(runs) == 4 and runs[-1] == (6, 3 * 16666 * 2 + 2, 0, 0)
+        # Legs of 10^12 nodes: a per-entry loop would not finish.
+        l = 10**12
+        runs = alpha_runs(normalize(2, 1, l))
+        assert [(first, last) for first, last, _, _ in runs] == [
+            (1, 1), (2, l + 1), (l + 2, 2 * l + 1)
+        ]
+
+    def test_single_node_runs_rejected(self):
         with pytest.raises(ValueError):
-            alpha_head(normalize(1, 0, 0))
+            alpha_runs(normalize(1, 0, 0))
 
     def test_corrupted_group_detected(self, monkeypatch):
         real = closed_form._delta_groups
@@ -249,6 +268,22 @@ class TestGroupedForms:
             return [(core + 1, m), interior, terminal]
 
         monkeypatch.setattr(closed_form, "_delta_groups", shifted)
+        with pytest.raises(ConsistencyError):
+            closed_form_report(normalize(3, 2, 2))
+
+    # (1, 0) breaks the sum over all pairs; (-5, 2) keeps it on j = 2..3
+    # and breaks the distance-weighted sum instead.
+    @pytest.mark.parametrize("da,db", [(1, 0), (-5, 2)])
+    def test_corrupted_run_detected(self, monkeypatch, da, db):
+        real = closed_form._alpha_lines
+
+        def shifted(p):
+            lines = real(p)
+            first, last, a, b = lines[1]
+            lines[1] = (first, last, a + da, b + db)
+            return lines
+
+        monkeypatch.setattr(closed_form, "_alpha_lines", shifted)
         with pytest.raises(ConsistencyError):
             closed_form_report(normalize(3, 2, 2))
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, graphs
@@ -21,11 +21,13 @@ from spidernets.graph_core import (
     diameter,
     gamma_array,
     h_index,
+    h_index_of_groups,
     is_connected,
     mean_distance,
     neighboring_index,
     total_distance,
 )
+from spidernets.closed_form import _expand
 from spidernets.spiders import build_spider, normalize
 
 
@@ -263,6 +265,38 @@ class TestHIndex:
             default=0,
         )
         assert h_index(delta) == want
+
+
+value_count_groups = st.lists(
+    st.tuples(st.integers(min_value=-2, max_value=12), st.integers(min_value=0, max_value=5)),
+    max_size=6,
+)
+
+
+class TestHIndexOfGroups:
+    @given(value_count_groups.map(lambda groups: sorted(((abs(v), c) for v, c in groups), reverse=True)))
+    @example([])
+    @example([(4, 7)])
+    @example([(9, 0), (3, 4), (2, 0), (0, 3)])
+    def test_matches_expanded_array(self, groups):
+        assert h_index_of_groups(groups) == h_index(_expand(groups))
+
+    @given(value_count_groups)
+    @example([(1, 1), (2, 1)])
+    @example([(3, 2), (0, 0), (5, 1)])
+    @example([(2, 1), (-1, 1)])
+    def test_rejects_what_h_index_rejects(self, groups):
+        try:
+            want = h_index(_expand(groups))
+        except ValueError:
+            with pytest.raises(ValueError):
+                h_index_of_groups(groups)
+        else:
+            assert h_index_of_groups(groups) == want
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            h_index_of_groups([(3, 2), (2, -1)])
 
 
 class TestInvariants:
