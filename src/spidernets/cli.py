@@ -14,6 +14,7 @@ too large to index).  A report that exits 4 prints nothing to stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -99,7 +100,7 @@ def _linear_run_chars(first: int, last: int, a: int, b: int) -> int:
     return chars
 
 
-def array_row_chars(report: closed_form.ClosedFormReport) -> int:
+def array_row_chars(report: graph_core.Indicators) -> int:
     """Characters of the delta, gamma and alpha row values, one separator after each.
 
     Counted from the groups and runs alone, in time linear in their number
@@ -107,9 +108,9 @@ def array_row_chars(report: closed_form.ClosedFormReport) -> int:
     """
     return sum(
         count * (len(str(value)) + 1)
-        for groups in (report.delta_groups, report.gamma_groups)
+        for groups in (report.delta, report.gamma)
         for value, count in groups
-    ) + sum(_linear_run_chars(*run) for run in report.alpha_runs)
+    ) + sum(_linear_run_chars(*run) for run in report.alpha)
 
 
 def _print_counts(p: spiders.SpiderParams) -> None:
@@ -141,47 +142,18 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _closed_rows(p: spiders.SpiderParams, report: closed_form.ClosedFormReport) -> dict[str, str]:
+def _rows(record: graph_core.Indicators, pairs: int) -> dict[str, str]:
+    """The report rows of an indicator record, for a graph with this many node pairs."""
     return {
-        "delta": format_runs(report.delta_groups),
-        "gamma": format_runs(report.gamma_groups),
-        "alpha": format_linear_runs(report.alpha_runs),
-        "density": format_fraction(report.density),
-        "diameter": str(report.diameter),
-        "h-index": str(report.h_index),
-        "neighboring-index": str(sum(v * c for v, c in report.gamma_groups)),
-        "mean-distance": format_fraction(
-            Fraction(report.total_distance, spiders.pair_count(p))
-        ),
+        "delta": format_runs(record.delta),
+        "gamma": format_runs(record.gamma),
+        "alpha": format_linear_runs(record.alpha),
+        "density": format_fraction(record.density),
+        "diameter": str(record.diameter),
+        "h-index": str(record.h_index),
+        "neighboring-index": str(sum(v * c for v, c in record.gamma)),
+        "mean-distance": format_fraction(Fraction(record.total_distance, pairs)),
     }
-
-
-def _oracle_rows(g: graph_core.Graph) -> dict[str, str]:
-    ind = graph_core.all_indicators(g)
-    return {
-        "delta": format_array(ind.delta),
-        "gamma": format_array(ind.gamma),
-        "alpha": format_array(ind.alpha),
-        "density": format_fraction(ind.density),
-        "diameter": str(ind.diameter),
-        "h-index": str(ind.h_index),
-        "neighboring-index": str(ind.neighboring_index),
-        "mean-distance": format_fraction(
-            Fraction(ind.total_distance, g.n * (g.n - 1) // 2)
-        ),
-    }
-
-
-ROW_ORDER = (
-    "delta",
-    "gamma",
-    "alpha",
-    "density",
-    "diameter",
-    "h-index",
-    "neighboring-index",
-    "mean-distance",
-)
 
 
 def oracle_refusal(p: spiders.SpiderParams, cap: int) -> str | None:
@@ -225,7 +197,7 @@ def cmd_report(args) -> int:
         print(f"h-index: {closed_form.h_index_closed(p)}")
         print(f"neighboring-index: {sum(v * c for v, c in gamma)}")
         return EXIT_OK
-    closed_rows = oracle_rows = None
+    rows, pairs = [], spiders.pair_count(p)
     if args.source != "oracle":
         report = closed_form.closed_form_report(p)
         size = array_row_chars(report)
@@ -236,78 +208,59 @@ def cmd_report(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_RESOURCE
-        closed_rows = _closed_rows(p, report)
+        rows.append(_rows(report, pairs))
     if args.source != "closed":
-        oracle_rows = _oracle_rows(spiders.build_spider(p))
+        oracle = graph_core.all_indicators(spiders.build_spider(p))
+        rows.append(_rows(oracle, pairs))
     _print_counts(p)
-    for name in ROW_ORDER:
-        if closed_rows and oracle_rows:
-            flag = "MATCH" if closed_rows[name] == oracle_rows[name] else "MISMATCH"
-            print(f"{name}: {closed_rows[name]}  [{flag}]")
+    for name, value in rows[0].items():
+        if len(rows) == 2:
+            print(f"{name}: {value}  [{'MATCH' if value == rows[1][name] else 'MISMATCH'}]")
         else:
-            print(f"{name}: {(closed_rows or oracle_rows)[name]}")
+            print(f"{name}: {value}")
     return EXIT_OK
 
 
 def iter_grid(mmax: int, kmax: int, lmax: int, node_cap: int):
-    """Distinct normalized parameters in the grid with at least 2 nodes.
+    """Distinct normalized parameters in the grid with at least 2 nodes, sorted.
 
-    Points that ``oracle_refusal`` refuses under node_cap are dropped.
+    Points that ``oracle_refusal`` refuses under node_cap are dropped.  Node
+    count and BFS work grow with m, with k when l >= 1 and with l when
+    k >= 1, so each loop ends at its first refused point.  k = 0 or l = 0
+    is the bare core, which ``normalize`` folds to one point per m.
     """
-    seen = set()
     points = []
     for m in range(1, mmax + 1):
-        for k in range(0, kmax + 1):
-            for l in range(0, lmax + 1):
+        core = spiders.normalize(m, 0, 0)
+        if oracle_refusal(core, node_cap):
+            break
+        if m >= 2:
+            points.append(core)
+        for k in range(1, kmax + 1 if lmax else 1):
+            if oracle_refusal(spiders.normalize(m, k, 1), node_cap):
+                break
+            for l in range(1, lmax + 1):
                 p = spiders.normalize(m, k, l)
-                if p in seen:
-                    continue
-                seen.add(p)
-                if spiders.node_count(p) >= 2 and not oracle_refusal(p, node_cap):
-                    points.append(p)
-    points.sort(key=lambda p: (p.m, p.k, p.l))
+                if oracle_refusal(p, node_cap):
+                    break
+                points.append(p)
     return points
 
 
 def compare_point(p: spiders.SpiderParams) -> list[str]:
-    """Mismatch descriptions between closed forms and the brute-force oracle."""
-    ind = graph_core.all_indicators(spiders.build_spider(p))
+    """Mismatch descriptions between closed forms and the brute-force oracle, field by field."""
     prefix = f"M={p.m} K={p.k} L={p.l}"
-    mismatches = []
     try:
-        pairs = (
-            ("delta", closed_form.delta_closed(p), ind.delta),
-            ("gamma", closed_form.gamma_closed(p), ind.gamma),
-            ("alpha", closed_form.alpha_closed(p), ind.alpha),
-            ("diameter", closed_form.diameter_closed(p), ind.diameter),
-            ("density", closed_form.density_closed(p), ind.density),
-            ("h-index", closed_form.h_index_closed(p), ind.h_index),
-            ("total-distance", closed_form.total_distance_closed(p), ind.total_distance),
-        )
+        closed = closed_form.closed_form_report(p)
     except closed_form.ConsistencyError as exc:
         return [f"{prefix} internal consistency: {exc}"]
-    for name, closed_value, oracle_value in pairs:
-        if closed_value == oracle_value:
-            continue
-        if isinstance(closed_value, tuple):
-            index = next(
-                (
-                    i
-                    for i, (a, b) in enumerate(zip(closed_value, oracle_value))
-                    if a != b
-                ),
-                min(len(closed_value), len(oracle_value)),
-            )
-            mismatches.append(
-                f"{prefix} {name}: first difference at index {index} "
-                f"(closed={closed_value[index] if index < len(closed_value) else 'missing'}, "
-                f"oracle={oracle_value[index] if index < len(oracle_value) else 'missing'})"
-            )
-        else:
-            mismatches.append(
-                f"{prefix} {name}: closed={closed_value} oracle={oracle_value}"
-            )
-    return mismatches
+    oracle = graph_core.all_indicators(spiders.build_spider(p))
+    return [
+        f"{prefix} {field.name.replace('_', '-')}: "
+        f"closed={getattr(closed, field.name)} oracle={getattr(oracle, field.name)}"
+        for field in dataclasses.fields(closed)
+        if getattr(closed, field.name) != getattr(oracle, field.name)
+    ]
 
 
 def cmd_verify(args) -> int:

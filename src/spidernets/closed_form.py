@@ -14,18 +14,21 @@ distance bookkeeping works by classifying unordered node pairs:
 Degree and gamma multisets are computed as (value, count) groups and the
 alpha array as at most 4 linear runs, alpha_j = a + b*j on a range of j, so
 ``closed_form_report`` costs the same at every n; the ``*_closed`` functions
-expand them to full arrays.  Each function asserts its own counting
-identities (node totals, sum rules, evaluated as sums of arithmetic series on
-the runs) before returning and raises ConsistencyError on any disagreement,
-so a wrong formula can never propagate silently.
+expand them to full arrays.  The groups and runs go through
+``graph_core.value_groups`` and ``graph_core.linear_runs``, the same
+canonical forms the oracle's ``graph_core.Indicators`` record uses, so
+``closed_form_report`` returns that record and it equals the oracle's field
+by field.  Each function asserts its own counting identities (node totals,
+sum rules, evaluated as sums of arithmetic series on the runs) before
+returning and raises ConsistencyError on any disagreement, so a wrong
+formula can never propagate silently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from spidernets.graph_core import h_index_of_groups
+from spidernets.graph_core import Indicators, h_index_of_groups, linear_runs, value_groups
 from spidernets.spiders import (
     ConsistencyError,
     SpiderParams,
@@ -41,16 +44,9 @@ def _check(condition: bool, message: str) -> None:
 
 
 def _groups(pairs) -> tuple[tuple[int, int], ...]:
-    """(value, count) pairs as non-increasing groups, equal values merged.
-
-    Groups with count 0 are dropped; a negative count is a formula error.
-    """
-    merged: dict[int, int] = {}
-    for value, count in pairs:
-        _check(count >= 0, "a multiplicity is negative")
-        if count:
-            merged[value] = merged.get(value, 0) + count
-    return tuple(sorted(merged.items(), reverse=True))
+    """``value_groups`` of formula pairs, where a negative count is a formula error."""
+    _check(all(count >= 0 for _, count in pairs), "a multiplicity is negative")
+    return value_groups(pairs)
 
 
 def _expand(groups) -> tuple[int, ...]:
@@ -153,15 +149,16 @@ def _alpha_lines(p: SpiderParams):
 
 
 def alpha_runs(p: SpiderParams) -> tuple[tuple[int, int, int, int], ...]:
-    """Distance frequencies for j = 1..n-1 as at most 4 linear runs.
+    """Distance frequencies for j = 1..n-1 as at most 4 canonical linear runs.
 
     A run (first, last, a, b) stands for alpha_j = a + b*j at
-    j = first..last; the runs follow each other without gaps and end at n-1.
+    j = first..last; the runs are ``linear_runs`` of the lines, clipped to
+    j <= n-1, so they follow each other without gaps and end at n-1.
     """
     n = node_count(p)
     if n < 2:
         raise ValueError("distance frequencies need at least 2 nodes")
-    runs = tuple(
+    runs = linear_runs(
         (first, min(last, n - 1), a, b)
         for first, last, a, b in _alpha_lines(p)
         if first <= min(last, n - 1)
@@ -219,16 +216,6 @@ def density_closed(p: SpiderParams) -> Fraction:
     return value
 
 
-def _h_from_groups(groups) -> int:
-    """h-index of a value multiset given as non-increasing (value, count) groups."""
-    h = 0
-    rank = 0
-    for value, count in groups:
-        rank += count
-        h = max(h, min(value, rank))
-    return h
-
-
 def h_index_closed(p: SpiderParams) -> int:
     """h-index of the degree array, by parameter regime."""
     m, k, l = p.m, p.k, p.l
@@ -241,7 +228,7 @@ def h_index_closed(p: SpiderParams) -> int:
     else:
         value = 2 if l > 2 else 1
     _check(
-        value == _h_from_groups(delta_groups(p)),
+        value == h_index_of_groups(delta_groups(p)),
         "h-index regime disagrees with the degree multiset",
     )
     return value
@@ -266,35 +253,36 @@ def _weighted_distance_sums(l: int):
     (distances l+2..2l, multiplicity 2l+1-s); cross-bundle leg pairs likewise
     (distances 3..l+2 and l+3..2l+1, shifted by the extra core hop).
     """
-    within = l * (l - 1) * (l + 4) * Fraction(1, 6)
-    foreign_core = l * (l + 3) * Fraction(1, 2)
-    same_rising = l * (l + 1) * (l + 2) * Fraction(1, 3)
-    same_falling = l * (l - 1) * (l + 1) * Fraction(2, 3)
-    cross_rising = l * (l + 1) * (2 * l + 7) * Fraction(1, 6)
-    cross_falling = l * (l - 1) * (4 * l + 7) * Fraction(1, 6)
+    within = _quotient(l * (l - 1) * (l + 4), 6, "weighted distance sum")
+    foreign_core = _quotient(l * (l + 3), 2, "weighted distance sum")
+    same_rising = _quotient(l * (l + 1) * (l + 2), 3, "weighted distance sum")
+    same_falling = _quotient(2 * l * (l - 1) * (l + 1), 3, "weighted distance sum")
+    cross_rising = _quotient(l * (l + 1) * (2 * l + 7), 6, "weighted distance sum")
+    cross_falling = _quotient(l * (l - 1) * (4 * l + 7), 6, "weighted distance sum")
     return within, foreign_core, same_rising, same_falling, cross_rising, cross_falling
+
+
+def _quotient(numerator: int, denominator: int, what: str) -> int:
+    """numerator / denominator, which a correct formula makes an integer."""
+    _check(numerator % denominator == 0, f"{what} is not an integer")
+    return numerator // denominator
 
 
 def total_distance_closed(p: SpiderParams) -> int:
     """Exact total distance over unordered pairs."""
     if node_count(p) < 2:
         raise ValueError("total distance needs at least 2 nodes")
-    sums = _weighted_distance_sums(p.l)
-    for piece in sums:
-        _check(piece.denominator == 1, "weighted distance sum is not an integer")
-    within, foreign, same_r, same_f, cross_r, cross_f = sums
+    within, foreign, same_r, same_f, cross_r, cross_f = _weighted_distance_sums(p.l)
     m, k, l = p.m, p.k, p.l
-    half = Fraction(1, 2)
-    total = (
-        m * (m - 1) * half
-        + m * k * l
-        + k * m * within
-        + k * m * (m - 1) * foreign
-        + m * k * (k - 1) * half * (same_r + same_f)
-        + m * k * k * (m - 1) * half * (cross_r + cross_f)
+    twice = (
+        m * (m - 1)
+        + 2 * m * k * l
+        + 2 * k * m * within
+        + 2 * k * m * (m - 1) * foreign
+        + m * k * (k - 1) * (same_r + same_f)
+        + m * k * k * (m - 1) * (cross_r + cross_f)
     )
-    _check(total.denominator == 1, "total distance is not an integer")
-    return int(total)
+    return _quotient(twice, 2, "total distance")
 
 
 def mean_distance_closed(p: SpiderParams) -> Fraction:
@@ -302,45 +290,27 @@ def mean_distance_closed(p: SpiderParams) -> Fraction:
     return Fraction(total_distance_closed(p), pair_count(p))
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
-    """All closed-form indicators of one spider, in grouped form.
+def closed_form_report(p: SpiderParams) -> Indicators:
+    """Evaluate every closed form, verify they agree with each other, and return the record.
 
-    ``delta_groups`` and ``gamma_groups`` are non-increasing (value, count)
-    groups; ``alpha_runs`` holds the linear runs (first, last, a, b) of the
-    function of that name, covering j = 1..n-1.
+    The record is in the canonical form of ``graph_core.all_indicators``, so
+    it equals the oracle's record of ``build_spider(p)`` field by field.
     """
-
-    delta_groups: tuple[tuple[int, int], ...]
-    gamma_groups: tuple[tuple[int, int], ...]
-    alpha_runs: tuple[tuple[int, int, int, int], ...]
-    diameter: int
-    density: Fraction
-    h_index: int
-    average_degree: Fraction
-    total_distance: int
-
-
-def closed_form_report(p: SpiderParams) -> ClosedFormReport:
-    """Evaluate every closed form and verify they agree with each other."""
     if node_count(p) < 2:
         raise ValueError("indicator report needs at least 2 nodes")
-    delta = delta_groups(p)
-    h = h_index_closed(p)
-    _check(h == h_index_of_groups(delta), "h-index disagrees with the degree array")
     alpha = alpha_runs(p)
     total = total_distance_closed(p)
     _check(
         total == _run_sums(alpha)[1],
         "total distance disagrees with the distance frequencies",
     )
-    return ClosedFormReport(
-        delta_groups=delta,
-        gamma_groups=gamma_groups(p),
-        alpha_runs=alpha,
-        diameter=diameter_closed(p),
+    average_degree_closed(p)  # run for its own check; the record has no such field
+    return Indicators(
+        delta=delta_groups(p),
+        gamma=gamma_groups(p),
+        alpha=alpha,
         density=density_closed(p),
-        h_index=h,
-        average_degree=average_degree_closed(p),
+        diameter=diameter_closed(p),
+        h_index=h_index_closed(p),
         total_distance=total,
     )

@@ -14,13 +14,18 @@ the graph.  ``bfs_distances`` and ``all_pairs_distances`` are the plain BFS
 that tests check both against.  Density and mean distance are exact
 fractions, never floats, so cross-checks are exact equality.  All functions
 are pure and safe to call concurrently.
+
+``Indicators`` is the one record of a graph's indicators, shared with
+``closed_form``: degree and gamma multisets as merged (value, count) groups
+and alpha as canonical linear runs, so two records of the same graph are
+equal field by field whichever side computed them.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -44,17 +49,62 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class IndicatorArrays:
-    """Every brute-force indicator of a connected graph in one record."""
+class Indicators:
+    """The indicators of a connected graph with n >= 2, in canonical form.
 
-    delta: tuple[int, ...]
-    gamma: tuple[int, ...]
-    alpha: tuple[int, ...]
+    ``delta`` and ``gamma`` are the degree and gamma multisets as
+    ``value_groups``; ``alpha`` holds the pairs at each distance j = 1..n-1
+    as ``linear_runs``.
+    """
+
+    delta: tuple[tuple[int, int], ...]
+    gamma: tuple[tuple[int, int], ...]
+    alpha: tuple[tuple[int, int, int, int], ...]
     density: Fraction
     diameter: int
     h_index: int
-    neighboring_index: int
     total_distance: int
+
+
+def value_groups(pairs) -> tuple[tuple[int, int], ...]:
+    """(value, count) pairs as non-increasing groups, equal values merged.
+
+    Groups whose count sums to 0 are dropped.
+    """
+    merged: dict[int, int] = {}
+    for value, count in pairs:
+        merged[value] = merged.get(value, 0) + count
+    return tuple(group for group in sorted(merged.items(), reverse=True) if group[1])
+
+
+def linear_runs(runs) -> tuple[tuple[int, int, int, int], ...]:
+    """The greedy-left maximal linear runs of the array that runs stand for.
+
+    A run (first, last, a, b) stands for the entries a + b*j at
+    j = first..last, none when last < first; the runs follow each other
+    without gaps.  Each output run reaches as far as the entries stay on one
+    line, and a run of one entry, only ever the last, has b = 0, so every
+    split of an array into linear runs gives the same output.  Only the
+    first three entries of an input run are placed one by one: the output
+    run that holds the second and third lies on the input run's line, so
+    the rest extend it.
+    """
+    out: list[tuple[int, int, int, int]] = []
+    for first, last, a, b in runs:
+        for j in range(first, min(last, first + 2) + 1):
+            value = a + b * j
+            if out:
+                start, end, a0, b0 = out[-1]
+                if start == end:  # any two entries lie on one line
+                    b0 = value - a0
+                    a0 -= b0 * start
+                if a0 + b0 * j == value:
+                    out[-1] = (start, j, a0, b0)
+                    continue
+            out.append((j, j, value, 0))
+        if last > first + 2:
+            out[-1] = (out[-1][0], last) + out[-1][2:]
+    return tuple(out)
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -452,18 +502,20 @@ def mean_distance(g: Graph) -> Fraction:
     return Fraction(total_distance(g), g.n * (g.n - 1) // 2)
 
 
-def all_indicators(g: Graph) -> IndicatorArrays:
+def all_indicators(g: Graph) -> Indicators:
     """Compute the full indicator record for a connected graph with n >= 2."""
     delta = degree_array(g)
-    gamma = gamma_array(g)
     alpha = alpha_array(g)
-    return IndicatorArrays(
-        delta=delta,
-        gamma=gamma,
-        alpha=alpha,
+    d = _diameter_of(alpha)
+    # Every entry past the diameter is 0: one run, so the entries placed one
+    # by one are only those up to the diameter.
+    runs = [(j, j, a, 0) for j, a in enumerate(alpha[:d], start=1)]
+    return Indicators(
+        delta=value_groups(Counter(delta).items()),
+        gamma=value_groups(Counter(gamma_array(g)).items()),
+        alpha=linear_runs(runs + [(d + 1, len(alpha), 0, 0)]),
         density=density(g),
-        diameter=_diameter_of(alpha),
+        diameter=d,
         h_index=h_index(delta),
-        neighboring_index=sum(gamma),
         total_distance=_total_of(alpha),
     )

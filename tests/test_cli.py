@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import spider_params
@@ -257,7 +257,7 @@ def test_linear_run_formatter_and_size(runs):
 def test_array_row_chars_counts_the_printed_rows(p):
     if spiders.node_count(p) >= 2:
         report = closed_form.closed_form_report(p)
-        rows = cli._closed_rows(p, report)
+        rows = cli._rows(report, spiders.pair_count(p))
         assert cli.array_row_chars(report) == sum(
             len(rows[name]) + 1 for name in ("delta", "gamma", "alpha")
         )
@@ -312,6 +312,73 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--Mmax", "2", "--Kmax", "1", "--Lmax", "1")
         assert code == 1
         assert "MISMATCH" in out and "diameter" in out
+
+    def test_corrupted_gamma_groups_detected(self, capsys, monkeypatch):
+        real = closed_form._gamma_groups
+
+        def spread(p):
+            # Two nodes of the last group move one up and one down: the node
+            # total and the gamma sum identity still hold.
+            *rest, (value, count) = real(p)
+            if count < 2:
+                return rest + [(value, count)]
+            return rest + [(value, count - 2), (value + 1, 1), (value - 1, 1)]
+
+        monkeypatch.setattr(closed_form, "_gamma_groups", spread)
+        code, out, _ = run(capsys, "verify", "--Mmax", "2", "--Kmax", "1", "--Lmax", "2")
+        assert code == 1
+        mismatches = [line for line in out.splitlines() if line.startswith("MISMATCH")]
+        assert mismatches and all(" gamma: closed=" in line for line in mismatches)
+
+    def test_corrupted_alpha_lines_detected(self, capsys, monkeypatch):
+        real = closed_form._alpha_lines
+
+        def bent(p):
+            # +1, -2, +1 at j = 1, 2, 3 keeps the sums of alpha_j and j * alpha_j.
+            alpha = [a + b * j for first, last, a, b in real(p) for j in range(first, last + 1)]
+            alpha = alpha[: spiders.node_count(p) - 1]
+            if len(alpha) >= 3 and alpha[1] >= 2:
+                alpha[0:3] = alpha[0] + 1, alpha[1] - 2, alpha[2] + 1
+            return [(j, j, value, 0) for j, value in enumerate(alpha, start=1)]
+
+        monkeypatch.setattr(closed_form, "_alpha_lines", bent)
+        code, out, _ = run(capsys, "verify", "--Mmax", "2", "--Kmax", "1", "--Lmax", "2")
+        assert code == 1
+        mismatches = [line for line in out.splitlines() if line.startswith("MISMATCH")]
+        assert mismatches and all(" alpha: closed=" in line for line in mismatches)
+
+    @settings(max_examples=50)
+    @given(
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=60),
+    )
+    def test_pruned_grid_equals_brute_force(self, mmax, kmax, lmax, cap):
+        grid = {
+            spiders.normalize(m, k, l)
+            for m in range(1, mmax + 1)
+            for k in range(kmax + 1)
+            for l in range(lmax + 1)
+        }
+        want = sorted(
+            (p for p in grid if spiders.node_count(p) >= 2 and not cli.oracle_refusal(p, cap)),
+            key=lambda p: (p.m, p.k, p.l),
+        )
+        assert cli.iter_grid(mmax, kmax, lmax, cap) == want
+
+    @pytest.mark.parametrize("bounds,count", [((2, 1, 3_000_000), 74), ((10**9,) * 3, 443)])
+    def test_huge_grid_bounds_stop_at_the_cap(self, monkeypatch, bounds, count):
+        real = spiders.normalize
+        calls = []
+
+        def counting(m, k, l):
+            calls.append((m, k, l))
+            assert len(calls) <= 2000, "iter_grid walks past the refused points"
+            return real(m, k, l)
+
+        monkeypatch.setattr(spiders, "normalize", counting)
+        assert len(cli.iter_grid(*bounds, 50)) == count
 
 
 class TestAsymptotics:

@@ -176,6 +176,11 @@ class TestOracleEquivalence:
             assert h_index_closed(p) == graph_core.h_index(graph_core.degree_array(g)), p
             assert total_distance_closed(p) == graph_core.total_distance(g), p
 
+    @given(spider_params)
+    def test_report_equals_oracle_record(self, p):
+        if node_count(p) >= 2:
+            assert graph_core.all_indicators(build_spider(p)) == closed_form_report(p)
+
 
 class TestIdentities:
     @given(spider_params)
@@ -205,12 +210,12 @@ class TestIdentities:
                 closed_form_report(p)
         else:
             report = closed_form_report(p)
-            assert sum(c for _, c in report.delta_groups) == node_count(p)
-            assert sum(c for _, c in report.gamma_groups) == node_count(p)
-            assert report.alpha_runs == alpha_runs(p)
-            assert len(_expand_runs(report.alpha_runs)) == node_count(p) - 1
-            assert _expand(report.delta_groups) == delta_closed(p)
-            assert _expand(report.gamma_groups) == gamma_closed(p)
+            assert sum(c for _, c in report.delta) == node_count(p)
+            assert sum(c for _, c in report.gamma) == node_count(p)
+            assert report.alpha == alpha_runs(p)
+            assert len(_expand_runs(report.alpha)) == node_count(p) - 1
+            assert _expand(report.delta) == delta_closed(p)
+            assert _expand(report.gamma) == gamma_closed(p)
 
 
 class TestGroupedForms:
@@ -248,13 +253,13 @@ class TestGroupedForms:
 
     def test_alpha_runs_stay_few_on_long_arrays(self):
         runs = alpha_runs(normalize(3, 16666, 2))
-        assert len(runs) == 4 and runs[-1] == (6, 3 * 16666 * 2 + 2, 0, 0)
-        # Legs of 10^12 nodes: a per-entry loop would not finish.
+        # Greedy runs pair j = 1, 2 and j = 3, 4; the run from j = 5 takes the
+        # first zero, at j = 6, as well.
+        assert len(runs) == 4 and runs[-1] == (7, 3 * 16666 * 2 + 2, 0, 0)
+        # Legs of 10^12 nodes: a per-entry loop would not finish.  Two legs
+        # joined by one core edge are a path, whose alpha_j = n - j is one run.
         l = 10**12
-        runs = alpha_runs(normalize(2, 1, l))
-        assert [(first, last) for first, last, _, _ in runs] == [
-            (1, 1), (2, l + 1), (l + 2, 2 * l + 1)
-        ]
+        assert alpha_runs(normalize(2, 1, l)) == ((1, 2 * l + 1, 2 * l + 2, -1),)
 
     def test_single_node_runs_rejected(self):
         with pytest.raises(ValueError):

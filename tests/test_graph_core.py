@@ -23,11 +23,12 @@ from spidernets.graph_core import (
     h_index,
     h_index_of_groups,
     is_connected,
+    linear_runs,
     mean_distance,
     neighboring_index,
     total_distance,
 )
-from spidernets.closed_form import _expand
+from spidernets.closed_form import _expand, _expand_runs
 from spidernets.spiders import build_spider, normalize
 
 
@@ -98,7 +99,7 @@ def assert_indicators_match_reference(g):
         return
     assert mean_distance(g) == Fraction(sum(pairs), len(pairs))
     ind = all_indicators(g)
-    assert (ind.alpha, ind.diameter, ind.total_distance) == (
+    assert (_expand_runs(ind.alpha), ind.diameter, ind.total_distance) == (
         alpha, max(pairs), sum(pairs)
     )
 
@@ -299,6 +300,47 @@ class TestHIndexOfGroups:
             h_index_of_groups([(3, 2), (2, -1)])
 
 
+@st.composite
+def linear_splits(draw):
+    """Linear runs (first, last, a, b) from j = 1, and a finer split of the same array.
+
+    The lines come from a small set, so neighbouring runs often share one.
+    """
+    lines = st.sampled_from([(0, 0), (3, 0), (9, -1), (-4, 2), (5, 1)])
+    runs, first = [], 1
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        last = first + draw(st.integers(min_value=0, max_value=6))
+        runs.append((first, last) + draw(lines))
+        first = last + 1
+    finer = []
+    for first, last, a, b in runs:
+        inner = st.sets(st.integers(min_value=first + 1, max_value=last))
+        cuts = sorted(draw(inner)) if last > first else []
+        for start, end in zip([first] + cuts, [cut - 1 for cut in cuts] + [last]):
+            finer.append((start, end, a, b))
+    return runs, finer
+
+
+class TestLinearRuns:
+    @given(linear_splits())
+    @example((
+        [(1, 1, 5, 0), (2, 3, 8, -1), (4, 5, 0, 0)],
+        [(1, 1, 5, 0), (2, 2, 8, -1), (3, 3, 8, -1), (4, 5, 0, 0)],
+    ))
+    def test_any_split_gives_the_canonical_runs(self, splits):
+        runs, finer = splits
+        array = _expand_runs(runs)
+        canonical = linear_runs(runs)
+        assert linear_runs(finer) == canonical
+        assert linear_runs((j, j, v, 0) for j, v in enumerate(array, start=1)) == canonical
+        assert _expand_runs(canonical) == array
+        # Greedy-left and maximal: a run ends only where the next entry leaves its line.
+        for (first, last, a, b), (start, _, _, _) in zip(canonical, canonical[1:]):
+            assert last > first and a + b * start != array[start - 1]
+        first, last, _, b = canonical[-1]
+        assert last == len(array) and (last > first or b == 0)
+
+
 class TestInvariants:
     @given(graphs())
     def test_total_degree_is_twice_edges(self, g):
@@ -360,10 +402,12 @@ class TestInvariants:
             return
         ind = all_indicators(g)
         assert ind.total_distance == sum(
-            j * a for j, a in enumerate(ind.alpha, start=1)
+            j * a for j, a in enumerate(_expand_runs(ind.alpha), start=1)
         )
-        assert ind.neighboring_index == sum(ind.gamma)
-        assert ind.h_index == h_index(ind.delta)
+        assert sum(v * c for v, c in ind.gamma) == neighboring_index(g)
+        assert _expand(ind.delta) == degree_array(g)
+        assert _expand(ind.gamma) == gamma_array(g)
+        assert ind.h_index == h_index(_expand(ind.delta))
 
     @given(st.one_of(graphs(), connected_graphs()))
     def test_sweep_matches_all_pairs_reference(self, g):
