@@ -163,8 +163,9 @@ def oracle_refusal(p: spiders.SpiderParams, cap: int) -> str | None:
     Per-source BFS visits n nodes and 2E adjacency entries once per source,
     n * (n + 2E) steps; a tree has E = n - 1, and a dense core of far fewer
     nodes can reach the same work.  ``graph_core.alpha_array`` lets a node
-    that shares its parent's row across a bridge count n lanes instead, and
-    runs the bit-parallel sweep only when its cost model estimates the sweep
+    that shares its parent's distances across a bridge count its subtree's
+    lanes instead (n^2 / 2 in all on a bare path, one per leaf on a star),
+    and runs the bit-parallel sweep only when its cost model estimates it
     no dearer than per-source BFS, so that budget bounds the work of the
     scheme it picks.  The sweep holds up to 3 * n^2 / 8 bytes of bitsets
     (150 MB at n = 20000); running out of memory exits 4.

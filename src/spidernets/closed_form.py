@@ -218,6 +218,11 @@ def density_closed(p: SpiderParams) -> Fraction:
 
 def h_index_closed(p: SpiderParams) -> int:
     """h-index of the degree array, by parameter regime."""
+    return _h_index_checked(p, delta_groups(p))
+
+
+def _h_index_checked(p: SpiderParams, delta) -> int:
+    """h-index by parameter regime, checked against the degree groups delta of p."""
     m, k, l = p.m, p.k, p.l
     if k == 0:
         value = m - 1
@@ -228,7 +233,7 @@ def h_index_closed(p: SpiderParams) -> int:
     else:
         value = 2 if l > 2 else 1
     _check(
-        value == h_index_of_groups(delta_groups(p)),
+        value == h_index_of_groups(delta),
         "h-index regime disagrees with the degree multiset",
     )
     return value
@@ -305,12 +310,13 @@ def closed_form_report(p: SpiderParams) -> Indicators:
         "total distance disagrees with the distance frequencies",
     )
     average_degree_closed(p)  # run for its own check; the record has no such field
+    delta = delta_groups(p)
     return Indicators(
-        delta=delta_groups(p),
+        delta=delta,
         gamma=gamma_groups(p),
         alpha=alpha,
         density=density_closed(p),
         diameter=diameter_closed(p),
-        h_index=h_index_closed(p),
+        h_index=_h_index_checked(p, delta),
         total_distance=total,
     )

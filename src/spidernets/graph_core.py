@@ -5,12 +5,15 @@ can serve as ground truth for the analytic formulas in ``closed_form``.  The
 distance indicators all come from one distance histogram per graph, counted
 by one of two BFS schemes: one sweep that advances a BFS from every source
 together, one level per pass over the adjacency, with the sources packed as
-bits of Python ints, or one BFS per source.  Per-source BFS shares rows
-across bridges: a node joined to its DFS parent by a bridge takes its
-parent's distances, one less on its own side of the bridge and one more
-elsewhere, so only the other nodes run a BFS.  The sweep's cost follows the
-diameter, per-source BFS's does not.  Neither scheme uses any symmetry of
-the graph.  ``bfs_distances`` and ``all_pairs_distances`` are the plain BFS
+bits of Python ints, or one BFS per source.  Per-source BFS shares
+distances across bridges: a node joined to its DFS parent by a bridge is one
+step nearer than its parent to its own side of the bridge and one step
+farther from the rest, so it takes its distance histogram from its parent's
+by counting only its own side, and only the other nodes run a BFS.  The
+sweep's cost follows the diameter; per-source BFS's follows the nodes that
+run a BFS and the sizes of the shared subtrees, which is one step per leaf
+but still n^2 / 2 on a bare path.  Neither scheme uses any symmetry of the
+graph.  ``bfs_distances`` and ``all_pairs_distances`` are the plain BFS
 that tests check both against.  Density and mean distance are exact
 fractions, never floats, so cross-checks are exact equality.  All functions
 are pure and safe to call concurrently.
@@ -190,9 +193,10 @@ def alpha_array(g: Graph) -> tuple[int, ...]:
     ``_pick_scheme`` picks, and halved; they sum to n * n only on a
     connected graph.  A single node yields ().  Graphs of up to 256 nodes
     take the bit-parallel sweep.  Larger graphs on which at least half the
-    nodes share a row across a bridge take per-source BFS, whose cost there
-    is about n^2 lane counts whatever the diameter D; the rest take the
-    cheaper scheme by the cost model, since the sweep's time follows D.
+    nodes share a row across a bridge take per-source BFS, where a shared
+    node counts the lanes of its subtree instead of running a BFS (one on a
+    star's leaf, n^2 / 2 in all on a bare path); the rest take the cheaper
+    scheme by the cost model, since the sweep's time follows the diameter.
     Neither scheme uses any symmetry of the graph.
     """
     n = g.n
@@ -219,9 +223,10 @@ def _pick_scheme(g: Graph, forest: _Forest | None = None) -> tuple[bool, list[in
     When the sweep is estimated no dearer than per-source BFS even at the
     worst case D = n - 1, it runs unprobed and the row is None.  Otherwise,
     when at least half the nodes share a row across a bridge, per-source BFS
-    runs unprobed: its cost is then about n^2 lane counts, whatever the
-    diameter, and the oracle keeps that cost even where a short diameter
-    would make the sweep cheaper.  Otherwise both estimates share the factor
+    runs unprobed: a shared node then costs the lanes of its subtree and
+    O(D) word operations instead of a BFS, which beats the sweep on a star
+    and stays quadratic on a bare path, but the nodes that do run a BFS are
+    not weighed against the sweep.  Otherwise both estimates share the factor
     n + 2E, so the sweep wins when (D + 1) * sweep_step <= n *
     SOURCE_STEP_NS: one BFS from node 0 gives its eccentricity e and its
     level sizes (the row), and d(u, v) <= d(u, 0) + d(0, v) <= 2e bounds
@@ -333,33 +338,43 @@ def _bridge_forest(g: Graph) -> _Forest:
 def _ordered_pairs_by_source(
     g: Graph, row0: list[int] | None = None, forest: _Forest | None = None
 ) -> list[int]:
-    """Ordered pairs at each distance 0..n-1, by one BFS per source, rows shared across bridges.
+    """Ordered pairs at each distance 0..n-1, by BFS per source, histograms shared across bridges.
 
     Removing a bridge (p, u) leaves u's DFS subtree on u's side, so u is one
     step nearer than p to the nodes of its subtree and one step farther from
-    every other node.  Each tree numbers its nodes by preorder, so u's
-    subtree is one run of lanes in a row: a Python int with one 16-bit lane
-    (32-bit above 65535 nodes) per node of the tree, holding the distances
-    from a source.  u's row is then p's row plus 1 in every lane, minus 2
-    in the run, and its lanes are counted.  Nodes whose tree edge is not a
-    bridge run a level-synchronous BFS, which also fills their row when a
-    child shares it.  Children are visited largest subtree last, so a row
-    stays held only while a smaller sibling's subtree runs: at most about
-    log2(n) rows at once.  ``row0``, when given, holds source 0's level
-    sizes from an earlier BFS, which is not run again unless a child of
-    node 0 needs its row.
+    every other node.  With R the histogram of p's distances over u's
+    subtree, u's distance histogram is H_u[x] = H_p[x-1] - R[x-1] + R[x+1].
+    A histogram is a Python int with one 64-bit lane per distance, so that
+    update is a shift, a subtraction and an addition at C speed; all of
+    them add into one int, at most n^2 per lane, merged into the counts at
+    the end.  p's distances are held as a row: one 16-bit lane (32-bit
+    above 65535 nodes) per node of the tree.  Each tree numbers its nodes
+    by preorder, so u's subtree is one run of lanes, R counts that run's
+    size[u] lanes, and u's row is p's row plus 1 in every lane, minus 2 in
+    the run.  Only a node with a child that shares its row builds one.
+    Nodes whose tree edge is not a bridge run a BFS: level-synchronous, or
+    one that fills the row and the histogram when a child shares them.  So
+    a shared node costs size[u] lane counts and O(D) word operations
+    instead of a BFS: one lane on a star's leaf, n^2 / 2 in all on a bare
+    path.  Children are visited largest subtree last, so a row stays held
+    only while a smaller sibling's subtree runs: at most about log2(n) rows
+    at once.  ``row0``, when given, holds source 0's level sizes from an
+    earlier BFS, which is not run again unless a child of node 0 needs its
+    row.
     """
     n = g.n
     order, pre, parent, size, shared = forest or _bridge_forest(g)
     typecode = _lane_typecode(n)
-    width = 8 * array(typecode).itemsize
+    step = array(typecode).itemsize
+    width = 8 * step
     children: list[list[int]] = [[] for _ in range(n)]
     for u in order:
         if parent[u] >= 0:
             children[parent[u]].append(u)
     counts = [0] * n
-    rows: dict[int, int] = {}
+    held: dict[int, tuple[bytes, int]] = {}  # row bytes and histogram
     waiting = [0] * n  # children that have yet to take a node's row
+    histograms = 0
     for root in order:
         if parent[root] >= 0:
             continue
@@ -373,28 +388,58 @@ def _ordered_pairs_by_source(
             waiting[u] = sum(shared[c] for c in kids)
             if shared[u]:
                 p = parent[u]
-                run = ones >> width * (lanes - size[u]) << width * (pre[u] - base)
-                row = rows[p] + ones - (run << 1)
+                row_bytes, hist = held[p]
+                start = pre[u] - base
+                inside = _run_histogram(
+                    memoryview(row_bytes)[step * start:step * (start + size[u])].cast(typecode)
+                )
+                hist = ((hist - inside) << 64) + (inside >> 64)
                 waiting[p] -= 1
                 if not waiting[p]:
-                    del rows[p]
+                    del held[p]
+                if waiting[u]:
+                    run = ones >> width * (lanes - size[u]) << width * start
+                    row = int.from_bytes(row_bytes, sys.byteorder) + ones - (run << 1)
+                    row_bytes = row.to_bytes(lanes * step, sys.byteorder)
             elif waiting[u]:
                 dist = bfs_distances(g, u)
-                row = int.from_bytes(array(typecode, [dist[x] for x in tree]), sys.byteorder)
+                distances = array(typecode, [dist[x] for x in tree])
+                tally = Counter(distances)  # a BFS's distances are 0..ecc, no gaps
+                hist = _wide_lanes(map(tally.__getitem__, range(len(tally))))
+                row_bytes = distances.tobytes()
             else:
                 if u == 0 and row0 is not None:
                     counts = [c + r for c, r in zip(counts, row0)]
                 else:
                     _add_level_sizes(g, u, counts)
-                row = None
-            if row is not None:
-                row_bytes = row.to_bytes(lanes * width // 8, sys.byteorder)
-                for d in memoryview(row_bytes).cast(typecode):
-                    counts[d] += 1
-                if waiting[u]:
-                    rows[u] = row
+                hist = 0
+            histograms += hist
+            if waiting[u]:
+                held[u] = (row_bytes, hist)
             stack.extend(kids)
+    words = -(-histograms.bit_length() // 64)
+    for d, c in enumerate(array("Q", histograms.to_bytes(8 * words, sys.byteorder))):
+        counts[d] += c
     return counts
+
+
+def _run_histogram(lanes) -> int:
+    """The histogram of a shared node's run in its parent's row, one interpreted step per lane.
+
+    The run is the node's subtree, joined to the parent only by their bridge,
+    so a distance in it is 1 plus a path inside the subtree: at most the
+    run's length.  The histogram is a Python int with one 64-bit lane per
+    distance.
+    """
+    tally = [0] * (len(lanes) + 1)
+    for d in lanes:
+        tally[d] += 1
+    return _wide_lanes(tally)
+
+
+def _wide_lanes(values) -> int:
+    """Non-negative values below 2^64 as a Python int, one 64-bit lane each, the first lowest."""
+    return int.from_bytes(array("Q", values), sys.byteorder)
 
 
 def _lane_typecode(n: int) -> str:

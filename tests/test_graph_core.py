@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -59,6 +60,47 @@ def cycle_with_tail(ring, tail, at=0):
     return build_graph(ring + tail, edges)
 
 
+@st.composite
+def bridged_blocks(draw, max_blocks=6):
+    """Small cycles, cliques and single nodes joined by bridges, with pendant paths.
+
+    Each block either hangs off an earlier node by a bridge or starts a new
+    component, so forests and disconnected graphs occur too.  The node ids
+    are shuffled, so DFS preorder does not follow the build order.
+    """
+    edges, n = [], 0
+    for _ in range(draw(st.integers(min_value=1, max_value=max_blocks))):
+        kind = draw(st.sampled_from(["node", "cycle", "clique"]))
+        size = 1 if kind == "node" else draw(st.integers(3 if kind == "cycle" else 2, 6))
+        block = list(range(n, n + size))
+        if kind == "cycle":
+            edges += [(block[i], block[(i + 1) % size]) for i in range(size)]
+        elif kind == "clique":
+            edges += list(itertools.combinations(block, 2))
+        if n and draw(st.integers(0, 3)):
+            edges.append((draw(st.integers(0, n - 1)), draw(st.sampled_from(block))))
+        n += size
+        tail = draw(st.integers(0, 4))
+        if tail:
+            edges.append((draw(st.sampled_from(block)), n))
+            edges += [(i, i + 1) for i in range(n, n + tail - 1)]
+            n += tail
+    label = draw(st.permutations(range(n)))
+    return build_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def pairs_by_distance(g):
+    """Ordered pairs at each distance 0..n-1 from the all-pairs reference, and source 0's row."""
+    d = all_pairs_distances(g)
+    want = [0] * g.n
+    for row in d:
+        for dist in row:
+            if dist != UNREACHABLE:
+                want[dist] += 1
+    row0 = [d[0].count(j) for j in range(g.n)] if g.n else None
+    return want, row0
+
+
 def assert_sweep_matches_reference(g):
     """Both BFS schemes count the reference's ordered pairs by distance, and so does the dispatch.
 
@@ -67,16 +109,10 @@ def assert_sweep_matches_reference(g):
     picks; on a split graph they count the pairs that a path joins.  The
     per-source scheme is also run from source 0's row, as after a probe.
     """
-    d = all_pairs_distances(g)
-    want = [0] * g.n
-    for row in d:
-        for dist in row:
-            if dist != UNREACHABLE:
-                want[dist] += 1
+    want, row0 = pairs_by_distance(g)
     assert graph_core._ordered_pairs_by_sweep(g) == want
     assert graph_core._ordered_pairs_by_source(g) == want
     if g.n:
-        row0 = [d[0].count(j) for j in range(g.n)]
         assert graph_core._ordered_pairs_by_source(g, row0) == want
     assert_indicators_match_reference(g)
 
@@ -525,6 +561,37 @@ class TestSharedRows:
         want = graph_core._ordered_pairs_by_sweep(g)
         with mock.patch.object(graph_core, "_lane_typecode", return_value="I"):
             assert graph_core._ordered_pairs_by_source(g) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(bridged_blocks())
+    def test_histograms_equal_the_all_pairs_reference(self, g):
+        want, row0 = pairs_by_distance(g)
+        for typecode in ("H", "I"):
+            with mock.patch.object(graph_core, "_lane_typecode", return_value=typecode):
+                assert graph_core._ordered_pairs_by_source(g) == want
+                assert graph_core._ordered_pairs_by_source(g, row0) == want
+
+    @pytest.mark.parametrize(
+        "g, lanes",
+        [
+            (build_spider(normalize(1, 19999, 1)), 19999),
+            (path(300), 299 * 300 // 2),
+            (lollipop(10, 60), 60 * 61 // 2),
+            (cycle_with_tail(9, 40, at=4), 40 * 41 // 2),
+            (build_graph(30, [(i, i + 1) for i in range(29) if i != 12]), 78 + 136),
+        ],
+        ids=["star20000", "path300", "lollipop10+60", "cycle9+tail40", "split-path30"],
+    )
+    def test_shared_nodes_count_only_their_subtrees(self, g, lanes):
+        # each shared node counts the lanes of its own subtree in its
+        # parent's row, not the n lanes of a whole row
+        forest = graph_core._bridge_forest(g)
+        assert sum(s for s, shared in zip(forest.size, forest.shared) if shared) == lanes
+        with mock.patch.object(
+            graph_core, "_run_histogram", wraps=graph_core._run_histogram
+        ) as runs:
+            graph_core._ordered_pairs_by_source(g, None, forest)
+        assert sum(len(call.args[0]) for call in runs.call_args_list) == lanes
 
     def test_rows_held_stay_few(self):
         # a caterpillar: each spine node's leaf is visited before the rest of
