@@ -162,12 +162,12 @@ def oracle_refusal(p: spiders.SpiderParams, cap: int) -> str | None:
     The budget is cap nodes and the BFS work of a tree on cap nodes.
     Per-source BFS visits n nodes and 2E adjacency entries once per source,
     n * (n + 2E) steps; a tree has E = n - 1, and a dense core of far fewer
-    nodes can reach the same work.  ``graph_core.alpha_array`` lets a node
-    that shares its parent's distances across a bridge count its subtree's
-    lanes instead (n^2 / 2 in all on a bare path, one per leaf on a star),
-    and runs the bit-parallel sweep only when its cost model estimates it
-    no dearer than per-source BFS, so that budget bounds the work of the
-    scheme it picks.  The sweep holds up to 3 * n^2 / 8 bytes of bitsets
+    nodes can reach the same work.  ``graph_core.alpha_array`` folds the
+    pendant trees into depth histograms, which copies at most n^2 / 2
+    words, and sweeps only the 2-core, at most (D + 1) * (n + 2E) *
+    ceil(n / 64) word operations for a 2-core of diameter D.  A spider's
+    2-core is empty or its complete core, D = 1, so that budget still
+    bounds the folded oracle.  The sweep holds up to 3 * n^2 / 8 bytes of bitsets
     (150 MB at n = 20000); running out of memory exits 4.
     """
     n = spiders.node_count(p)

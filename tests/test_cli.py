@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -295,10 +296,21 @@ class TestVerify:
         args = cli._build_parser().parse_args(["verify"])
         points = cli.iter_grid(args.mmax, args.kmax, args.lmax, cli.VERIFY_CAP_DEFAULT)
         assert len(points) == 247
-        picks = [graph_core._pick_scheme(spiders.build_spider(p)) for p in points]
-        assert all(sweep for sweep, _ in picks)
-        # every grid graph wins even at diameter n - 1, so none runs the probe
-        assert all(row0 is None for _, row0 in picks)
+        # a spider with m >= 3 sweeps its core of m nodes, whose pendant
+        # trees all weigh the same; one with m <= 2 is a tree and sweeps nothing
+        for p in points:
+            with mock.patch.object(
+                graph_core, "_core_pairs", wraps=graph_core._core_pairs
+            ) as sweep:
+                graph_core.alpha_array(spiders.build_spider(p))
+            calls = [call.args for call in sweep.call_args_list]
+            if p.m <= 2:
+                assert calls == []
+            else:
+                ((_, core, weight),) = calls
+                assert core == list(range(p.m))
+                assert len({weight[u] for u in core}) == 1
+        assert any(p.m <= 2 for p in points) and any(p.m >= 3 for p in points)
 
     def test_wider_grid_matches_oracle(self):
         points = cli.iter_grid(12, 6, 8, 2000)

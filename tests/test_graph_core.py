@@ -29,7 +29,7 @@ from spidernets.graph_core import (
     neighboring_index,
     total_distance,
 )
-from spidernets.closed_form import _expand, _expand_runs
+from spidernets.closed_form import _expand, _expand_runs, alpha_closed
 from spidernets.spiders import build_spider, normalize
 
 
@@ -66,7 +66,7 @@ def bridged_blocks(draw, max_blocks=6):
 
     Each block either hangs off an earlier node by a bridge or starts a new
     component, so forests and disconnected graphs occur too.  The node ids
-    are shuffled, so DFS preorder does not follow the build order.
+    are shuffled, so the peel order does not follow the build order.
     """
     edges, n = [], 0
     for _ in range(draw(st.integers(min_value=1, max_value=max_blocks))):
@@ -90,30 +90,21 @@ def bridged_blocks(draw, max_blocks=6):
 
 
 def pairs_by_distance(g):
-    """Ordered pairs at each distance 0..n-1 from the all-pairs reference, and source 0's row."""
-    d = all_pairs_distances(g)
+    """Ordered pairs at each distance 0..n-1 from the all-pairs reference."""
     want = [0] * g.n
-    for row in d:
+    for row in all_pairs_distances(g):
         for dist in row:
             if dist != UNREACHABLE:
                 want[dist] += 1
-    row0 = [d[0].count(j) for j in range(g.n)] if g.n else None
-    return want, row0
+    return want
 
 
 def assert_sweep_matches_reference(g):
-    """Both BFS schemes count the reference's ordered pairs by distance, and so does the dispatch.
+    """The folded count gives the reference's ordered pairs by distance, and so do the indicators.
 
-    ``_ordered_pairs_by_sweep`` and ``_ordered_pairs_by_source`` are called
-    directly, so both are checked at every size whichever one the cost model
-    picks; on a split graph they count the pairs that a path joins.  The
-    per-source scheme is also run from source 0's row, as after a probe.
+    On a split graph it counts the pairs that a path joins.
     """
-    want, row0 = pairs_by_distance(g)
-    assert graph_core._ordered_pairs_by_sweep(g) == want
-    assert graph_core._ordered_pairs_by_source(g) == want
-    if g.n:
-        assert graph_core._ordered_pairs_by_source(g, row0) == want
+    assert graph_core._ordered_pairs(g) == pairs_by_distance(g)
     assert_indicators_match_reference(g)
 
 
@@ -495,123 +486,80 @@ class TestInvariants:
         assert bfs_distances(g, 3) == [3, 2, 1, 0]
 
 
-class TestSchemeChoice:
-    """The dispatch's picks, which follow from the graph and the constants, not from timings."""
-
-    @pytest.mark.parametrize(
-        "g",
-        [build_spider(normalize(*shape)) for shape in [(21, 1, 47), (2, 166, 3), (2, 3, 166)]]
-        + [path(3000)],
-        ids=["spider21,1,47", "spider2,166,3", "spider2,3,166", "path3000"],
-    )
-    def test_per_source_without_probe_where_most_rows_are_shared(self, g):
-        assert graph_core._pick_scheme(g) == (False, None)
-
-    def test_sweep_picked_on_a_complete_core(self):
-        sweep, row0 = graph_core._pick_scheme(build_spider(normalize(998, 0, 0)))
-        assert sweep
-        assert row0 == [1, 997] + [0] * 996
-
-    def test_probe_bounds_the_diameter_by_twice_the_depth_of_node_0(self):
-        # 498 of 1000 nodes share rows, so the probe runs; node 0 has depth
-        # 498 and the diameter is 749, and the sweep would win if the bound
-        # were the depth alone
-        g = cycle_with_tail(502, 498)
-        assert diameter(g) == 749
-        sweep, row0 = graph_core._pick_scheme(g)
-        assert not sweep
-        dist = bfs_distances(g, 0)
-        assert row0 == [dist.count(j) for j in range(g.n)]
-
-    def test_probe_row_is_not_run_again(self):
-        g = cycle_with_tail(600, 400, at=300)
-        assert not graph_core._pick_scheme(g)[0]
-        want = alpha_by_sweep(g)
-        with mock.patch.object(
-            graph_core, "_add_level_sizes", wraps=graph_core._add_level_sizes
-        ) as levels, mock.patch.object(
-            graph_core, "bfs_distances", wraps=graph_core.bfs_distances
-        ) as rows:
-            assert alpha_array(g) == want
-        # one BFS per cycle node, node 0's being the probe; node 300 also
-        # fills the row its tail shares, and the tail runs no BFS
-        assert (levels.call_count, rows.call_count) == (599, 1)
-
-
 class TestSharedRows:
-    """Per-source BFS takes a row across each bridge instead of running a BFS."""
-
-    def test_one_bfs_on_a_path(self):
-        g = path(300)
-        with mock.patch.object(
-            graph_core, "_add_level_sizes", wraps=graph_core._add_level_sizes
-        ) as levels, mock.patch.object(
-            graph_core, "bfs_distances", wraps=graph_core.bfs_distances
-        ) as rows:
-            assert alpha_array(g) == tuple(range(299, 0, -1))
-        assert (levels.call_count, rows.call_count) == (0, 1)
-
-    @pytest.mark.parametrize(
-        "g",
-        [path(70), lollipop(10, 60), cycle_with_tail(9, 40, at=4),
-         build_graph(30, [(i, i + 1) for i in range(29) if i != 12])],
-        ids=["path70", "lollipop10+60", "cycle9+tail40", "split-path30"],
-    )
-    def test_32_bit_lanes(self, g):
-        want = graph_core._ordered_pairs_by_sweep(g)
-        with mock.patch.object(graph_core, "_lane_typecode", return_value="I"):
-            assert graph_core._ordered_pairs_by_source(g) == want
+    """A pendant tree shares its 2-core node's distances: it is folded into a weight, not searched."""
 
     @settings(max_examples=300, deadline=None)
     @given(bridged_blocks())
     def test_histograms_equal_the_all_pairs_reference(self, g):
-        want, row0 = pairs_by_distance(g)
-        for typecode in ("H", "I"):
-            with mock.patch.object(graph_core, "_lane_typecode", return_value=typecode):
-                assert graph_core._ordered_pairs_by_source(g) == want
-                assert graph_core._ordered_pairs_by_source(g, row0) == want
+        assert graph_core._ordered_pairs(g) == pairs_by_distance(g)
+
+
+def core_sweeps(g):
+    """The folded count of g and the (2-core, weight class count) of each 2-core sweep it ran."""
+    with mock.patch.object(graph_core, "_core_pairs", wraps=graph_core._core_pairs) as sweep:
+        counts = graph_core._ordered_pairs(g)
+    calls = [
+        (core, len({weight[u] for u in core})) for _, core, weight in
+        (call.args for call in sweep.call_args_list)
+    ]
+    return counts, calls
+
+
+def tails(ring, lengths):
+    """A cycle of ring nodes with a path of lengths[i] more nodes hanging off cycle node 2 * i."""
+    edges, n = [(i, (i + 1) % ring) for i in range(ring)], ring
+    for i, length in enumerate(lengths):
+        edges += [(2 * i, n)] + [(v, v + 1) for v in range(n, n + length - 1)]
+        n += length
+    return build_graph(n, edges)
+
+
+class TestFold:
+    """The peel leaves the 2-core, and only the 2-core is swept, in classes of equal weight."""
 
     @pytest.mark.parametrize(
-        "g, lanes",
-        [
-            (build_spider(normalize(1, 19999, 1)), 19999),
-            (path(300), 299 * 300 // 2),
-            (lollipop(10, 60), 60 * 61 // 2),
-            (cycle_with_tail(9, 40, at=4), 40 * 41 // 2),
-            (build_graph(30, [(i, i + 1) for i in range(29) if i != 12]), 78 + 136),
-        ],
-        ids=["star20000", "path300", "lollipop10+60", "cycle9+tail40", "split-path30"],
+        "shape",
+        [(1, 1, 2999), (1, 19999, 1), (2, 166, 3), (2, 3, 166), (2, 2, 1000)],
+        ids=["path3000", "star20000", "spider2,166,3", "spider2,3,166", "spider2,2,1000"],
     )
-    def test_shared_nodes_count_only_their_subtrees(self, g, lanes):
-        # each shared node counts the lanes of its own subtree in its
-        # parent's row, not the n lanes of a whole row
-        forest = graph_core._bridge_forest(g)
-        assert sum(s for s, shared in zip(forest.size, forest.shared) if shared) == lanes
-        with mock.patch.object(
-            graph_core, "_run_histogram", wraps=graph_core._run_histogram
-        ) as runs:
-            graph_core._ordered_pairs_by_source(g, None, forest)
-        assert sum(len(call.args[0]) for call in runs.call_args_list) == lanes
+    def test_trees_run_no_core_sweep(self, shape):
+        p = normalize(*shape)
+        g = build_spider(p)
+        if shape == (1, 1, 2999):
+            assert g == path(3000)
+        counts, calls = core_sweeps(g)
+        assert calls == []
+        assert tuple(c // 2 for c in counts[1:]) == alpha_closed(p)
 
-    def test_rows_held_stay_few(self):
-        # a caterpillar: each spine node's leaf is visited before the rest of
-        # the spine, so a spine node's row is dropped as soon as the next
-        # spine node has taken it
-        spine = 200
-        g = build_graph(
-            2 * spine,
-            [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)],
-        )
-        forest = graph_core._bridge_forest(g)
+    @pytest.mark.parametrize(
+        "g, core, classes",
+        [
+            (build_graph(30, [(i, i + 1) for i in range(29) if i != 12]), [], 0),
+            (build_spider(normalize(5, 2, 3)), list(range(5)), 1),
+            (complete(40), list(range(40)), 1),
+            (lollipop(10, 60), list(range(10)), 2),
+            (cycle_with_tail(9, 40, at=4), list(range(9)), 2),
+            (tails(6, [1, 2, 3]), list(range(6)), 4),
+        ],
+        ids=["split-path30", "spider5,2,3", "complete40", "lollipop10+60", "cycle9+tail40",
+             "cycle6+tails1,2,3"],
+    )
+    def test_only_the_2_core_is_swept(self, g, core, classes):
+        counts, calls = core_sweeps(g)
+        assert calls == ([(core, classes)] if core else [])
+        assert counts == pairs_by_distance(g)
+        assert_indicators_match_reference(g)
+
+    def test_folded_weights_are_dropped(self):
+        # a weight is dropped once folded into its parent, so a bare path
+        # holds the two growing ends, not every node's depth histogram
+        g = path(3000)
         tracemalloc.start()
         try:
-            graph_core._ordered_pairs_by_source(g, None, forest)
+            graph_core._ordered_pairs(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # holding every spine node's row until its leaf would take spine * 2n bytes
-        assert peak < spine * 2 * g.n // 2
-
-
-def alpha_by_sweep(g):
-    return tuple(c // 2 for c in graph_core._ordered_pairs_by_sweep(g)[1:])
+        # keeping every weight would take 2 * 8 * 1500^2 / 2 bytes
+        assert peak < 8 * 1500**2 // 4
