@@ -486,13 +486,133 @@ class TestInvariants:
         assert bfs_distances(g, 3) == [3, 2, 1, 0]
 
 
+class TestSchemeChoice:
+    """Every graph takes one search, which follows from the graph alone: its 2-core sweep.
+
+    No node runs a BFS of its own and no probe row is taken, so
+    ``bfs_distances`` is never called; it stays the tests' reference.
+    """
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(21, 1, 47), (2, 166, 3), (2, 3, 166), (1, 1, 2999)],
+        ids=["spider21,1,47", "spider2,166,3", "spider2,3,166", "path3000"],
+    )
+    def test_per_source_without_probe_where_most_rows_are_shared(self, shape):
+        # most nodes hang off the 2-core and are folded into it; only the
+        # core K_21 of the first spider is swept, and the trees sweep nothing
+        p = normalize(*shape)
+        g = build_spider(p)
+        with mock.patch.object(
+            graph_core, "bfs_distances", wraps=graph_core.bfs_distances
+        ) as rows:
+            counts, calls = core_sweeps(g)
+        assert rows.call_count == 0
+        assert calls == ([(list(range(p.m)), 1)] if p.m >= 3 else [])
+        assert tuple(c // 2 for c in counts[1:]) == alpha_closed(p)
+
+    def test_sweep_picked_on_a_complete_core(self):
+        p = normalize(998, 0, 0)
+        counts, calls = core_sweeps(build_spider(p))
+        assert calls == [(list(range(998)), 1)]
+        assert counts == [998, 998 * 997] + [0] * 996
+        assert tuple(c // 2 for c in counts[1:]) == alpha_closed(p)
+
+    def test_probe_bounds_the_diameter_by_twice_the_depth_of_node_0(self):
+        # node 0 carries the tail, so its depth is 498; the diameter, 749, is
+        # the tail plus half the cycle, so it sits in tree lanes shifted by a
+        # 2-core distance and is seen by neither part alone
+        g = cycle_with_tail(502, 498)
+        counts, calls = core_sweeps(g)
+        assert calls == [(list(range(502)), 2)]
+        ecc0 = max(bfs_distances(g, 0))
+        assert (ecc0, diameter(g)) == (498, 749)
+        # one pair is that far apart: the tail's end and node 0's antipode
+        assert (counts[749], sum(counts[750:]), sum(counts)) == (2, 0, g.n * g.n)
+
+    def test_probe_row_is_not_run_again(self):
+        # no row is run at all, so none twice: one sweep over the cycle, in
+        # which node 300 with its tail is a second weight class
+        g = cycle_with_tail(600, 400, at=300)
+        with mock.patch.object(
+            graph_core, "bfs_distances", wraps=graph_core.bfs_distances
+        ) as rows:
+            counts, calls = core_sweeps(g)
+        assert rows.call_count == 0
+        assert calls == [(list(range(600)), 2)]
+        assert counts == pairs_by_distance(g)
+
+
+def lanes(w):
+    """The 64-bit lanes of a folded weight, the lowest first."""
+    return [(w >> 64 * i) & ((1 << 64) - 1) for i in range(-(-w.bit_length() // 64))]
+
+
 class TestSharedRows:
     """A pendant tree shares its 2-core node's distances: it is folded into a weight, not searched."""
+
+    def test_one_bfs_on_a_path(self):
+        # a path is all pendant: it is folded end to end and searched not
+        # even once, neither by a row nor by a 2-core sweep
+        g = path(300)
+        with mock.patch.object(
+            graph_core, "bfs_distances", wraps=graph_core.bfs_distances
+        ) as rows:
+            counts, calls = core_sweeps(g)
+        assert (rows.call_count, calls) == (0, [])
+        assert tuple(c // 2 for c in counts[1:]) == tuple(range(299, 0, -1))
 
     @settings(max_examples=300, deadline=None)
     @given(bridged_blocks())
     def test_histograms_equal_the_all_pairs_reference(self, g):
         assert graph_core._ordered_pairs(g) == pairs_by_distance(g)
+
+    @pytest.mark.parametrize(
+        "g, held, want",
+        [
+            (build_spider(normalize(1, 19999, 1)), {}, [20000, 2 * 19999, 19999 * 19998]
+             + [0] * 19997),
+            (path(300), {}, None),
+            (lollipop(10, 60), {u: [1] * (61 if u == 9 else 1) for u in range(10)}, None),
+            (cycle_with_tail(9, 40, at=4), {u: [1] * (41 if u == 4 else 1) for u in range(9)},
+             None),
+            (build_graph(30, [(i, i + 1) for i in range(29) if i != 12]), {}, None),
+        ],
+        ids=["star20000", "path300", "lollipop10+60", "cycle9+tail40", "split-path30"],
+    )
+    def test_shared_nodes_count_only_their_subtrees(self, g, held, want):
+        # each 2-core node reaches the sweep holding the depth histogram of
+        # its own pendant tree, one lane per depth, and nothing of another
+        # node's; a tree is shared through and through and is never swept
+        with mock.patch.object(
+            graph_core, "_core_pairs", wraps=graph_core._core_pairs
+        ) as sweep:
+            counts = graph_core._ordered_pairs(g)
+        assert {
+            u: lanes(weight[u])
+            for _, core, weight in (call.args for call in sweep.call_args_list)
+            for u in core
+        } == held
+        assert counts == (want or pairs_by_distance(g))
+
+    def test_rows_held_stay_few(self):
+        # a caterpillar: each spine node's leaf is peeled before the spine,
+        # and a spine node's weight is dropped as soon as it is folded into
+        # the next one
+        spine = 200
+        g = build_graph(
+            2 * spine,
+            [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)],
+        )
+        tracemalloc.start()
+        try:
+            graph_core._ordered_pairs(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the spine is peeled from both ends, so keeping every folded spine
+        # weight would take about 2 * 8 * (spine / 2)^2 / 2 bytes of lanes
+        assert peak < 8 * spine**2 // 4
 
 
 def core_sweeps(g):
