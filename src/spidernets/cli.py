@@ -7,8 +7,9 @@ for golden-file comparison.
 Exit codes: 0 ok, 1 verification mismatch (a closed form that disagrees with
 the oracle or fails its own consistency check), 2 usage error, 3 I/O failure,
 4 resource guard (oracle requested beyond the node cap or its BFS work
-bound, a closed report above the output budget, out of memory, or a result
-too large to index).  A report that exits 4 prints nothing to stdout.
+bound, a closed report or an export above the output budget, out of
+memory, or a result too large to index).  A report, export or generate
+that exits 4 prints nothing to stdout and writes no file.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ EXIT_RESOURCE = 4
 NODE_CAP_ENV = "SPIDERNETS_NODE_CAP"
 REPORT_CAP_DEFAULT = 20000
 VERIFY_CAP_DEFAULT = 2000
-# Characters of the delta, gamma and alpha rows a report may print (128 MiB),
-# counted from groups and runs before any row is built.
+# Characters a report's delta, gamma and alpha rows, or an export, may take
+# (128 MiB), counted from groups and runs or from (m, k, l) before anything
+# is built.
 OUTPUT_BUDGET = 2**27
 
 
@@ -120,8 +122,23 @@ def _print_counts(p: spiders.SpiderParams) -> None:
     print(f"pairs: {spiders.pair_count(p)}")
 
 
+def _over_export_budget(p: spiders.SpiderParams, fmt: str) -> bool:
+    """True, after saying why on stderr, when exporting p in fmt could exceed the output budget."""
+    size = spiders.export_size(p, fmt)
+    if size <= OUTPUT_BUDGET:
+        return False
+    print(
+        f"error: {fmt} export needs up to {size} characters, "
+        f"above the output budget {OUTPUT_BUDGET}",
+        file=sys.stderr,
+    )
+    return True
+
+
 def cmd_generate(args) -> int:
     p = spiders.normalize(args.m, args.k, args.l)
+    if args.out and _over_export_budget(p, args.format):
+        return EXIT_RESOURCE
     _print_counts(p)
     if args.out:
         text = spiders.export_spider(p, args.format)
@@ -133,6 +150,8 @@ def cmd_generate(args) -> int:
 
 def cmd_export(args) -> int:
     p = spiders.normalize(args.m, args.k, args.l)
+    if _over_export_budget(p, args.format):
+        return EXIT_RESOURCE
     text = spiders.export_spider(p, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

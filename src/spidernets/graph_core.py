@@ -45,7 +45,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return sum(map(len, self.adjacency)) // 2
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
@@ -380,18 +380,18 @@ def mean_distance(g: Graph) -> Fraction:
 
 def all_indicators(g: Graph) -> Indicators:
     """Compute the full indicator record for a connected graph with n >= 2."""
-    delta = degree_array(g)
+    delta = value_groups(Counter(map(len, g.adjacency)).items())
     alpha = alpha_array(g)
     d = _diameter_of(alpha)
     # Every entry past the diameter is 0: one run, so the entries placed one
     # by one are only those up to the diameter.
     runs = [(j, j, a, 0) for j, a in enumerate(alpha[:d], start=1)]
     return Indicators(
-        delta=value_groups(Counter(delta).items()),
+        delta=delta,
         gamma=value_groups(Counter(gamma_array(g)).items()),
         alpha=linear_runs(runs + [(d + 1, len(alpha), 0, 0)]),
         density=density(g),
         diameter=d,
-        h_index=h_index(delta),
-        total_distance=_total_of(alpha),
+        h_index=h_index_of_groups(delta),
+        total_distance=_total_of(alpha[:d]),
     )

@@ -12,13 +12,18 @@ from the core) of leg j of core node c takes id
     m + c*k*l + j*l + (p - 1)
 
 Position p = 1 touches the core; position p = l is the leg's terminal node.
+
+``build_spider`` fills each node's sorted neighbor tuple straight from this
+scheme, with no edge list, neighbor sets or sorting; tests pin it to
+``graph_core.build_graph`` on the scheme's edge list.  ``export_size``
+sizes an export from (m, k, l) before anything is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from spidernets.graph_core import Graph, build_graph
+from spidernets.graph_core import Graph
 
 EXPORT_FORMATS = ("edge-list", "dot", "adjacency-csv")
 
@@ -128,19 +133,33 @@ def node_role(p: SpiderParams, node_id: int) -> str:
 
 
 def build_spider(p: SpiderParams) -> Graph:
-    """Construct the spider as a Graph under the documented id scheme."""
-    edges = []
-    for u in range(p.m):
-        for v in range(u + 1, p.m):
-            edges.append((u, v))
-    for core in range(p.m):
-        for leg in range(p.k):
-            prev = core
-            for pos in range(1, p.l + 1):
-                node = p.m + core * p.k * p.l + leg * p.l + (pos - 1)
-                edges.append((prev, node))
-                prev = node
-    g = build_graph(node_count(p), edges)
+    """Construct the spider as a Graph, its neighbor tuples filled straight from the id scheme.
+
+    Core node c is adjacent to the other core ids, then to the first node
+    of each of its legs, m + c*k*l + j*l; a leg node to the nodes before and
+    after it, a terminal node to the one before it, and the only node of a
+    leg of length 1 to its core node.  Every tuple comes out sorted, so no
+    edge list is made and nothing is sorted.
+    """
+    m, k, l = p.m, p.k, p.l
+    span = k * l  # leg nodes per core node
+    core = tuple(range(m))
+    # l = 0 only together with k = 0: the range of first leg nodes is empty.
+    adjacency = [
+        core[:c] + core[c + 1:] + tuple(range(m + c * span, m + (c + 1) * span, l or 1))
+        for c in range(m)
+    ]
+    if l == 1:
+        for c in range(m):
+            adjacency += [(c,)] * k
+    elif l:
+        for c in range(m):
+            for first in range(m + c * span, m + (c + 1) * span, l):
+                last = first + l - 1
+                adjacency.append((c, first + 1))
+                adjacency += zip(range(first, last - 1), range(first + 2, last + 1))
+                adjacency.append((last - 1,))
+    g = Graph(node_count(p), tuple(adjacency))
     if g.num_edges != edge_count(p):
         raise ConsistencyError("spider edge count mismatch")
     return g
@@ -180,6 +199,27 @@ def export_graph(g: Graph, fmt: str, roles=None) -> str:
             nbrs = set(g.adjacency[u])
             rows.append(",".join("1" if v in nbrs else "0" for v in range(g.n)))
         return "".join(row + "\n" for row in rows)
+    raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
+
+
+def export_size(p: SpiderParams, fmt: str) -> int:
+    """Characters of ``export_spider(p, fmt)``, counted from (m, k, l) before anything is built.
+
+    Exact for "adjacency-csv": n rows of n digits, each followed by a comma
+    or a newline.  For "edge-list" and "dot" an upper bound that writes
+    every id at the width of the largest one and every role as "terminal",
+    within twice the true size (tests check it on the default grid and on
+    stars and paths up to 20,000 nodes).
+    """
+    n, e = node_count(p), edge_count(p)
+    width = len(str(n - 1))
+    if fmt == "edge-list":
+        return e * (2 * width + 2)  # "u v\n"
+    if fmt == "dot":
+        # "graph spider {\n" and "}\n", '  u [role="terminal"];\n', "  u -- v;\n"
+        return 17 + n * (width + 22) + e * (2 * width + 8)
+    if fmt == "adjacency-csv":
+        return 2 * n * n
     raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
 
 

@@ -565,6 +565,39 @@ class TestExport:
         assert out == ""
         assert len(out_path.read_text().splitlines()) == 6
 
+    @pytest.mark.parametrize("command", ["export", "generate"])
+    @pytest.mark.parametrize(
+        "fmt,shape",
+        [
+            ("adjacency-csv", ("1", "1", "8192")),
+            ("edge-list", ("10", "1000000000", "1000000000")),
+            ("dot", ("100000", "0", "0")),
+        ],
+    )
+    def test_output_budget_refuses_before_building(self, capsys, tmp_path, command, fmt, shape):
+        out_path = tmp_path / "g.out"
+        m, k, l = shape
+        with mock.patch.object(spiders, "build_spider", side_effect=AssertionError("built")):
+            code, out, err = run(
+                capsys, command, "-M", m, "-K", k, "-L", l, "--format", fmt, "--out", str(out_path)
+            )
+            assert (code, out, out_path.exists()) == (4, "", False)
+            assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
+            code, out, _ = run(capsys, command, "-M", m, "-K", k, "-L", l, "--format", fmt)
+        if command == "export":
+            assert (code, out) == (4, "")
+        else:  # without --out, generate prints the counts alone
+            assert code == 0 and out.startswith(f"spider M={m} ")
+
+    @pytest.mark.parametrize("fmt", spiders.EXPORT_FORMATS)
+    def test_output_budget_admits_an_export_of_its_size(self, capsys, monkeypatch, fmt):
+        argv = ["export", "-M", "2", "-K", "2", "-L", "1", "--format", fmt]
+        monkeypatch.setattr(cli, "OUTPUT_BUDGET", spiders.export_size(spiders.normalize(2, 2, 1), fmt))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and 0 < len(out) <= cli.OUTPUT_BUDGET
+        monkeypatch.setattr(cli, "OUTPUT_BUDGET", cli.OUTPUT_BUDGET - 1)
+        assert run(capsys, *argv)[:2] == (4, "")
+
 
 class TestDeterminism:
     def test_repeat_invocations_identical(self, capsys):

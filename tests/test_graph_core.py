@@ -424,6 +424,10 @@ class TestInvariants:
 
     @settings(max_examples=50)
     @given(connected_graphs())
+    @example(cycle_with_tail(3, 0))
+    @example(cycle_with_tail(9, 40, at=4))
+    @example(cycle_with_tail(40, 9, at=20))
+    @example(cycle_with_tail(61, 39))
     def test_all_indicators_consistent(self, g):
         if g.n < 2:
             return
@@ -434,7 +438,9 @@ class TestInvariants:
         assert sum(v * c for v, c in ind.gamma) == neighboring_index(g)
         assert _expand(ind.delta) == degree_array(g)
         assert _expand(ind.gamma) == gamma_array(g)
-        assert ind.h_index == h_index(_expand(ind.delta))
+        assert ind.density == density(g)
+        assert ind.diameter == diameter(g)
+        assert ind.h_index == h_index(degree_array(g))
 
     @given(st.one_of(graphs(), connected_graphs()))
     def test_sweep_matches_all_pairs_reference(self, g):

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 
 from conftest import spider_params
-from spidernets import spiders
-from spidernets.graph_core import degree_array, is_connected
+from spidernets import cli, spiders
+from spidernets.graph_core import build_graph, degree_array, is_connected
 from spidernets.spiders import (
     ConsistencyError,
     NodeLabel,
@@ -11,6 +11,7 @@ from spidernets.spiders import (
     build_spider,
     edge_count,
     export_graph,
+    export_size,
     export_spider,
     label_id,
     node_count,
@@ -19,6 +20,23 @@ from spidernets.spiders import (
     normalize,
     pair_count,
 )
+
+
+DEFAULT_GRID = cli.iter_grid(8, 5, 6, 2000)
+
+
+def scheme_edges(p):
+    """The spider's edges written out from the documented id scheme."""
+    m, k, l = p.m, p.k, p.l
+    edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    for core in range(m):
+        for leg in range(k):
+            prev = core
+            for pos in range(1, l + 1):
+                node = m + core * k * l + leg * l + (pos - 1)
+                edges.append((prev, node))
+                prev = node
+    return edges
 
 
 class TestNormalize:
@@ -104,6 +122,22 @@ class TestBuildSpider:
         assert g.num_edges == edge_count(p)
         assert is_connected(g)
 
+    @pytest.mark.parametrize(
+        "p",
+        DEFAULT_GRID
+        + [
+            normalize(*shape)
+            for shape in [(1, 0, 0), (1, 7, 1), (3, 9, 1), (998, 0, 0), (1, 19999, 1)]
+        ],
+        ids=lambda p: f"{p.m},{p.k},{p.l}",
+    )
+    def test_equals_build_graph_on_the_scheme_edges(self, p):
+        assert build_spider(p) == build_graph(node_count(p), scheme_edges(p))
+
+    @given(spider_params)
+    def test_equals_build_graph_on_random_params(self, p):
+        assert build_spider(p) == build_graph(node_count(p), scheme_edges(p))
+
     def test_edge_count_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(spiders, "edge_count", lambda p: 0)
         with pytest.raises(ConsistencyError, match="edge count"):
@@ -176,6 +210,21 @@ class TestExport:
         p = normalize(3, 2, 2)
         assert export_spider(p, "edge-list") == export_spider(p, "edge-list")
         assert export_spider(p, "dot") == export_spider(p, "dot")
+
+    def test_size_is_exact_for_adjacency_csv(self):
+        for p in DEFAULT_GRID + [normalize(1, 0, 0)]:
+            assert export_size(p, "adjacency-csv") == len(export_spider(p, "adjacency-csv"))
+
+    @pytest.mark.parametrize("fmt", ["edge-list", "dot"])
+    def test_size_bounds_the_export_within_twice(self, fmt):
+        shapes = [(1, 0, 0), (1, 10, 1), (1, 100, 1), (100, 0, 0), (1, 1, 3999), (1, 19999, 1)]
+        for p in DEFAULT_GRID + [normalize(*shape) for shape in shapes]:
+            true = len(export_spider(p, fmt))
+            assert true <= export_size(p, fmt) <= 2 * true
+
+    def test_size_of_unknown_format_rejected(self):
+        with pytest.raises(ValueError):
+            export_size(normalize(1, 1, 1), "graphml")
 
     def test_single_node_exports(self):
         p = normalize(1, 0, 0)
