@@ -317,6 +317,12 @@ def _parse_fix(text: str) -> dict[str, int]:
     return fixed
 
 
+def _parse_steps(text: str) -> list[int]:
+    if not text.strip():
+        raise ValueError("--steps needs at least one value")
+    return [int(s) for s in text.split(",")]
+
+
 def _direction_from_args(args) -> small_world.GrowthDirection:
     fixed = _parse_fix(args.fix or "")
     if args.vary in fixed:
@@ -339,18 +345,22 @@ def _verdict_line(
 
 
 def _write_ratio_csv(path: str, steps, points) -> None:
+    """One row per point; each pair (P, Q) reduced to lowest terms as p/q."""
+    rows = ["step,N,numerator,lnN,ratio\n"]
+    for value, pt in zip(steps, points):
+        top, bottom = pt.pair
+        common = math.gcd(top, bottom)
+        rows.append(
+            f"{value},{pt.n},{top // common}/{bottom // common},"
+            f"{math.log(pt.n):.6g},{pt.ratio:.6g}\n"
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,N,numerator,lnN,ratio\n")
-        for value, pt in zip(steps, points):
-            fh.write(
-                f"{value},{pt.n},{format_fraction(pt.numerator)},"
-                f"{math.log(pt.n):.6g},{pt.ratio:.6g}\n"
-            )
+        fh.write("".join(rows))
 
 
 def cmd_asymptotics(args) -> int:
     if args.all:
-        if args.notion or args.vary or args.fix or args.steps or args.out_csv:
+        if args.notion or args.vary or args.fix or args.steps is not None or args.out_csv:
             raise ValueError("--all cannot be combined with single-cell options")
         if args.csv_dir:
             os.makedirs(args.csv_dir, exist_ok=True)
@@ -368,14 +378,14 @@ def cmd_asymptotics(args) -> int:
         raise ValueError("--csv-dir needs --all; write one cell with --out-csv")
     if not args.notion or not args.vary:
         raise ValueError("either --all or both --notion and --vary are required")
-    if args.steps and not args.out_csv:
+    if args.steps is not None and not args.out_csv:
         raise ValueError("--steps needs --out-csv")
     notion = small_world.SmallWorldNotion(args.notion)
     direction = _direction_from_args(args)
     verdict = small_world.classify(notion, direction)
     if args.out_csv:
-        if args.steps:
-            steps = [int(s) for s in args.steps.split(",")]
+        if args.steps is not None:
+            steps = _parse_steps(args.steps)
         else:
             steps = small_world.geometric_steps()
         _write_ratio_csv(args.out_csv, steps, small_world.ratio_sequence(notion, direction, steps))

@@ -19,6 +19,9 @@ degrees are read off exact forward differences of P and Q at t = 2..8.  A
 ratio sequence at doubling steps corroborates every verdict numerically:
 the first 12 doublings (t up to 4096), then one more doubling at a time, up
 to t = 2**128, until the trend shows.
+
+A ratio sequence keeps each indicator as the unreduced integer pair (P, Q)
+of its closed forms; a reduced Fraction is made only where one is asked for.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from spidernets.closed_form import (
     max_degree,
     total_distance_closed,
 )
-from spidernets.spiders import SpiderParams, edge_count, node_count, normalize, pair_count
+from spidernets.spiders import SpiderParams, edge_count, node_count, pair_count
 
 GROWTH_PROBES = range(2, 9)  # seven samples pin down degrees up to 5
 STEP_COUNT = 12
@@ -80,12 +83,18 @@ class GrowthDirection:
                 raise ValueError(f"fixed {name} must be >= {minima[name]}, got {value}")
 
     def params_at(self, value: int) -> SpiderParams:
-        """Substitute a concrete value into the varying slot."""
+        """Substitute a concrete value into the varying slot.
+
+        Every slot is then at least 1, so the parameters are already in
+        normalized form.
+        """
         if value < 1:
             raise ValueError(f"parameter value must be >= 1, got {value}")
-        slots = {"M": self.m, "K": self.k, "L": self.l}
-        slots[self.varying] = value
-        return normalize(slots["M"], slots["K"], slots["L"])
+        if self.varying == "M":
+            return SpiderParams(value, self.k, self.l)
+        if self.varying == "K":
+            return SpiderParams(self.m, value, self.l)
+        return SpiderParams(self.m, self.k, value)
 
     def describe_fixed(self) -> str:
         parts = [
@@ -105,11 +114,19 @@ CANONICAL_DIRECTIONS = (
 
 @dataclass(frozen=True)
 class RatioPoint:
-    """One sample along a growth direction: the exact indicator and its ratio to ln(n)."""
+    """One sample along a growth direction: the exact indicator and its ratio to ln(n).
+
+    ``pair`` is the indicator as the unreduced integer ratio (P, Q) of its
+    closed forms; ``numerator`` reduces it to a Fraction on demand.
+    """
 
     n: int
-    numerator: Fraction
+    pair: tuple[int, int]
     ratio: float
+
+    @property
+    def numerator(self) -> Fraction:
+        return Fraction(*self.pair)
 
 
 @dataclass(frozen=True)
@@ -127,15 +144,18 @@ class SmallWorldVerdict:
     is_ultra_small: bool
 
 
+# Each notion's indicator as an integer ratio P / Q of closed forms.
+_INDICATOR_PAIRS = {
+    SmallWorldNotion.DSWL: lambda p: (max_degree(p), 1),
+    SmallWorldNotion.DSWA: lambda p: (2 * edge_count(p), node_count(p)),
+    SmallWorldNotion.SWD: lambda p: (diameter_closed(p), 1),
+    SmallWorldNotion.SWA: lambda p: (total_distance_closed(p), pair_count(p)),
+}
+
+
 def _indicator_pair(notion: SmallWorldNotion, p: SpiderParams) -> tuple[int, int]:
     """The notion's indicator as an integer ratio P / Q of closed forms."""
-    if notion is SmallWorldNotion.DSWL:
-        return max_degree(p), 1
-    if notion is SmallWorldNotion.DSWA:
-        return 2 * edge_count(p), node_count(p)
-    if notion is SmallWorldNotion.SWD:
-        return diameter_closed(p), 1
-    return total_distance_closed(p), pair_count(p)
+    return _INDICATOR_PAIRS[notion](p)
 
 
 def numerator(notion: SmallWorldNotion, p: SpiderParams) -> Fraction:
@@ -148,16 +168,24 @@ def numerator(notion: SmallWorldNotion, p: SpiderParams) -> Fraction:
 def ratio_sequence(
     notion: SmallWorldNotion, direction: GrowthDirection, steps
 ) -> list[RatioPoint]:
-    """Sample indicator / ln(n) at strictly increasing parameter values."""
+    """Sample indicator / ln(n) at strictly increasing parameter values.
+
+    Each point keeps the closed forms' pair (P, Q) as it comes and takes the
+    ratio as P / Q / ln(n); int true division is correctly rounded, so this
+    equals float(Fraction(P, Q)) / ln(n) bit for bit.  A growth direction's
+    spiders have at least 4 nodes, so every indicator is defined and
+    ln(n) > 0.
+    """
     steps = list(steps)
     if any(a >= b for a, b in zip(steps, steps[1:])):
         raise ValueError("steps must be strictly increasing")
+    indicator_pair = _INDICATOR_PAIRS[notion]
     points = []
     for value in steps:
         p = direction.params_at(value)
         n = node_count(p)
-        num = numerator(notion, p)
-        points.append(RatioPoint(n, num, float(num) / math.log(n)))
+        pair = indicator_pair(p)
+        points.append(RatioPoint(n, pair, pair[0] / pair[1] / math.log(n)))
     return points
 
 

@@ -194,10 +194,13 @@ def export_graph(g: Graph, fmt: str, roles=None) -> str:
         out.append("}")
         return "".join(line + "\n" for line in out)
     if fmt == "adjacency-csv":
+        zeros = ["0"] * g.n
         rows = []
-        for u in range(g.n):
-            nbrs = set(g.adjacency[u])
-            rows.append(",".join("1" if v in nbrs else "0" for v in range(g.n)))
+        for nbrs in g.adjacency:
+            cells = zeros.copy()
+            for v in nbrs:
+                cells[v] = "1"
+            rows.append(",".join(cells))
         return "".join(row + "\n" for row in rows)
     raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
 

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -432,12 +434,13 @@ class TestAsymptotics:
         assert lines[1].split(",")[2] == "3/1"
 
     def test_csv_computes_each_numerator_once(self, capsys, monkeypatch, tmp_path):
-        real_numerator, real_classify = small_world.numerator, small_world.classify
+        notion = small_world.SmallWorldNotion.SWA
+        real_pair, real_classify = small_world._INDICATOR_PAIRS[notion], small_world.classify
         calls = {"all": 0, "classify": 0}
 
-        def counting_numerator(notion, p):
+        def counting_pair(p):
             calls["all"] += 1
-            return real_numerator(notion, p)
+            return real_pair(p)
 
         def counting_classify(notion, direction):
             before = calls["all"]
@@ -445,7 +448,7 @@ class TestAsymptotics:
             calls["classify"] += calls["all"] - before
             return verdict
 
-        monkeypatch.setattr(small_world, "numerator", counting_numerator)
+        monkeypatch.setitem(small_world._INDICATOR_PAIRS, notion, counting_pair)
         monkeypatch.setattr(small_world, "classify", counting_classify)
         steps = ",".join(str(s) for s in range(1, 51))
         code, _, _ = run(
@@ -456,6 +459,39 @@ class TestAsymptotics:
         assert code == 0
         assert calls["classify"] > 0
         assert calls["all"] - calls["classify"] == 50
+
+    @pytest.mark.parametrize("notion", list(small_world.SmallWorldNotion))
+    @pytest.mark.parametrize("vary", ["M", "K", "L"])
+    def test_csv_rows_equal_reduced_fractions(self, capsys, tmp_path, notion, vary):
+        fixed = {name: value for name, value in (("M", 4), ("K", 2), ("L", 2)) if name != vary}
+        direction = small_world.GrowthDirection(
+            vary, m=fixed.get("M"), k=fixed.get("K"), l=fixed.get("L")
+        )
+        steps = [1, 2, 3, 5, 8, 13, 100, 1001]
+        csv_path = tmp_path / "cell.csv"
+        code, _, _ = run(
+            capsys,
+            "asymptotics", "--notion", notion.value, "--vary", vary,
+            "--fix", ",".join(f"{name}={value}" for name, value in fixed.items()),
+            "--steps", ",".join(map(str, steps)), "--out-csv", str(csv_path),
+        )
+        assert code == 0
+        points = small_world.ratio_sequence(notion, direction, steps)
+        expected, denominators = ["step,N,numerator,lnN,ratio"], set()
+        for step, pt in zip(steps, points):
+            p = direction.params_at(step)
+            n = spiders.node_count(p)
+            fraction = Fraction(*small_world._indicator_pair(notion, p))
+            ratio = float(fraction) / math.log(n)
+            expected.append(
+                f"{step},{n},{cli.format_fraction(fraction)},{math.log(n):.6g},{ratio:.6g}"
+            )
+            assert (pt.n, pt.ratio) == (n, ratio)
+            assert type(pt.numerator) is Fraction and pt.numerator == fraction
+            denominators.add(fraction.denominator)
+        assert csv_path.read_text().split("\n") == expected + [""]
+        if notion in (small_world.SmallWorldNotion.DSWA, small_world.SmallWorldNotion.SWA):
+            assert max(denominators) > 1
 
     def test_invalid_cell(self, capsys):
         code, _, err = run(
@@ -488,6 +524,23 @@ class TestAsymptotics:
         )
         assert (code, out) == (2, "")
         assert "--out-csv" in err
+
+    @pytest.mark.parametrize("steps", ["", " "])
+    def test_empty_steps_rejected(self, capsys, tmp_path, steps):
+        csv_path = tmp_path / "ratios.csv"
+        code, out, err = run(
+            capsys,
+            "asymptotics", "--notion", "SWD", "--vary", "M", "--fix", "K=1,L=1",
+            "--steps", steps, "--out-csv", str(csv_path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not csv_path.exists()
+
+    def test_all_rejects_empty_steps(self, capsys):
+        code, out, err = run(capsys, "asymptotics", "--all", "--steps", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_all_csv_dir(self, capsys, tmp_path):
         csv_dir = tmp_path / "cells"

@@ -48,6 +48,15 @@ class TestGrowthDirection:
         d = GrowthDirection("K", m=2, l=3)
         assert d.params_at(5) == normalize(2, 5, 3)
 
+    def test_params_at_every_slot(self):
+        assert GrowthDirection("M", k=2, l=3).params_at(1) == normalize(1, 2, 3)
+        assert GrowthDirection("L", m=4, k=1).params_at(7) == normalize(4, 1, 7)
+
+    def test_params_at_rejects_value_below_one(self):
+        for d in CANONICAL_DIRECTIONS:
+            with pytest.raises(ValueError):
+                d.params_at(0)
+
     def test_fixed_core_too_small(self):
         with pytest.raises(ValueError):
             GrowthDirection("K", m=1, l=1)

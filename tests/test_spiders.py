@@ -194,6 +194,16 @@ class TestExport:
             for j in range(6):
                 assert rows[i][j] == rows[j][i]
 
+    def test_adjacency_csv_equals_membership_test(self):
+        # The row-by-row membership test, written out.
+        for p in DEFAULT_GRID + [normalize(1, 1, 300)]:
+            g = build_spider(p)
+            rows = []
+            for u in range(g.n):
+                nbrs = set(g.adjacency[u])
+                rows.append(",".join("1" if v in nbrs else "0" for v in range(g.n)))
+            assert export_graph(g, "adjacency-csv") == "".join(row + "\n" for row in rows)
+
     def test_dot_roles(self):
         text = export_spider(normalize(1, 1, 3), "dot")
         assert text.startswith("graph spider {\n")
