@@ -59,20 +59,16 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def format_array(values) -> str:
-    return " ".join(str(v) for v in values)
-
-
 def format_runs(groups) -> str:
-    """format_array of the expanded (value, count) groups, built run by run."""
+    """Each value of the (value, count) groups count times, space-separated, in group order."""
     return "".join((str(v) + " ") * c for v, c in groups)[:-1]
 
 
 def format_linear_runs(runs) -> str:
-    """format_array of the array that linear runs (first, last, a, b) stand for.
+    """The entries a + b*j of linear runs (first, last, a, b) at j = first..last, space-separated.
 
-    A run's entries a + b*j are one range, or one repeated string when b is
-    0, so no Python code runs per entry.
+    A run's entries are one range, or one repeated string when b is 0, so
+    no Python code runs per entry.
     """
     return "".join(
         " ".join(map(str, range(a + b * first, a + b * (last + 1), b))) + " "

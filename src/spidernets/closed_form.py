@@ -1,8 +1,9 @@
 """Exact indicator formulas for spider graphs.
 
-Every function here returns exactly what the brute-force machinery in
-``graph_core`` produces on the constructed graph, without building it.  The
-distance bookkeeping works by classifying unordered node pairs:
+``closed_form_report`` returns exactly the indicator record that
+``graph_core.all_indicators`` computes on the constructed graph, without
+building it.  The distance bookkeeping works by classifying unordered node
+pairs:
 
 * core-core pairs and core-to-adjacent-leg pairs are at distance 1;
 * pairs inside one leg (including its core node) are at distance q - p;
@@ -13,8 +14,8 @@ distance bookkeeping works by classifying unordered node pairs:
 
 Degree and gamma multisets are computed as (value, count) groups and the
 alpha array as at most 4 linear runs, alpha_j = a + b*j on a range of j, so
-``closed_form_report`` costs the same at every n; the ``*_closed`` functions
-expand them to full arrays.  The groups and runs go through
+``closed_form_report`` costs the same at every n; no array of length n is
+ever built here.  The groups and runs go through
 ``graph_core.value_groups`` and ``graph_core.linear_runs``, the same
 canonical forms the oracle's ``graph_core.Indicators`` record uses, so
 ``closed_form_report`` returns that record and it equals the oracle's field
@@ -49,14 +50,6 @@ def _groups(pairs) -> tuple[tuple[int, int], ...]:
     return value_groups(pairs)
 
 
-def _expand(groups) -> tuple[int, ...]:
-    """The array that non-increasing (value, count) groups stand for."""
-    values: list[int] = []
-    for value, count in groups:
-        values += [value] * count
-    return tuple(values)
-
-
 def _delta_groups(p: SpiderParams):
     """Degree multiset: core nodes, interior leg nodes, terminal leg nodes."""
     m, k, l = p.m, p.k, p.l
@@ -72,11 +65,6 @@ def delta_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
         "total degree is not twice the edge count",
     )
     return groups
-
-
-def delta_closed(p: SpiderParams) -> tuple[int, ...]:
-    """Degrees sorted non-increasing, from the multiset alone."""
-    return _expand(delta_groups(p))
 
 
 def max_degree(p: SpiderParams) -> int:
@@ -118,11 +106,6 @@ def gamma_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
         "gamma sum identity failed",
     )
     return groups
-
-
-def gamma_closed(p: SpiderParams) -> tuple[int, ...]:
-    """Own degree plus neighbor degrees per node, sorted non-increasing."""
-    return _expand(gamma_groups(p))
 
 
 def _alpha_lines(p: SpiderParams):
@@ -179,16 +162,6 @@ def _run_sums(runs) -> tuple[int, int]:
         pairs += a * count + b * j_sum
         total += a * j_sum + b * j_square_sum
     return pairs, total
-
-
-def _expand_runs(runs) -> tuple[int, ...]:
-    """The array that linear runs (first, last, a, b) stand for."""
-    return tuple(a + b * j for first, last, a, b in runs for j in range(first, last + 1))
-
-
-def alpha_closed(p: SpiderParams) -> tuple[int, ...]:
-    """Distance frequencies over unordered pairs, entries for j = 1..n-1."""
-    return _expand_runs(alpha_runs(p))
 
 
 def diameter_closed(p: SpiderParams) -> int:
@@ -288,11 +261,6 @@ def total_distance_closed(p: SpiderParams) -> int:
         + m * k * k * (m - 1) * (cross_r + cross_f)
     )
     return _quotient(twice, 2, "total distance")
-
-
-def mean_distance_closed(p: SpiderParams) -> Fraction:
-    """Average distance over unordered pairs, exact."""
-    return Fraction(total_distance_closed(p), pair_count(p))
 
 
 def closed_form_report(p: SpiderParams) -> Indicators:

@@ -14,14 +14,15 @@ Python ints.  A tree has an empty 2-core and runs no sweep; a spider with a
 core of m >= 3 nodes sweeps just those m.  The count is exact on every
 graph and uses no symmetry of it.  ``bfs_distances`` and
 ``all_pairs_distances`` are the plain BFS that tests check it against.
-Density and mean distance are exact fractions, never floats, so
-cross-checks are exact equality.  All functions are pure and safe to call
-concurrently.
+Density is an exact fraction, never a float, so cross-checks are exact
+equality.  All functions are pure and safe to call concurrently.
 
-``Indicators`` is the one record of a graph's indicators, shared with
-``closed_form``: degree and gamma multisets as merged (value, count) groups
-and alpha as canonical linear runs, so two records of the same graph are
-equal field by field whichever side computed them.
+``all_indicators`` returns ``Indicators``, the one record of a graph's
+indicators, shared with ``closed_form``: degree and gamma multisets as
+merged (value, count) groups and alpha as canonical linear runs, so two
+records of the same graph are equal field by field whichever side computed
+them.  ``degree_array`` and ``h_index`` work on full arrays and serve as the
+tests' references.
 """
 
 from __future__ import annotations
@@ -168,11 +169,6 @@ def gamma_array(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(values, reverse=True))
 
 
-def neighboring_index(g: Graph) -> int:
-    """Sum of all gamma values."""
-    return sum(gamma_array(g))
-
-
 def alpha_array(g: Graph) -> tuple[int, ...]:
     """Unordered node pairs at each distance j = 1..n-1, at index j-1.
 
@@ -298,21 +294,6 @@ def _wide_lanes(values) -> int:
     return int.from_bytes(array("Q", values), sys.byteorder)
 
 
-def _diameter_of(alpha: tuple[int, ...]) -> int:
-    return max((j for j, a in enumerate(alpha, start=1) if a), default=0)
-
-
-def _total_of(alpha: tuple[int, ...]) -> int:
-    return sum(j * a for j, a in enumerate(alpha, start=1))
-
-
-def diameter(g: Graph) -> int:
-    """Largest geodesic distance; 0 for a single node."""
-    if g.n == 0:
-        raise ValueError("diameter of the empty graph is undefined")
-    return _diameter_of(alpha_array(g))
-
-
 def density(g: Graph) -> Fraction:
     """Edges present over the n(n-1)/2 possible, as an exact fraction."""
     if g.n <= 1:
@@ -366,23 +347,11 @@ def h_index_of_groups(groups) -> int:
     return h
 
 
-def total_distance(g: Graph) -> int:
-    """Sum of geodesic distances over unordered node pairs (the Wiener index)."""
-    return _total_of(alpha_array(g))
-
-
-def mean_distance(g: Graph) -> Fraction:
-    """Average distance over unordered node pairs, exact."""
-    if g.n <= 1:
-        raise ValueError("mean distance needs at least 2 nodes")
-    return Fraction(total_distance(g), g.n * (g.n - 1) // 2)
-
-
 def all_indicators(g: Graph) -> Indicators:
     """Compute the full indicator record for a connected graph with n >= 2."""
     delta = value_groups(Counter(map(len, g.adjacency)).items())
     alpha = alpha_array(g)
-    d = _diameter_of(alpha)
+    d = max((j for j, a in enumerate(alpha, start=1) if a), default=0)
     # Every entry past the diameter is 0: one run, so the entries placed one
     # by one are only those up to the diameter.
     runs = [(j, j, a, 0) for j, a in enumerate(alpha[:d], start=1)]
@@ -393,5 +362,5 @@ def all_indicators(g: Graph) -> Indicators:
         density=density(g),
         diameter=d,
         h_index=h_index_of_groups(delta),
-        total_distance=_total_of(alpha[:d]),
+        total_distance=sum(j * a for j, _, a, _ in runs),
     )

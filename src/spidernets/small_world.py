@@ -153,18 +153,6 @@ _INDICATOR_PAIRS = {
 }
 
 
-def _indicator_pair(notion: SmallWorldNotion, p: SpiderParams) -> tuple[int, int]:
-    """The notion's indicator as an integer ratio P / Q of closed forms."""
-    return _INDICATOR_PAIRS[notion](p)
-
-
-def numerator(notion: SmallWorldNotion, p: SpiderParams) -> Fraction:
-    """The notion's indicator for one concrete spider, exact."""
-    if node_count(p) < 3:
-        raise ValueError("small-world indicators need at least 3 nodes")
-    return Fraction(*_indicator_pair(notion, p))
-
-
 def ratio_sequence(
     notion: SmallWorldNotion, direction: GrowthDirection, steps
 ) -> list[RatioPoint]:
@@ -173,7 +161,7 @@ def ratio_sequence(
     Each point keeps the closed forms' pair (P, Q) as it comes and takes the
     ratio as P / Q / ln(n); int true division is correctly rounded, so this
     equals float(Fraction(P, Q)) / ln(n) bit for bit.  A growth direction's
-    spiders have at least 4 nodes, so every indicator is defined and
+    spiders have at least 2 nodes, so every indicator is defined and
     ln(n) > 0.
     """
     steps = list(steps)
@@ -238,7 +226,8 @@ def classify(notion: SmallWorldNotion, direction: GrowthDirection) -> SmallWorld
     matching monotone trend; otherwise the formulas and the asymptotics
     disagree and we fail loudly.
     """
-    pairs = [_indicator_pair(notion, direction.params_at(t)) for t in GROWTH_PROBES]
+    indicator_pair = _INDICATOR_PAIRS[notion]
+    pairs = [indicator_pair(direction.params_at(t)) for t in GROWTH_PROBES]
     diverges = polynomial_degree(p for p, _ in pairs) > polynomial_degree(q for _, q in pairs)
     limit = None if diverges else Fraction(0)
     is_small_world = diverges if notion in DEGREE_NOTIONS else not diverges
@@ -277,6 +266,4 @@ def verdict_label(notion: SmallWorldNotion, verdict: SmallWorldVerdict) -> str:
         return "not a small world (ratio -> +inf)"
     if verdict.is_ultra_small:
         return "ultra-small world (C=0)"
-    if verdict.is_small_world:
-        return f"small world (C={verdict.limit})"
     return "not a small world (ratio -> 0)"

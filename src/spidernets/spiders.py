@@ -51,20 +51,6 @@ class SpiderParams:
             )
 
 
-@dataclass(frozen=True)
-class NodeLabel:
-    """Structural role of a node id: kind is "core" or "leg".
-
-    Core labels carry only the core index; leg labels carry the core node,
-    the leg index within that node's bundle, and the 1-based position.
-    """
-
-    kind: str
-    core: int
-    leg: int | None = None
-    pos: int | None = None
-
-
 def normalize(m: int, k: int, l: int) -> SpiderParams:
     """Collapse k = 0 or l = 0 to the no-legs form (k = l = 0)."""
     if m < 1:
@@ -96,40 +82,6 @@ def pair_count(p: SpiderParams) -> int:
     if n * (n - 1) != expanded:
         raise ConsistencyError("pair count expansion mismatch")
     return n * (n - 1) // 2
-
-
-def node_label(p: SpiderParams, node_id: int) -> NodeLabel:
-    """Decode a node id into its structural label."""
-    n = node_count(p)
-    if not 0 <= node_id < n:
-        raise ValueError(f"node id {node_id} out of range for {n} nodes")
-    if node_id < p.m:
-        return NodeLabel("core", node_id)
-    offset = node_id - p.m
-    core, rest = divmod(offset, p.k * p.l)
-    leg, pos0 = divmod(rest, p.l)
-    return NodeLabel("leg", core, leg, pos0 + 1)
-
-
-def label_id(p: SpiderParams, label: NodeLabel) -> int:
-    """Inverse of node_label."""
-    if label.kind == "core":
-        if not 0 <= label.core < p.m:
-            raise ValueError(f"core index {label.core} out of range")
-        return label.core
-    if label.kind != "leg":
-        raise ValueError(f"unknown label kind {label.kind!r}")
-    if not (0 <= label.core < p.m and 0 <= label.leg < p.k and 1 <= label.pos <= p.l):
-        raise ValueError(f"leg label {label} out of range")
-    return p.m + label.core * p.k * p.l + label.leg * p.l + (label.pos - 1)
-
-
-def node_role(p: SpiderParams, node_id: int) -> str:
-    """Role string for exports: "core", "leg", or "terminal"."""
-    label = node_label(p, node_id)
-    if label.kind == "core":
-        return "core"
-    return "terminal" if label.pos == p.l else "leg"
 
 
 def build_spider(p: SpiderParams) -> Graph:
@@ -227,7 +179,11 @@ def export_size(p: SpiderParams, fmt: str) -> int:
 
 
 def export_spider(p: SpiderParams, fmt: str) -> str:
-    """Build and serialize a spider, attaching roles for the dot format."""
-    g = build_spider(p)
-    roles = [node_role(p, u) for u in range(g.n)] if fmt == "dot" else None
-    return export_graph(g, fmt, roles)
+    """Build and serialize a spider, attaching roles for the dot format.
+
+    By the id scheme the m core nodes come first, then each leg's l nodes
+    outward from the core, the last of them its terminal.
+    """
+    m, k, l = p.m, p.k, p.l
+    roles = ["core"] * m + (["leg"] * (l - 1) + ["terminal"]) * (m * k) if fmt == "dot" else None
+    return export_graph(build_spider(p), fmt, roles)

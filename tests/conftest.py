@@ -36,3 +36,21 @@ spider_params = st.builds(
     st.integers(min_value=0, max_value=4),
     st.integers(min_value=0, max_value=5),
 )
+
+
+def _expand(groups) -> tuple[int, ...]:
+    """The array that non-increasing (value, count) groups stand for."""
+    values: list[int] = []
+    for value, count in groups:
+        values += [value] * count
+    return tuple(values)
+
+
+def _expand_runs(runs) -> tuple[int, ...]:
+    """The array that linear runs (first, last, a, b) stand for."""
+    return tuple(a + b * j for first, last, a, b in runs for j in range(first, last + 1))
+
+
+def format_array(values) -> str:
+    """An array as the CLI prints it: its entries space-separated."""
+    return " ".join(str(v) for v in values)

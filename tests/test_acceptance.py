@@ -10,29 +10,27 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from spidernets import graph_core
+from conftest import _expand, _expand_runs
 from spidernets.cli import compare_point, iter_grid
 from spidernets.closed_form import (
-    alpha_closed,
-    delta_closed,
+    alpha_runs,
+    delta_groups,
     density_closed,
-    gamma_closed,
+    gamma_groups,
     h_index_closed,
     total_distance_closed,
 )
 from spidernets.graph_core import (
     UNREACHABLE,
+    all_indicators,
     all_pairs_distances,
     alpha_array,
     build_graph,
     degree_array,
     density,
-    diameter,
     gamma_array,
     h_index,
     is_connected,
-    mean_distance,
-    total_distance,
 )
 from spidernets.small_world import (
     CANONICAL_DIRECTIONS,
@@ -65,28 +63,28 @@ def sweep_grid():
 def test_criterion_1_golden_arrays():
     with criterion(1, "golden arrays reproduce exactly"):
         start = time.perf_counter()
-        assert alpha_closed(normalize(2, 2, 1)) == (5, 6, 4, 0, 0)
+        assert _expand_runs(alpha_runs(normalize(2, 2, 1))) == (5, 6, 4, 0, 0)
 
-        assert delta_closed(normalize(1, 4, 1)) == (4, 1, 1, 1, 1)
-        assert delta_closed(normalize(1, 1, 5)) == (2, 2, 2, 2, 1, 1)
-        assert delta_closed(normalize(2, 1, 3)) == (2,) * 6 + (1, 1)
+        assert _expand(delta_groups(normalize(1, 4, 1))) == (4, 1, 1, 1, 1)
+        assert _expand(delta_groups(normalize(1, 1, 5))) == (2, 2, 2, 2, 1, 1)
+        assert _expand(delta_groups(normalize(2, 1, 3))) == (2,) * 6 + (1, 1)
 
-        assert gamma_closed(normalize(1, 3, 1)) == (6, 4, 4, 4)
-        assert gamma_closed(normalize(1, 3, 2)) == (9, 6, 6, 6, 3, 3, 3)
-        assert gamma_closed(normalize(1, 1, 1)) == (2, 2)
-        assert gamma_closed(normalize(1, 1, 2)) == (4, 3, 3)
-        assert gamma_closed(normalize(1, 1, 3)) == (5, 5, 3, 3)
-        assert gamma_closed(normalize(1, 1, 6)) == (6, 6, 6, 5, 5, 3, 3)
-        assert gamma_closed(normalize(3, 2, 1)) == (14,) * 3 + (5,) * 6
-        assert gamma_closed(normalize(2, 1, 4)) == (6,) * 6 + (5, 5, 3, 3)
-        assert gamma_closed(normalize(2, 1, 1)) == (5, 5, 3, 3)
+        assert _expand(gamma_groups(normalize(1, 3, 1))) == (6, 4, 4, 4)
+        assert _expand(gamma_groups(normalize(1, 3, 2))) == (9, 6, 6, 6, 3, 3, 3)
+        assert _expand(gamma_groups(normalize(1, 1, 1))) == (2, 2)
+        assert _expand(gamma_groups(normalize(1, 1, 2))) == (4, 3, 3)
+        assert _expand(gamma_groups(normalize(1, 1, 3))) == (5, 5, 3, 3)
+        assert _expand(gamma_groups(normalize(1, 1, 6))) == (6, 6, 6, 5, 5, 3, 3)
+        assert _expand(gamma_groups(normalize(3, 2, 1))) == (14,) * 3 + (5,) * 6
+        assert _expand(gamma_groups(normalize(2, 1, 4))) == (6,) * 6 + (5, 5, 3, 3)
+        assert _expand(gamma_groups(normalize(2, 1, 1))) == (5, 5, 3, 3)
 
-        assert alpha_closed(normalize(5, 0, 0)) == (10, 0, 0, 0)
-        assert alpha_closed(normalize(1, 4, 1)) == (4, 6, 0, 0)
-        assert alpha_closed(normalize(1, 3, 2)) == (6, 6, 6, 3, 0, 0)
-        assert alpha_closed(normalize(1, 1, 2)) == (2, 1)
-        assert alpha_closed(normalize(1, 1, 4)) == (4, 3, 2, 1)
-        assert alpha_closed(normalize(2, 1, 2)) == (5, 4, 3, 2, 1)
+        assert _expand_runs(alpha_runs(normalize(5, 0, 0))) == (10, 0, 0, 0)
+        assert _expand_runs(alpha_runs(normalize(1, 4, 1))) == (4, 6, 0, 0)
+        assert _expand_runs(alpha_runs(normalize(1, 3, 2))) == (6, 6, 6, 3, 0, 0)
+        assert _expand_runs(alpha_runs(normalize(1, 1, 2))) == (2, 1)
+        assert _expand_runs(alpha_runs(normalize(1, 1, 4))) == (4, 3, 2, 1)
+        assert _expand_runs(alpha_runs(normalize(2, 1, 2))) == (5, 4, 3, 2, 1)
 
         assert time.perf_counter() - start < 1.0
 
@@ -107,9 +105,9 @@ def test_criterion_3_identity_suite():
     with criterion(3, "sum identities hold exactly on the full grid"):
         for p in sweep_grid():
             n = node_count(p)
-            alpha = alpha_closed(p)
+            alpha = _expand_runs(alpha_runs(p))
             assert sum(alpha) == n * (n - 1) // 2 == pair_count(p)
-            assert sum(delta_closed(p)) == 2 * edge_count(p)
+            assert sum(_expand(delta_groups(p))) == 2 * edge_count(p)
             assert total_distance_closed(p) == sum(
                 j * a for j, a in enumerate(alpha, start=1)
             )
@@ -120,8 +118,8 @@ def test_criterion_4_total_distance_three_ways():
     with criterion(4, "total distance of spider(3,1,2) is 93 three ways"):
         p = normalize(3, 1, 2)
         from_formula = total_distance_closed(p)
-        from_alpha = sum(j * a for j, a in enumerate(alpha_closed(p), start=1))
-        from_oracle = total_distance(build_spider(p))
+        from_alpha = sum(j * a for j, a in enumerate(_expand_runs(alpha_runs(p)), start=1))
+        from_oracle = all_indicators(build_spider(p)).total_distance
         assert from_formula == from_alpha == from_oracle == 93
 
 
@@ -191,7 +189,7 @@ def test_criterion_7_degenerate_and_boundary():
         assert node_count(single) == 1 and pair_count(single) == 0
         g = build_spider(single)
         assert g.n == 1 and g.num_edges == 0
-        for op in (density, mean_distance):
+        for op in (density, all_indicators):
             try:
                 op(g)
                 raise AssertionError("expected ValueError on a single node")
@@ -204,7 +202,7 @@ def test_criterion_7_degenerate_and_boundary():
             g = build_spider(p)
             assert degree_array(g) == (m - 1,) * m
             assert density(g) == density_closed(p) == 1
-            assert diameter(g) == 1
+            assert all_indicators(g).diameter == 1
             assert alpha_array(g) == (m * (m - 1) // 2,) + (0,) * (m - 2)
 
         # the same even-node chain in both encodings
@@ -212,19 +210,19 @@ def test_criterion_7_degenerate_and_boundary():
             one_core = normalize(1, 1, 2 * leg + 1)
             two_core = normalize(2, 1, leg)
             assert node_count(one_core) == node_count(two_core) == 2 * leg + 2
-            assert delta_closed(one_core) == delta_closed(two_core)
-            assert alpha_closed(one_core) == alpha_closed(two_core)
+            assert _expand(delta_groups(one_core)) == _expand(delta_groups(two_core))
+            assert _expand_runs(alpha_runs(one_core)) == _expand_runs(alpha_runs(two_core))
             # isomorphic graphs force equal gamma arrays; each encoding's
             # closed form matches its own pattern, and the patterns coincide
             g1, g2 = build_spider(one_core), build_spider(two_core)
             assert gamma_array(g1) == gamma_array(g2)
-            assert gamma_closed(one_core) == gamma_array(g1)
-            assert gamma_closed(two_core) == gamma_array(g2)
+            assert _expand(gamma_groups(one_core)) == gamma_array(g1)
+            assert _expand(gamma_groups(two_core)) == gamma_array(g2)
             # one-core pattern has (2*leg+1)-3 sixes, two-core 2*(leg-1): same
-            assert gamma_closed(one_core) == (6,) * (2 * leg - 2) + (5, 5, 3, 3)
-            assert gamma_closed(two_core) == (6,) * (2 * leg - 2) + (5, 5, 3, 3)
+            assert _expand(gamma_groups(one_core)) == (6,) * (2 * leg - 2) + (5, 5, 3, 3)
+            assert _expand(gamma_groups(two_core)) == (6,) * (2 * leg - 2) + (5, 5, 3, 3)
             # at equal leg length the encodings are different graphs
-            assert gamma_closed(normalize(1, 1, leg)) != gamma_closed(normalize(2, 1, leg))
+            assert gamma_groups(normalize(1, 1, leg)) != gamma_groups(normalize(2, 1, leg))
 
 
 def test_criterion_8_random_graph_invariants():

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import spider_params
+from conftest import _expand, _expand_runs, format_array, spider_params
 from spidernets import cli, closed_form, graph_core, small_world, spiders
-from spidernets.closed_form import _expand, _expand_runs
 
 
 def run(capsys, *argv):
@@ -154,8 +153,8 @@ class TestReport:
     def test_long_leg_alpha_row(self, capsys):
         code, out, _ = run(capsys, "report", "-M", "2", "-K", "1", "-L", "20000", "--source", "closed")
         assert code == 0
-        alpha = closed_form.alpha_closed(spiders.normalize(2, 1, 20000))
-        assert f"\nalpha: {cli.format_array(alpha)}\n" in out
+        alpha = _expand_runs(closed_form.alpha_runs(spiders.normalize(2, 1, 20000)))
+        assert f"\nalpha: {format_array(alpha)}\n" in out
 
     @pytest.mark.parametrize("source", ["closed", "both"])
     def test_failed_consistency_check_is_mismatch(self, capsys, monkeypatch, source):
@@ -231,7 +230,7 @@ runs = st.lists(
 @example([(5, 0), (3, 2)])
 @example([(4, 1), (4, 2), (1, 0)])
 def test_run_formatter_matches_expanded_array(groups):
-    assert cli.format_runs(groups) == cli.format_array(_expand(groups))
+    assert cli.format_runs(groups) == format_array(_expand(groups))
 
 
 @st.composite
@@ -252,7 +251,7 @@ def linear_runs(draw):
 @example([(1, 1, 45, 0), (2, 3, 7, 2), (4, 9, 99, -11), (10, 12, 0, 0)])
 def test_linear_run_formatter_and_size(runs):
     text = cli.format_linear_runs(runs)
-    assert text == cli.format_array(_expand_runs(runs))
+    assert text == format_array(_expand_runs(runs))
     assert sum(cli._linear_run_chars(*run) for run in runs) == len(text) + bool(runs)
 
 
@@ -433,6 +432,17 @@ class TestAsymptotics:
         assert node_counts == sorted(node_counts) and len(set(node_counts)) == 3
         assert lines[1].split(",")[2] == "3/1"
 
+    def test_csv_row_of_a_two_node_spider(self, capsys, tmp_path):
+        # M = 1 with K = L = 1 is a single edge: mean distance 1, ln 2 > 0
+        csv_path = tmp_path / "swa.csv"
+        code, _, err = run(
+            capsys,
+            "asymptotics", "--notion", "SWA", "--vary", "M", "--fix", "K=1,L=1",
+            "--steps", "1,2", "--out-csv", str(csv_path),
+        )
+        assert (code, err) == (0, "")
+        assert csv_path.read_text().splitlines()[1] == "1,2,1/1,0.693147,1.4427"
+
     def test_csv_computes_each_numerator_once(self, capsys, monkeypatch, tmp_path):
         notion = small_world.SmallWorldNotion.SWA
         real_pair, real_classify = small_world._INDICATOR_PAIRS[notion], small_world.classify
@@ -481,7 +491,7 @@ class TestAsymptotics:
         for step, pt in zip(steps, points):
             p = direction.params_at(step)
             n = spiders.node_count(p)
-            fraction = Fraction(*small_world._indicator_pair(notion, p))
+            fraction = Fraction(*small_world._INDICATOR_PAIRS[notion](p))
             ratio = float(fraction) / math.log(n)
             expected.append(
                 f"{step},{n},{cli.format_fraction(fraction)},{math.log(n):.6g},{ratio:.6g}"

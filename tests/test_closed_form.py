@@ -3,25 +3,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import spider_params
+from conftest import _expand, _expand_runs, spider_params
 from spidernets import closed_form, graph_core
 from spidernets.closed_form import (
     ConsistencyError,
-    _expand,
-    _expand_runs,
-    alpha_closed,
     alpha_runs,
     average_degree_closed,
     closed_form_report,
-    delta_closed,
     delta_groups,
     density_closed,
     diameter_closed,
-    gamma_closed,
     gamma_groups,
     h_index_closed,
     max_degree,
-    mean_distance_closed,
     total_distance_closed,
 )
 from spidernets.spiders import build_spider, edge_count, node_count, normalize, pair_count
@@ -43,12 +37,12 @@ class TestDeltaGolden:
         ],
     )
     def test_arrays(self, m, k, l, want):
-        assert delta_closed(normalize(m, k, l)) == want
+        assert _expand(delta_groups(normalize(m, k, l))) == want
 
     def test_max_degree_matches_array(self):
         for m, k, l in [(3, 2, 2), (1, 1, 4), (2, 1, 1), (5, 0, 0), (1, 0, 0)]:
             p = normalize(m, k, l)
-            assert max_degree(p) == delta_closed(p)[0]
+            assert max_degree(p) == _expand(delta_groups(p))[0]
 
 
 class TestGammaGolden:
@@ -71,7 +65,7 @@ class TestGammaGolden:
         ],
     )
     def test_arrays(self, m, k, l, want):
-        assert gamma_closed(normalize(m, k, l)) == want
+        assert _expand(gamma_groups(normalize(m, k, l))) == want
 
 
 class TestAlphaGolden:
@@ -90,11 +84,11 @@ class TestAlphaGolden:
         ],
     )
     def test_arrays(self, m, k, l, want):
-        assert alpha_closed(normalize(m, k, l)) == want
+        assert _expand_runs(alpha_runs(normalize(m, k, l))) == want
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError):
-            alpha_closed(normalize(1, 0, 0))
+            closed_form_report(normalize(1, 0, 0))
 
 
 class TestScalars:
@@ -150,8 +144,9 @@ class TestScalars:
         assert total_distance_closed(normalize(1, 1, 4)) == 20
 
     def test_mean_distance(self):
-        assert mean_distance_closed(normalize(3, 1, 2)) == Fraction(93, 36)
-        assert mean_distance_closed(normalize(5, 0, 0)) == 1
+        for shape, want in (((3, 1, 2), Fraction(93, 36)), ((5, 0, 0), 1)):
+            p = normalize(*shape)
+            assert Fraction(closed_form_report(p).total_distance, pair_count(p)) == want
 
 
 class TestOracleEquivalence:
@@ -168,13 +163,14 @@ class TestOracleEquivalence:
     def test_every_indicator_matches_brute_force(self):
         for p in self.grid():
             g = build_spider(p)
-            assert delta_closed(p) == graph_core.degree_array(g), p
-            assert gamma_closed(p) == graph_core.gamma_array(g), p
-            assert alpha_closed(p) == graph_core.alpha_array(g), p
-            assert diameter_closed(p) == graph_core.diameter(g), p
+            oracle = graph_core.all_indicators(g)
+            assert _expand(delta_groups(p)) == graph_core.degree_array(g), p
+            assert _expand(gamma_groups(p)) == graph_core.gamma_array(g), p
+            assert _expand_runs(alpha_runs(p)) == graph_core.alpha_array(g), p
+            assert diameter_closed(p) == oracle.diameter, p
             assert density_closed(p) == graph_core.density(g), p
             assert h_index_closed(p) == graph_core.h_index(graph_core.degree_array(g)), p
-            assert total_distance_closed(p) == graph_core.total_distance(g), p
+            assert total_distance_closed(p) == oracle.total_distance, p
 
     @given(spider_params)
     def test_report_equals_oracle_record(self, p):
@@ -185,9 +181,9 @@ class TestOracleEquivalence:
 class TestIdentities:
     @given(spider_params)
     def test_sum_rules(self, p):
-        assert sum(delta_closed(p)) == 2 * edge_count(p)
+        assert sum(_expand(delta_groups(p))) == 2 * edge_count(p)
         if node_count(p) >= 2:
-            alpha = alpha_closed(p)
+            alpha = _expand_runs(alpha_runs(p))
             assert sum(alpha) == pair_count(p)
             assert total_distance_closed(p) == sum(
                 j * a for j, a in enumerate(alpha, start=1)
@@ -201,7 +197,7 @@ class TestIdentities:
 
     @given(spider_params)
     def test_h_index_consistent_with_delta(self, p):
-        assert h_index_closed(p) == graph_core.h_index(delta_closed(p))
+        assert h_index_closed(p) == graph_core.h_index(_expand(delta_groups(p)))
 
     @given(spider_params)
     def test_report_builds_for_nontrivial_spiders(self, p):
@@ -214,8 +210,8 @@ class TestIdentities:
             assert sum(c for _, c in report.gamma) == node_count(p)
             assert report.alpha == alpha_runs(p)
             assert len(_expand_runs(report.alpha)) == node_count(p) - 1
-            assert _expand(report.delta) == delta_closed(p)
-            assert _expand(report.gamma) == gamma_closed(p)
+            assert report.delta == delta_groups(p)
+            assert report.gamma == gamma_groups(p)
 
 
 class TestGroupedForms:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, graphs
+from conftest import _expand, _expand_runs, connected_graphs, graphs
 from spidernets import graph_core
 from spidernets.graph_core import (
     UNREACHABLE,
@@ -19,18 +19,19 @@ from spidernets.graph_core import (
     build_graph,
     degree_array,
     density,
-    diameter,
     gamma_array,
     h_index,
     h_index_of_groups,
     is_connected,
     linear_runs,
-    mean_distance,
-    neighboring_index,
-    total_distance,
 )
-from spidernets.closed_form import _expand, _expand_runs, alpha_closed
+from spidernets.closed_form import alpha_runs
 from spidernets.spiders import build_spider, normalize
+
+
+def mean_distance(g):
+    """The average distance over unordered node pairs, from the indicator record."""
+    return Fraction(all_indicators(g).total_distance, g.n * (g.n - 1) // 2)
 
 
 def path(n):
@@ -112,16 +113,12 @@ def assert_indicators_match_reference(g):
     d = all_pairs_distances(g)
     pairs = [d[u][v] for u in range(g.n) for v in range(u + 1, g.n)]
     if UNREACHABLE in pairs:
-        for indicator in (
-            alpha_array, diameter, total_distance, mean_distance, all_indicators
-        ):
+        for indicator in (alpha_array, all_indicators):
             with pytest.raises(ValueError):
                 indicator(g)
         return
     alpha = tuple(pairs.count(j) for j in range(1, g.n))
     assert alpha_array(g) == alpha
-    assert diameter(g) == max(pairs, default=0)
-    assert total_distance(g) == sum(pairs)
     if g.n < 2:
         return
     assert mean_distance(g) == Fraction(sum(pairs), len(pairs))
@@ -214,6 +211,9 @@ class TestGammaArrays:
         assert gamma_array(build_spider(normalize(1, 3, 1))) == (6, 4, 4, 4)
 
     def test_neighboring_index(self):
+        def neighboring_index(g):
+            return sum(v * c for v, c in all_indicators(g).gamma)
+
         assert neighboring_index(path(2)) == 4
         assert neighboring_index(path(3)) == 10
         g = build_spider(normalize(2, 2, 1))
@@ -240,14 +240,14 @@ class TestAlphaArrays:
 
 class TestScalarIndicators:
     def test_diameter(self):
-        assert diameter(build_spider(normalize(2, 2, 1))) == 3
-        assert diameter(complete(5)) == 1
-        assert diameter(build_spider(normalize(1, 3, 2))) == 4
-        assert diameter(build_graph(1, [])) == 0
+        assert all_indicators(build_spider(normalize(2, 2, 1))).diameter == 3
+        assert all_indicators(complete(5)).diameter == 1
+        assert all_indicators(build_spider(normalize(1, 3, 2))).diameter == 4
+        assert alpha_array(build_graph(1, [])) == ()  # a single node has no distances
 
     def test_diameter_disconnected_rejected(self):
         with pytest.raises(ValueError):
-            diameter(build_graph(2, []))
+            all_indicators(build_graph(2, []))
 
     def test_density(self):
         assert density(complete(4)) == 1
@@ -264,8 +264,8 @@ class TestScalarIndicators:
         assert mean_distance(build_spider(normalize(3, 1, 2))) == Fraction(93, 36)
 
     def test_total_distance(self):
-        assert total_distance(path(5)) == 20
-        assert total_distance(complete(7)) == 21
+        assert all_indicators(path(5)).total_distance == 20
+        assert all_indicators(complete(7)).total_distance == 21
 
 
 class TestHIndex:
@@ -404,7 +404,9 @@ class TestInvariants:
     def test_diameter_is_last_nonzero_alpha(self, g):
         if g.n >= 2:
             alpha = alpha_array(g)
-            assert diameter(g) == max(j for j, a in enumerate(alpha, start=1) if a > 0)
+            assert all_indicators(g).diameter == max(
+                j for j, a in enumerate(alpha, start=1) if a > 0
+            )
 
     @given(connected_graphs())
     def test_mean_distance_at_least_one(self, g):
@@ -435,11 +437,11 @@ class TestInvariants:
         assert ind.total_distance == sum(
             j * a for j, a in enumerate(_expand_runs(ind.alpha), start=1)
         )
-        assert sum(v * c for v, c in ind.gamma) == neighboring_index(g)
+        assert sum(v * c for v, c in ind.gamma) == sum(gamma_array(g))
         assert _expand(ind.delta) == degree_array(g)
         assert _expand(ind.gamma) == gamma_array(g)
         assert ind.density == density(g)
-        assert ind.diameter == diameter(g)
+        assert ind.diameter == max(j for j, a in enumerate(alpha_array(g), start=1) if a)
         assert ind.h_index == h_index(degree_array(g))
 
     @given(st.one_of(graphs(), connected_graphs()))
@@ -482,9 +484,9 @@ class TestInvariants:
 
     @given(connected_graphs())
     def test_diameter_within_twice_the_eccentricity_of_node_0(self, g):
-        if g.n >= 1:
+        if g.n >= 2:
             ecc0 = max(bfs_distances(g, 0))
-            assert ecc0 <= diameter(g) <= 2 * ecc0
+            assert ecc0 <= all_indicators(g).diameter <= 2 * ecc0
 
     def test_bfs_distances_from_each_source(self):
         g = path(4)
@@ -515,14 +517,14 @@ class TestSchemeChoice:
             counts, calls = core_sweeps(g)
         assert rows.call_count == 0
         assert calls == ([(list(range(p.m)), 1)] if p.m >= 3 else [])
-        assert tuple(c // 2 for c in counts[1:]) == alpha_closed(p)
+        assert tuple(c // 2 for c in counts[1:]) == _expand_runs(alpha_runs(p))
 
     def test_sweep_picked_on_a_complete_core(self):
         p = normalize(998, 0, 0)
         counts, calls = core_sweeps(build_spider(p))
         assert calls == [(list(range(998)), 1)]
         assert counts == [998, 998 * 997] + [0] * 996
-        assert tuple(c // 2 for c in counts[1:]) == alpha_closed(p)
+        assert tuple(c // 2 for c in counts[1:]) == _expand_runs(alpha_runs(p))
 
     def test_probe_bounds_the_diameter_by_twice_the_depth_of_node_0(self):
         # node 0 carries the tail, so its depth is 498; the diameter, 749, is
@@ -532,7 +534,7 @@ class TestSchemeChoice:
         counts, calls = core_sweeps(g)
         assert calls == [(list(range(502)), 2)]
         ecc0 = max(bfs_distances(g, 0))
-        assert (ecc0, diameter(g)) == (498, 749)
+        assert (ecc0, all_indicators(g).diameter) == (498, 749)
         # one pair is that far apart: the tail's end and node 0's antipode
         assert (counts[749], sum(counts[750:]), sum(counts)) == (2, 0, g.n * g.n)
 
@@ -656,7 +658,7 @@ class TestFold:
             assert g == path(3000)
         counts, calls = core_sweeps(g)
         assert calls == []
-        assert tuple(c // 2 for c in counts[1:]) == alpha_closed(p)
+        assert tuple(c // 2 for c in counts[1:]) == _expand_runs(alpha_runs(p))
 
     @pytest.mark.parametrize(
         "g, core, classes",

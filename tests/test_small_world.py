@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 from spidernets import graph_core
 from spidernets.closed_form import ConsistencyError
 from spidernets.small_world import (
+    _INDICATOR_PAIRS,
     CANONICAL_DIRECTIONS,
     GROWTH_PROBES,
     GrowthDirection,
     SmallWorldNotion,
     classify,
     geometric_steps,
-    numerator,
     polynomial_degree,
     ratio_sequence,
     verdict_label,
     verdict_table,
 )
-from spidernets.spiders import build_spider, node_count, normalize
+from spidernets.spiders import build_spider, node_count, normalize, pair_count
 
 DSWL = SmallWorldNotion.DSWL
 DSWA = SmallWorldNotion.DSWA
@@ -74,6 +74,11 @@ class TestGrowthDirection:
             GrowthDirection("N", k=1, l=1)
 
 
+def numerator(notion, p):
+    """The notion's indicator for one spider, reduced as ``RatioPoint.numerator`` reduces it."""
+    return Fraction(*_INDICATOR_PAIRS[notion](p))
+
+
 class TestNumerator:
     def test_largest_degree(self):
         assert numerator(DSWL, normalize(3, 2, 2)) == 4
@@ -87,10 +92,6 @@ class TestNumerator:
     def test_mean_distance_complete(self):
         assert numerator(SWA, normalize(5, 0, 0)) == 1
 
-    def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            numerator(DSWL, normalize(1, 1, 1))
-
     def test_matches_oracle_mean_distance_on_grid(self):
         seen = set()
         for m in range(1, 9):
@@ -100,7 +101,8 @@ class TestNumerator:
                     if p in seen or not 3 <= node_count(p) <= 2000:
                         continue
                     seen.add(p)
-                    assert numerator(SWA, p) == graph_core.mean_distance(build_spider(p))
+                    oracle = graph_core.all_indicators(build_spider(p))
+                    assert numerator(SWA, p) == Fraction(oracle.total_distance, pair_count(p))
 
 
 class TestRatioSequences:

@@ -6,17 +6,13 @@ from spidernets import cli, spiders
 from spidernets.graph_core import build_graph, degree_array, is_connected
 from spidernets.spiders import (
     ConsistencyError,
-    NodeLabel,
     SpiderParams,
     build_spider,
     edge_count,
     export_graph,
     export_size,
     export_spider,
-    label_id,
     node_count,
-    node_label,
-    node_role,
     normalize,
     pair_count,
 )
@@ -149,30 +145,27 @@ class TestBuildSpider:
             pair_count(normalize(2, 2, 1))
 
 
-class TestLabels:
-    @given(spider_params)
-    def test_label_roundtrip(self, p):
-        for node in range(node_count(p)):
-            assert label_id(p, node_label(p, node)) == node
+def dot_role(text, node):
+    """The role that a dot export gives a node id."""
+    return text.split(f"\n  {node} [role=\"", 1)[1].split('"', 1)[0]
 
+
+class TestLabels:
     def test_core_block_comes_first(self):
-        p = normalize(3, 2, 2)
-        assert node_label(p, 2) == NodeLabel("core", 2)
-        assert node_label(p, 3) == NodeLabel("leg", 0, 0, 1)
+        # node 3 is position 1 of leg 0 of core node 0
+        text = export_spider(normalize(3, 2, 2), "dot")
+        assert (dot_role(text, 2), dot_role(text, 3)) == ("core", "leg")
+        assert "\n  0 -- 3;\n" in text
 
     def test_roles(self):
-        p = normalize(2, 1, 2)
-        assert node_role(p, 0) == "core"
-        assert node_role(p, 2) == "leg"
-        assert node_role(p, 3) == "terminal"
+        text = export_spider(normalize(2, 1, 2), "dot")
+        assert dot_role(text, 0) == "core"
+        assert dot_role(text, 2) == "leg"
+        assert dot_role(text, 3) == "terminal"
 
     def test_length_one_legs_are_terminal(self):
-        p = normalize(2, 2, 1)
-        assert all(node_role(p, u) == "terminal" for u in range(2, 6))
-
-    def test_out_of_range_label(self):
-        with pytest.raises(ValueError):
-            node_label(normalize(1, 1, 1), 2)
+        text = export_spider(normalize(2, 2, 1), "dot")
+        assert all(dot_role(text, u) == "terminal" for u in range(2, 6))
 
 
 class TestExport:
