@@ -1,4 +1,4 @@
-"""Command-line front end: generate, report, verify, asymptotics, export.
+"""Command-line front end: report, verify, asymptotics, export.
 
 Output is deterministic (sorted edges, exact fractions as p/q, floats with 6
 significant digits) so files and stdout are stable across runs and suitable
@@ -8,8 +8,8 @@ Exit codes: 0 ok, 1 verification mismatch (a closed form that disagrees with
 the oracle or fails its own consistency check), 2 usage error, 3 I/O failure,
 4 resource guard (oracle requested beyond the node cap or its BFS work
 bound, a closed report or an export above the output budget, out of
-memory, or a result too large to index).  A report, export or generate
-that exits 4 prints nothing to stdout and writes no file.
+memory, or a result too large to index).  A report or export that exits
+4 prints nothing to stdout and writes no file.
 """
 
 from __future__ import annotations
@@ -118,35 +118,15 @@ def _print_counts(p: spiders.SpiderParams) -> None:
     print(f"pairs: {spiders.pair_count(p)}")
 
 
-def _over_export_budget(p: spiders.SpiderParams, fmt: str) -> bool:
-    """True, after saying why on stderr, when exporting p in fmt could exceed the output budget."""
-    size = spiders.export_size(p, fmt)
-    if size <= OUTPUT_BUDGET:
-        return False
-    print(
-        f"error: {fmt} export needs up to {size} characters, "
-        f"above the output budget {OUTPUT_BUDGET}",
-        file=sys.stderr,
-    )
-    return True
-
-
-def cmd_generate(args) -> int:
-    p = spiders.normalize(args.m, args.k, args.l)
-    if args.out and _over_export_budget(p, args.format):
-        return EXIT_RESOURCE
-    _print_counts(p)
-    if args.out:
-        text = spiders.export_spider(p, args.format)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {args.format} to {args.out}")
-    return EXIT_OK
-
-
 def cmd_export(args) -> int:
     p = spiders.normalize(args.m, args.k, args.l)
-    if _over_export_budget(p, args.format):
+    size = spiders.export_size(p, args.format)
+    if size > OUTPUT_BUDGET:
+        print(
+            f"error: {args.format} export needs up to {size} characters, "
+            f"above the output budget {OUTPUT_BUDGET}",
+            file=sys.stderr,
+        )
         return EXIT_RESOURCE
     text = spiders.export_spider(p, args.format)
     if args.out:
@@ -321,8 +301,6 @@ def _parse_steps(text: str) -> list[int]:
 
 def _direction_from_args(args) -> small_world.GrowthDirection:
     fixed = _parse_fix(args.fix or "")
-    if args.vary in fixed:
-        raise ValueError(f"varying parameter {args.vary} must not be fixed")
     return small_world.GrowthDirection(
         args.vary,
         m=fixed.get("M"),
@@ -336,7 +314,7 @@ def _verdict_line(
     direction: small_world.GrowthDirection,
     verdict: small_world.SmallWorldVerdict,
 ) -> str:
-    label = small_world.verdict_label(notion, verdict)
+    label = small_world.verdict_label(verdict)
     return f"{notion.value} vary {direction.varying} ({direction.describe_fixed()}): {label}"
 
 
@@ -404,12 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-M", dest="m", type=int, required=True, help="core size (>= 1)")
         sp.add_argument("-K", dest="k", type=int, required=True, help="legs per core node (>= 0)")
         sp.add_argument("-L", dest="l", type=int, required=True, help="leg length (>= 0)")
-
-    gen = sub.add_parser("generate", help="build a spider and print its counts")
-    add_params(gen)
-    gen.add_argument("--format", choices=spiders.EXPORT_FORMATS, default="edge-list")
-    gen.add_argument("--out", help="also write the graph to this file")
-    gen.set_defaults(func=cmd_generate)
 
     rep = sub.add_parser("report", help="print all indicators for one spider")
     add_params(rep)

@@ -48,9 +48,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(map(len, self.adjacency)) // 2
 
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
 
 @dataclass(frozen=True)
 class Indicators:

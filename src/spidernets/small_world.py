@@ -21,7 +21,7 @@ the first 12 doublings (t up to 4096), then one more doubling at a time, up
 to t = 2**128, until the trend shows.
 
 A ratio sequence keeps each indicator as the unreduced integer pair (P, Q)
-of its closed forms; a reduced Fraction is made only where one is asked for.
+of its closed forms; it is reduced to lowest terms only for output.
 """
 
 from __future__ import annotations
@@ -117,16 +117,12 @@ class RatioPoint:
     """One sample along a growth direction: the exact indicator and its ratio to ln(n).
 
     ``pair`` is the indicator as the unreduced integer ratio (P, Q) of its
-    closed forms; ``numerator`` reduces it to a Fraction on demand.
+    closed forms.
     """
 
     n: int
     pair: tuple[int, int]
     ratio: float
-
-    @property
-    def numerator(self) -> Fraction:
-        return Fraction(*self.pair)
 
 
 @dataclass(frozen=True)
@@ -177,9 +173,9 @@ def ratio_sequence(
     return points
 
 
-def geometric_steps(count: int = STEP_COUNT) -> list[int]:
-    """Doubling parameter values 2, 4, ..., 2**count."""
-    return [2 ** i for i in range(1, count + 1)]
+def geometric_steps() -> list[int]:
+    """Doubling parameter values 2, 4, ..., 2**STEP_COUNT."""
+    return [2 ** i for i in range(1, STEP_COUNT + 1)]
 
 
 def polynomial_degree(samples) -> int:
@@ -258,7 +254,7 @@ def verdict_table():
     ]
 
 
-def verdict_label(notion: SmallWorldNotion, verdict: SmallWorldVerdict) -> str:
+def verdict_label(verdict: SmallWorldVerdict) -> str:
     """Human-readable verdict line fragment."""
     if verdict.diverges:
         if verdict.is_small_world:

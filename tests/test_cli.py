@@ -18,34 +18,39 @@ def run(capsys, *argv):
 
 
 class TestGenerate:
+    """The retired ``generate`` command's checks.
+
+    Its counts come from ``report --source closed``, its file from ``export --out``.
+    """
+
     def test_counts_announced(self, capsys):
-        code, out, _ = run(capsys, "generate", "-M", "2", "-K", "2", "-L", "1")
+        code, out, _ = run(capsys, "report", "-M", "2", "-K", "2", "-L", "1", "--source", "closed")
         assert code == 0
         assert "nodes: 6" in out and "edges: 5" in out and "pairs: 15" in out
 
     def test_degenerate_spider(self, capsys):
-        code, out, _ = run(capsys, "generate", "-M", "1", "-K", "0", "-L", "0")
+        code, out, _ = run(capsys, "report", "-M", "1", "-K", "0", "-L", "0", "--source", "closed")
         assert code == 0
         assert "nodes: 1" in out and "edges: 0" in out
 
     def test_invalid_core_size(self, capsys):
-        code, _, err = run(capsys, "generate", "-M", "0", "-K", "1", "-L", "1")
+        code, _, err = run(capsys, "report", "-M", "0", "-K", "1", "-L", "1")
         assert code == 2
         assert "error" in err
 
     def test_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "h.edges"
         code, out, _ = run(
-            capsys, "generate", "-M", "1", "-K", "1", "-L", "1", "--out", str(out_path)
+            capsys, "export", "-M", "1", "-K", "1", "-L", "1", "--out", str(out_path)
         )
         assert code == 0
         assert out_path.read_text() == "0 1\n"
-        assert str(out_path) in out
+        assert out == ""
 
     def test_unwritable_path(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
-            "generate", "-M", "1", "-K", "1", "-L", "1",
+            "export", "-M", "1", "-K", "1", "-L", "1",
             "--out", str(tmp_path / "missing" / "h.edges"),
         )
         assert code == 3
@@ -497,7 +502,7 @@ class TestAsymptotics:
                 f"{step},{n},{cli.format_fraction(fraction)},{math.log(n):.6g},{ratio:.6g}"
             )
             assert (pt.n, pt.ratio) == (n, ratio)
-            assert type(pt.numerator) is Fraction and pt.numerator == fraction
+            assert Fraction(*pt.pair) == fraction
             denominators.add(fraction.denominator)
         assert csv_path.read_text().split("\n") == expected + [""]
         if notion in (small_world.SmallWorldNotion.DSWA, small_world.SmallWorldNotion.SWA):
@@ -509,6 +514,10 @@ class TestAsymptotics:
         )
         assert code == 2
         assert "error" in err
+        code, out, err = run(
+            capsys, "asymptotics", "--notion", "SWD", "--vary", "M", "--fix", "M=2,K=1,L=1"
+        )
+        assert (code, out, err) == (2, "", "error: varying parameter M must not be fixed\n")
 
     def test_ratio_minimum_past_twelve_doublings(self, capsys):
         # The ratio falls until M ~ 460 and has risen for only two of the
@@ -628,7 +637,7 @@ class TestExport:
         assert out == ""
         assert len(out_path.read_text().splitlines()) == 6
 
-    @pytest.mark.parametrize("command", ["export", "generate"])
+    @pytest.mark.parametrize("command", ["export"])
     @pytest.mark.parametrize(
         "fmt,shape",
         [
@@ -647,10 +656,7 @@ class TestExport:
             assert (code, out, out_path.exists()) == (4, "", False)
             assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
             code, out, _ = run(capsys, command, "-M", m, "-K", k, "-L", l, "--format", fmt)
-        if command == "export":
-            assert (code, out) == (4, "")
-        else:  # without --out, generate prints the counts alone
-            assert code == 0 and out.startswith(f"spider M={m} ")
+        assert (code, out) == (4, "")
 
     @pytest.mark.parametrize("fmt", spiders.EXPORT_FORMATS)
     def test_output_budget_admits_an_export_of_its_size(self, capsys, monkeypatch, fmt):

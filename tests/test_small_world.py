@@ -75,7 +75,7 @@ class TestGrowthDirection:
 
 
 def numerator(notion, p):
-    """The notion's indicator for one spider, reduced as ``RatioPoint.numerator`` reduces it."""
+    """The notion's indicator for one spider as a reduced Fraction."""
     return Fraction(*_INDICATOR_PAIRS[notion](p))
 
 
@@ -173,16 +173,16 @@ class TestClassification:
                 assert verdicts == {EXPECTED_TABLE[(notion, varying)]}
 
     def test_labels(self):
-        assert verdict_label(DSWL, classify(DSWL, CANONICAL_DIRECTIONS[0])) == (
+        assert verdict_label(classify(DSWL, CANONICAL_DIRECTIONS[0])) == (
             "small world (ratio -> +inf)"
         )
-        assert verdict_label(SWD, classify(SWD, CANONICAL_DIRECTIONS[0])) == (
+        assert verdict_label(classify(SWD, CANONICAL_DIRECTIONS[0])) == (
             "ultra-small world (C=0)"
         )
-        assert verdict_label(SWA, classify(SWA, CANONICAL_DIRECTIONS[2])) == (
+        assert verdict_label(classify(SWA, CANONICAL_DIRECTIONS[2])) == (
             "not a small world (ratio -> +inf)"
         )
-        assert verdict_label(DSWA, classify(DSWA, CANONICAL_DIRECTIONS[1])) == (
+        assert verdict_label(classify(DSWA, CANONICAL_DIRECTIONS[1])) == (
             "not a small world (ratio -> 0)"
         )
 
