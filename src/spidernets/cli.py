@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -29,30 +30,12 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_RESOURCE = 4
 
-NODE_CAP_ENV = "SPIDERNETS_NODE_CAP"
 REPORT_CAP_DEFAULT = 20000
 VERIFY_CAP_DEFAULT = 2000
 # Characters a report's delta, gamma and alpha rows, or an export, may take
 # (128 MiB), counted from groups and runs or from (m, k, l) before anything
 # is built.
 OUTPUT_BUDGET = 2**27
-
-
-def _node_cap(cap: int | None, fallback: int) -> int:
-    """The --cap value, else SPIDERNETS_NODE_CAP when set, else the fallback."""
-    name = "--cap"
-    if cap is None:
-        raw = os.environ.get(NODE_CAP_ENV)
-        if raw is None:
-            return fallback
-        name = NODE_CAP_ENV
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"{NODE_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ValueError(f"{name} must be non-negative, got {cap}")
-    return cap
 
 
 def format_fraction(value: Fraction) -> str:
@@ -177,9 +160,10 @@ def oracle_refusal(p: spiders.SpiderParams, cap: int) -> str | None:
 def cmd_report(args) -> int:
     """Print a report; every row is computed before the first line is printed."""
     p = spiders.normalize(args.m, args.k, args.l)
-    cap = _node_cap(args.cap, REPORT_CAP_DEFAULT)
+    if args.cap < 0:
+        raise ValueError(f"--cap must be non-negative, got {args.cap}")
     if args.source in ("oracle", "both"):
-        need = oracle_refusal(p, cap)
+        need = oracle_refusal(p, args.cap)
         if need:
             print(f"error: oracle computation needs {need}", file=sys.stderr)
             return EXIT_RESOURCE
@@ -260,11 +244,12 @@ def compare_point(p: spiders.SpiderParams) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    cap = _node_cap(args.cap, VERIFY_CAP_DEFAULT)
-    points = iter_grid(args.mmax, args.kmax, args.lmax, cap)
+    if args.cap < 0:
+        raise ValueError(f"--cap must be non-negative, got {args.cap}")
+    points = iter_grid(args.mmax, args.kmax, args.lmax, args.cap)
     if not points:
         raise ValueError(
-            f"the grid has no parameter point with at least 2 nodes within the cap {cap}"
+            f"the grid has no parameter point with at least 2 nodes within the cap {args.cap}"
         )
     failures = 0
     for p in points:
@@ -367,14 +352,13 @@ def cmd_asymptotics(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; it reads no run-time state, so main reuses one instance."""
     parser = argparse.ArgumentParser(
         prog="spidernets",
         description="Spider graphs: generation, exact indicators, and small-world asymptotics.",
-        epilog=(
-            "exit codes: 0 ok, 1 verification mismatch, 2 usage, 3 I/O, "
-            f"4 resource guard; {NODE_CAP_ENV} overrides the default node caps"
-        ),
+        epilog="exit codes: 0 ok, 1 verification mismatch, 2 usage, 3 I/O, 4 resource guard",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -389,10 +373,10 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument(
         "--cap",
         type=int,
+        default=REPORT_CAP_DEFAULT,
         help=(
             "largest node count allowed for oracle computation, whose BFS work "
-            "may not exceed that of a tree on this many nodes "
-            f"(default {REPORT_CAP_DEFAULT})"
+            "may not exceed that of a tree on this many nodes (default %(default)s)"
         ),
     )
     rep.set_defaults(func=cmd_report)
@@ -404,9 +388,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--cap",
         type=int,
+        default=VERIFY_CAP_DEFAULT,
         help=(
             "largest node count in the grid; points whose BFS work exceeds that "
-            f"of a tree on this many nodes are dropped too (default {VERIFY_CAP_DEFAULT})"
+            "of a tree on this many nodes are dropped too (default %(default)s)"
         ),
     )
     ver.set_defaults(func=cmd_verify)
@@ -438,8 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except closed_form.ConsistencyError as exc:

@@ -86,10 +86,13 @@ class TestReport:
         assert code == 4
         assert "cap" in err
 
-    def test_cap_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.NODE_CAP_ENV, "3")
-        code, _, _ = run(capsys, "report", "-M", "2", "-K", "2", "-L", "1")
-        assert code == 4
+    @pytest.mark.parametrize("raw", ["3", "abc", "-5"])
+    def test_cap_env_var_ignored(self, capsys, monkeypatch, raw):
+        """The retired SPIDERNETS_NODE_CAP neither sets a cap nor is rejected."""
+        argv = ("report", "-M", "2", "-K", "2", "-L", "1")
+        _, expected, _ = run(capsys, *argv)
+        monkeypatch.setenv("SPIDERNETS_NODE_CAP", raw)
+        assert run(capsys, *argv) == (0, expected, "")
 
     def test_closed_source_ignores_cap(self, capsys):
         code, out, _ = run(
@@ -103,14 +106,6 @@ class TestReport:
         code, _, err = run(capsys, "report", "-M", "2", "-K", "2", "-L", "1", "--cap", "-1")
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("raw", ["abc", "-5"])
-    def test_bad_cap_env_var_rejected(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv(cli.NODE_CAP_ENV, raw)
-        code, _, err = run(capsys, "report", "-M", "2", "-K", "2", "-L", "1")
-        assert code == 2
-        assert err.startswith("error:") and cli.NODE_CAP_ENV in err
-        assert err.count("\n") == 1
 
     def test_out_of_memory_is_resource_guard(self, capsys, monkeypatch):
         def exhausted(p):
@@ -290,6 +285,10 @@ class TestVerify:
         assert "verified" not in out
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_cap_env_var_leaves_default_grid_whole(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPIDERNETS_NODE_CAP", "20")
+        assert run(capsys, "verify") == (0, "247 parameter points verified\n", "")
+
     def test_oracle_work_bound_drops_dense_points(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--Mmax", "50", "--Kmax", "0", "--Lmax", "0", "--cap", "30"
@@ -300,7 +299,7 @@ class TestVerify:
 
     def test_default_grid_takes_the_bit_parallel_sweep(self):
         args = cli._build_parser().parse_args(["verify"])
-        points = cli.iter_grid(args.mmax, args.kmax, args.lmax, cli.VERIFY_CAP_DEFAULT)
+        points = cli.iter_grid(args.mmax, args.kmax, args.lmax, args.cap)
         assert len(points) == 247
         # a spider with m >= 3 sweeps its core of m nodes, whose pendant
         # trees all weigh the same; one with m <= 2 is a tree and sweeps nothing
@@ -676,3 +675,21 @@ class TestDeterminism:
         _, first, _ = run(capsys, "asymptotics", "--all")
         _, second, _ = run(capsys, "asymptotics", "--all")
         assert first == second
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys):
+        """One parser serves every main call; no call's options leak into the next."""
+        report = ("report", "-M", "2", "-K", "2", "-L", "1")
+        calls = [
+            (*report, "--cap", "3"),
+            report,
+            ("verify", "--Mmax", "2", "--Kmax", "1", "--Lmax", "1"),
+        ]
+        cli._build_parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [4, 0, 0]
