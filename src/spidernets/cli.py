@@ -263,17 +263,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _parse_fix(text: str) -> dict[str, int]:
+def _parse_fix(text: str | None) -> dict[str, int]:
+    """``--fix`` as keyword arguments of ``GrowthDirection``: {"k": 1, "l": 1} for K=1,L=1."""
     fixed = {}
-    if not text:
-        return fixed
-    for part in text.split(","):
+    for part in text.split(",") if text else ():
         name, _, raw = part.partition("=")
-        name = name.strip().upper()
-        if name not in ("M", "K", "L") or not raw.strip():
+        name = name.strip().lower()
+        if name not in ("m", "k", "l") or not raw.strip():
             raise ValueError(f"cannot parse fixed parameter {part!r}; expected e.g. K=1")
         if name in fixed:
-            raise ValueError(f"fixed parameter {name} given more than once")
+            raise ValueError(f"fixed parameter {name.upper()} given more than once")
         fixed[name] = int(raw)
     return fixed
 
@@ -282,25 +281,6 @@ def _parse_steps(text: str) -> list[int]:
     if not text.strip():
         raise ValueError("--steps needs at least one value")
     return [int(s) for s in text.split(",")]
-
-
-def _direction_from_args(args) -> small_world.GrowthDirection:
-    fixed = _parse_fix(args.fix or "")
-    return small_world.GrowthDirection(
-        args.vary,
-        m=fixed.get("M"),
-        k=fixed.get("K"),
-        l=fixed.get("L"),
-    )
-
-
-def _verdict_line(
-    notion: small_world.SmallWorldNotion,
-    direction: small_world.GrowthDirection,
-    verdict: small_world.SmallWorldVerdict,
-) -> str:
-    label = small_world.verdict_label(verdict)
-    return f"{notion.value} vary {direction.varying} ({direction.describe_fixed()}): {label}"
 
 
 def _write_ratio_csv(path: str, steps, points) -> None:
@@ -318,37 +298,34 @@ def _write_ratio_csv(path: str, steps, points) -> None:
 
 
 def cmd_asymptotics(args) -> int:
+    """Print each cell's verdict line, after writing its CSV when one is asked for."""
+    steps = small_world.geometric_steps()
     if args.all:
         if args.notion or args.vary or args.fix or args.steps is not None or args.out_csv:
             raise ValueError("--all cannot be combined with single-cell options")
         if args.csv_dir:
             os.makedirs(args.csv_dir, exist_ok=True)
-        steps = small_world.geometric_steps()
-        for notion, direction, verdict in small_world.verdict_table():
-            print(_verdict_line(notion, direction, verdict))
-            if args.csv_dir:
-                _write_ratio_csv(
-                    os.path.join(args.csv_dir, f"{notion.value}_vary_{direction.varying}.csv"),
-                    steps,
-                    small_world.ratio_sequence(notion, direction, steps),
-                )
-        return EXIT_OK
-    if args.csv_dir:
-        raise ValueError("--csv-dir needs --all; write one cell with --out-csv")
-    if not args.notion or not args.vary:
-        raise ValueError("either --all or both --notion and --vary are required")
-    if args.steps is not None and not args.out_csv:
-        raise ValueError("--steps needs --out-csv")
-    notion = small_world.SmallWorldNotion(args.notion)
-    direction = _direction_from_args(args)
-    verdict = small_world.classify(notion, direction)
-    if args.out_csv:
+        cells = [
+            (n, d, v, args.csv_dir and os.path.join(args.csv_dir, f"{n.value}_vary_{d.varying}.csv"))
+            for n, d, v in small_world.verdict_table()
+        ]
+    else:
+        if args.csv_dir:
+            raise ValueError("--csv-dir needs --all; write one cell with --out-csv")
+        if not args.notion or not args.vary:
+            raise ValueError("either --all or both --notion and --vary are required")
+        if args.steps is not None and not args.out_csv:
+            raise ValueError("--steps needs --out-csv")
+        notion = small_world.SmallWorldNotion(args.notion)
+        direction = small_world.GrowthDirection(args.vary, **_parse_fix(args.fix))
+        cells = [(notion, direction, small_world.classify(notion, direction), args.out_csv)]
         if args.steps is not None:
             steps = _parse_steps(args.steps)
-        else:
-            steps = small_world.geometric_steps()
-        _write_ratio_csv(args.out_csv, steps, small_world.ratio_sequence(notion, direction, steps))
-    print(_verdict_line(notion, direction, verdict))
+    for notion, direction, verdict, path in cells:
+        if path:
+            _write_ratio_csv(path, steps, small_world.ratio_sequence(notion, direction, steps))
+        label = small_world.verdict_label(verdict)
+        print(f"{notion.value} vary {direction.varying} ({direction.describe_fixed()}): {label}")
     return EXIT_OK
 
 

@@ -17,8 +17,9 @@ P / Q of closed forms that are polynomials in the growing parameter t, so
 comparing their degrees decides whether it outgrows the logarithm.  The
 degrees are read off exact forward differences of P and Q at t = 2..8.  A
 ratio sequence at doubling steps corroborates every verdict numerically:
-the first 12 doublings (t up to 4096), then one more doubling at a time, up
-to t = 2**128, until the trend shows.
+the first 12 doublings (t up to 4096), then one more doubling at a time
+until the trend shows, for at most 128 doublings plus the bit length of the
+family's node count at t = 1.
 
 A ratio sequence keeps each indicator as the unreduced integer pair (P, Q)
 of its closed forms; it is reduced to lowest terms only for output.
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from spidernets.closed_form import (
     ConsistencyError,
@@ -52,7 +52,6 @@ class SmallWorldNotion(Enum):
 
 
 DEGREE_NOTIONS = frozenset({SmallWorldNotion.DSWL, SmallWorldNotion.DSWA})
-DISTANCE_NOTIONS = frozenset({SmallWorldNotion.SWD, SmallWorldNotion.SWA})
 
 
 @dataclass(frozen=True)
@@ -127,17 +126,24 @@ class RatioPoint:
 
 @dataclass(frozen=True)
 class SmallWorldVerdict:
-    """Outcome of one limit test.
+    """Outcome of one limit test: whether the notion's ratio to ln(n) diverges.
 
-    ``limit`` is the ratio's limit when finite (None when it diverges); for
-    spiders a finite limit is always 0 because every indicator is a rational
-    function of the growing parameter.
+    A ratio that does not diverge tends to 0, because every indicator is a
+    rational function of the growing parameter.  Degree notions ask for a
+    diverging ratio, distance notions for a finite one, and a finite one is
+    then ultra-small.
     """
 
+    notion: SmallWorldNotion
     diverges: bool
-    limit: Fraction | None
-    is_small_world: bool
-    is_ultra_small: bool
+
+    @property
+    def is_small_world(self) -> bool:
+        return self.diverges == (self.notion in DEGREE_NOTIONS)
+
+    @property
+    def is_ultra_small(self) -> bool:
+        return not self.diverges and self.notion not in DEGREE_NOTIONS
 
 
 # Each notion's indicator as an integer ratio P / Q of closed forms.
@@ -217,32 +223,27 @@ def classify(notion: SmallWorldNotion, direction: GrowthDirection) -> SmallWorld
     the growing parameter t, so it outgrows ln(n) exactly when deg P > deg Q;
     otherwise it tends to a finite constant and its ratio to ln(n) vanishes.
     The degrees come from exact forward differences at t = 2..8.  The ratios
-    at t = 2, 4, ..., 2**STEP_COUNT, extended one doubling at a time up to
-    t = 2**MAX_DOUBLINGS where they do not yet show it, must show the
-    matching monotone trend; otherwise the formulas and the asymptotics
-    disagree and we fail loudly.
+    at t = 2, 4, ..., 2**STEP_COUNT, extended one doubling at a time where
+    they do not yet show it, must show the matching monotone trend; otherwise
+    the formulas and the asymptotics disagree and we fail loudly.  A trend
+    can turn as late as t near the product of the fixed values (DSWA along M
+    turns near M = K * L), so the walk stops after MAX_DOUBLINGS doublings
+    plus the bit length of the node count at t = 1.
     """
     indicator_pair = _INDICATOR_PAIRS[notion]
     pairs = [indicator_pair(direction.params_at(t)) for t in GROWTH_PROBES]
     diverges = polynomial_degree(p for p, _ in pairs) > polynomial_degree(q for _, q in pairs)
-    limit = None if diverges else Fraction(0)
-    is_small_world = diverges if notion in DEGREE_NOTIONS else not diverges
-    verdict = SmallWorldVerdict(
-        diverges=diverges,
-        limit=limit,
-        is_small_world=is_small_world,
-        is_ultra_small=notion in DISTANCE_NOTIONS and not diverges,
-    )
+    horizon = MAX_DOUBLINGS + node_count(direction.params_at(1)).bit_length()
     ratios = [pt.ratio for pt in ratio_sequence(notion, direction, geometric_steps())]
     while not _shows_trend(ratios, diverges):
-        if len(ratios) == MAX_DOUBLINGS:
+        if len(ratios) == horizon:
             trend = "rising" if diverges else "falling"
             raise ConsistencyError(
                 f"{notion.value} vs {direction.varying}: expected {trend} ratios"
             )
         step = 2 ** (len(ratios) + 1)
         ratios += [pt.ratio for pt in ratio_sequence(notion, direction, [step])]
-    return verdict
+    return SmallWorldVerdict(notion, diverges)
 
 
 def verdict_table():

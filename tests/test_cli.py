@@ -527,6 +527,32 @@ class TestAsymptotics:
         assert (code, err) == (0, "")
         assert out == "DSWA vary M (K=30, L=100): small world (ratio -> +inf)\n"
 
+    def test_ratio_minimum_past_128_doublings(self, capsys):
+        # The ratio turns near M = K * L = 10**40, past t = 2**128.
+        code, out, err = run(
+            capsys,
+            "asymptotics", "--notion", "DSWA", "--vary", "M",
+            "--fix", "K=100000000000000000000,L=100000000000000000000",
+        )
+        assert (code, err) == (0, "")
+        assert out.endswith("): small world (ratio -> +inf)\n")
+
+    def test_unwritable_csv(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "asymptotics", "--notion", "SWD", "--vary", "M", "--fix", "K=1,L=1",
+            "--out-csv", str(tmp_path / "missing" / "swd.csv"),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_all_writes_each_csv_before_its_line(self, capsys, tmp_path):
+        # The first cell's CSV path is a directory, so its write fails before any line.
+        (tmp_path / "DSWL_vary_M.csv").mkdir()
+        code, out, err = run(capsys, "asymptotics", "--all", "--csv-dir", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_repeated_fixed_parameter_rejected(self, capsys):
         code, out, err = run(
             capsys, "asymptotics", "--notion", "SWD", "--vary", "M", "--fix", "K=1,K=5,L=1"

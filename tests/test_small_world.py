@@ -1,7 +1,8 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spidernets import graph_core
@@ -12,6 +13,7 @@ from spidernets.small_world import (
     GROWTH_PROBES,
     GrowthDirection,
     SmallWorldNotion,
+    SmallWorldVerdict,
     classify,
     geometric_steps,
     polynomial_degree,
@@ -148,8 +150,20 @@ class TestClassification:
         verdict = classify(notion, direction)
         want = EXPECTED_TABLE[(notion, direction.varying)]
         assert (verdict.diverges, verdict.is_small_world, verdict.is_ultra_small) == want
+        assert verdict.notion is notion
         if not verdict.diverges:
-            assert verdict.limit == 0
+            # A finite ratio tends to 0: the indicator stays bounded while ln(n) grows.
+            near, far = ratio_sequence(notion, direction, [2**12, 2**64])
+            assert far.ratio < near.ratio / 2
+
+    def test_verdict_is_its_notion_and_divergence(self):
+        assert [f.name for f in dataclasses.fields(SmallWorldVerdict)] == ["notion", "diverges"]
+        for notion in SmallWorldNotion:
+            degree = notion in (DSWL, DSWA)
+            for diverges in (False, True):
+                verdict = SmallWorldVerdict(notion, diverges)
+                assert verdict.is_small_world == (diverges if degree else not diverges)
+                assert verdict.is_ultra_small == (not degree and not diverges)
 
     def test_verdict_table_has_twelve_cells(self):
         table = verdict_table()
@@ -228,3 +242,18 @@ class TestGrowthOrders:
             verdict = classify(notion, direction)
             want = EXPECTED_TABLE[(notion, direction.varying)]
             assert (verdict.diverges, verdict.is_small_world, verdict.is_ultra_small) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=10**300), st.integers(min_value=2, max_value=10**300))
+    @example(10**20, 10**20)
+    def test_classify_answers_fixed_values_up_to_10_300(self, a, b):
+        # DSWA's ratio along M turns near M = K * L, past t = 2**128 from K = L = 10**20 on.
+        for direction in (
+            GrowthDirection("M", k=a, l=b),
+            GrowthDirection("K", m=a, l=b),
+            GrowthDirection("L", m=a, k=b),
+        ):
+            for notion in SmallWorldNotion:
+                verdict = classify(notion, direction)
+                want = EXPECTED_TABLE[(notion, direction.varying)]
+                assert (verdict.diverges, verdict.is_small_world, verdict.is_ultra_small) == want
