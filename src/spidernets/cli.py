@@ -8,8 +8,8 @@ Exit codes: 0 ok, 1 verification mismatch (a closed form that disagrees with
 the oracle or fails its own consistency check), 2 usage error, 3 I/O failure,
 4 resource guard (oracle requested beyond the node cap or its BFS work
 bound, a closed report or an export above the output budget, out of
-memory, or a result too large to index).  A report or export that exits
-4 prints nothing to stdout and writes no file.
+memory, or a result too large to index or to write in decimal).  A report
+or export that exits 4 prints nothing to stdout and writes no file.
 """
 
 from __future__ import annotations
@@ -36,6 +36,17 @@ VERIFY_CAP_DEFAULT = 2000
 # (128 MiB), counted from groups and runs or from (m, k, l) before anything
 # is built.
 OUTPUT_BUDGET = 2**27
+
+
+def _decimal(value: int) -> str:
+    """str(value); past Python's int-to-str digit limit an OverflowError, a resource guard."""
+    try:
+        return str(value)
+    except ValueError:
+        raise OverflowError(
+            f"a {spiders.decimal_digits(value)}-digit integer, past Python's limit "
+            f"of {sys.get_int_max_str_digits()} digits for integer string conversion"
+        ) from None
 
 
 def format_fraction(value: Fraction) -> str:
@@ -66,11 +77,15 @@ def _linear_run_chars(first: int, last: int, a: int, b: int) -> int:
 
     The values of a run are non-negative and monotone in j, so those of at
     least d + 1 digits, the ones >= 10**d, are a prefix or a suffix of it.
+    Every value has at least as many digits as the least one, so only the
+    thresholds between the least and the greatest value are counted.
     """
     count = last - first + 1
-    chars = 2 * count
-    threshold = 10
-    while threshold <= max(a + b * first, a + b * last):
+    low, high = sorted((a + b * first, a + b * last))
+    digits = spiders.decimal_digits(low)
+    chars = count * (digits + 1)
+    threshold = 10**digits
+    while threshold <= high:
         if b > 0:
             chars += last + 1 - max(first, -((a - threshold) // b))
         elif b < 0:
@@ -88,7 +103,7 @@ def array_row_chars(report: graph_core.Indicators) -> int:
     and in the digits of their values.
     """
     return sum(
-        count * (len(str(value)) + 1)
+        count * (spiders.decimal_digits(value) + 1)
         for groups in (report.delta, report.gamma)
         for value, count in groups
     ) + sum(_linear_run_chars(*run) for run in report.alpha)
@@ -106,7 +121,7 @@ def cmd_export(args) -> int:
     size = spiders.export_size(p, args.format)
     if size > OUTPUT_BUDGET:
         print(
-            f"error: {args.format} export needs up to {size} characters, "
+            f"error: {args.format} export needs up to {_decimal(size)} characters, "
             f"above the output budget {OUTPUT_BUDGET}",
             file=sys.stderr,
         )
@@ -140,20 +155,22 @@ def oracle_refusal(p: spiders.SpiderParams, cap: int) -> str | None:
     The budget is cap nodes and the BFS work of a tree on cap nodes.
     Per-source BFS visits n nodes and 2E adjacency entries once per source,
     n * (n + 2E) steps; a tree has E = n - 1, and a dense core of far fewer
-    nodes can reach the same work.  ``graph_core.alpha_array`` folds the
-    pendant trees into depth histograms, which copies at most n^2 / 2
-    words, and sweeps only the 2-core, at most (D + 1) * (n + 2E) *
-    ceil(n / 64) word operations for a 2-core of diameter D.  A spider's
-    2-core is empty or its complete core, D = 1, so that budget still
-    bounds the folded oracle.  The sweep holds up to 3 * n^2 / 8 bytes of bitsets
+    nodes can reach the same work.  ``graph_core.all_indicators`` folds the
+    pendant trees into depth histograms, where a chain step appends one
+    lane and only a node with a second child copies lanes and multiplies:
+    O(n) words on a spider's legs, at most n^2 / 2 on any tree.  It sweeps
+    only the 2-core, at most (D + 1) * (n + 2E) * ceil(n / 64) word
+    operations for a 2-core of diameter D.  A spider's 2-core is empty or
+    its complete core, D = 1, so that budget still bounds the folded
+    oracle.  The sweep holds up to 3 * n^2 / 8 bytes of bitsets
     (150 MB at n = 20000); running out of memory exits 4.
     """
     n = spiders.node_count(p)
     if n > cap:
-        return f"{n} nodes, above the cap {cap}"
+        return f"{_decimal(n)} nodes, above the cap {cap}"
     work, work_cap = n * (n + 2 * spiders.edge_count(p)), cap * (3 * cap - 2)
     if work > work_cap:
-        return f"{work} BFS steps, above the {work_cap} of a {cap}-node tree"
+        return f"{_decimal(work)} BFS steps, above the {work_cap} of a {cap}-node tree"
     return None
 
 
@@ -183,7 +200,7 @@ def cmd_report(args) -> int:
         size = array_row_chars(report)
         if size > OUTPUT_BUDGET:
             print(
-                f"error: report needs {size} characters of arrays, "
+                f"error: report needs {_decimal(size)} characters of arrays, "
                 f"above the output budget {OUTPUT_BUDGET}",
                 file=sys.stderr,
             )
@@ -193,12 +210,15 @@ def cmd_report(args) -> int:
         oracle = graph_core.all_indicators(spiders.build_spider(p))
         rows.append(_rows(oracle, pairs))
     _print_counts(p)
+    mismatches = 0
     for name, value in rows[0].items():
         if len(rows) == 2:
-            print(f"{name}: {value}  [{'MATCH' if value == rows[1][name] else 'MISMATCH'}]")
+            match = value == rows[1][name]
+            mismatches += not match
+            print(f"{name}: {value}  [{'MATCH' if match else 'MISMATCH'}]")
         else:
             print(f"{name}: {value}")
-    return EXIT_OK
+    return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 def iter_grid(mmax: int, kmax: int, lmax: int, node_cap: int):
@@ -290,7 +310,8 @@ def _write_ratio_csv(path: str, steps, points) -> None:
         top, bottom = pt.pair
         common = math.gcd(top, bottom)
         rows.append(
-            f"{value},{pt.n},{top // common}/{bottom // common},"
+            f"{value},{_decimal(pt.n)},"
+            f"{_decimal(top // common)}/{_decimal(bottom // common)},"
             f"{math.log(pt.n):.6g},{pt.ratio:.6g}\n"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

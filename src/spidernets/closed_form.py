@@ -241,9 +241,15 @@ def _weighted_distance_sums(l: int):
 
 
 def _quotient(numerator: int, denominator: int, what: str) -> int:
-    """numerator / denominator, which a correct formula makes an integer."""
-    _check(numerator % denominator == 0, f"{what} is not an integer")
-    return numerator // denominator
+    """numerator / denominator, which a correct formula makes an integer.
+
+    The message is built only when the check fails: this runs several
+    times per step of a ratio sequence.
+    """
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ConsistencyError(f"{what} is not an integer")
+    return quotient
 
 
 def total_distance_closed(p: SpiderParams) -> int:

@@ -5,29 +5,33 @@ can serve as ground truth for the analytic formulas in ``closed_form``.  The
 distance indicators all come from one distance histogram per graph, counted
 in two parts.  The nodes of degree at most 1 are peeled until only the
 2-core is left, and each pendant tree is folded into its 2-core node as a
-depth histogram, one 64-bit lane of a Python int per depth; one big-int
-product per peeled node counts the pairs whose path tops out at its parent.
-The pairs between the trees of two 2-core nodes come from one bit-parallel
-sweep over the 2-core, which advances a BFS from every 2-core node together,
-one level per pass over the adjacency, with the sources packed as bits of
-Python ints.  A tree has an empty 2-core and runs no sweep; a spider with a
-core of m >= 3 nodes sweeps just those m.  The count is exact on every
-graph and uses no symmetry of it.  ``bfs_distances`` and
-``all_pairs_distances`` are the plain BFS that tests check it against.
-Density is an exact fraction, never a float, so cross-checks are exact
+depth histogram, one 64-bit lane per depth.  A leaf is only counted by its
+parent and a walk up a chain appends one lane per node; where a node has
+several children, big-int products of their histograms count the pairs
+between their subtrees; and the pairs of a node and its ancestors come from
+one suffix sum over the roots' lanes.  The pairs between the trees of two
+2-core nodes come from one bit-parallel sweep over the 2-core, which
+advances a BFS from every 2-core node together, one level per pass over the
+adjacency, with the sources packed as bits of Python ints.  A tree has an
+empty 2-core and runs no sweep; a spider with a core of m >= 3 nodes sweeps
+just those m.  The count is exact on every graph and uses no symmetry of
+it.  Density is an exact fraction, never a float, so cross-checks are exact
 equality.  All functions are pure and safe to call concurrently.
 
 ``all_indicators`` returns ``Indicators``, the one record of a graph's
 indicators, shared with ``closed_form``: degree and gamma multisets as
 merged (value, count) groups and alpha as canonical linear runs, so two
 records of the same graph are equal field by field whichever side computed
-them.  ``degree_array`` and ``h_index`` work on full arrays and serve as the
-tests' references.
+them.  It reads the distance histogram only up to the diameter and sorts
+no array of length n.  The tests' references work on full arrays:
+``bfs_distances`` and ``all_pairs_distances`` (plain BFS), ``degree_array``,
+``gamma_array``, ``alpha_array`` and ``h_index``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from array import array
 from collections import Counter, deque
@@ -35,6 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 UNREACHABLE = -1
+# A depth histogram walked up a chain is an int up to 32 lanes and a
+# bytearray that grows in place beyond (``_distance_lanes``).
+_SHORT_BITS = 64 * 31
+_LANE_ONE = (1).to_bytes(8, "big")
 
 
 @dataclass(frozen=True)
@@ -183,47 +191,127 @@ def alpha_array(g: Graph) -> tuple[int, ...]:
 
 
 def _ordered_pairs(g: Graph) -> list[int]:
-    """Ordered pairs at each distance 0..n-1: pendant trees folded into weights, the 2-core searched.
+    """Ordered pairs at each distance 0..n-1: ``_distance_lanes`` padded with zeros to length n."""
+    counts = _distance_lanes(g)
+    return counts + [0] * (g.n - len(counts))
+
+
+def _distance_lanes(g: Graph) -> list[int]:
+    """Ordered pairs at each distance 0..D, for D the largest finite distance.
 
     Nodes of degree at most 1 are peeled from a queue until only the 2-core
     is left (the k-core peel of Seidman 1983 and Batagelj & Zaversnik 2003).
     A peeled node has at most one unpeeled neighbor, its parent; a node left
-    with none is the root of a tree component.  W_v, the depth histogram of
-    v's pendant subtree, is a Python int with one 64-bit lane per depth,
-    starting at 1 for v itself.  When u is peeled into p, with S = W_u << 64,
-    the big-int product W_p * S convolves the lanes (Kronecker substitution):
-    it counts by distance the pairs of a node of u's subtree and a node of
-    the part of p's subtree folded so far, which are the pairs whose path
-    tops out at p.  Then S joins W_p.  The pairs between the trees of two
-    2-core nodes come from ``_core_pairs``.  Each fold builds a new int, so
-    a bare path copies about n^2 / 2 words in all, but in C-speed int
-    operations.  Every lane is at most n^2, so lanes stay below 2^64 while
-    n < 2^32; the node caps keep n far below that.
+    with none is the root of a tree component, and each 2-core node is the
+    root of its pendant tree.  W_v, the depth histogram of v's pendant
+    subtree, has one 64-bit lane per depth, 1 at depth 0 for v itself.
+
+    - A leaf only adds 1 to its parent's count of leaf children.
+    - A node u whose only child was just folded, and which has one
+      neighbor left, is not queued: the walk goes on up to it at once, with
+      its W the child's one lane deeper plus its own lane 0.  So a chain
+      costs O(1) per node.  W is an int up to 32 lanes and beyond that a
+      bytearray of big-endian lanes with lane 0 last, so the new lane is
+      appended in place and ``int.from_bytes(..., "big")`` gives the int.
+    - Any other W_u, shifted one lane deeper, joins ``weight[p]``, the lanes
+      of p's children folded so far (lane 0 empty).  If that is C != 0, the
+      big-int product C * (W_u << 64) convolves the lanes (Kronecker
+      substitution): it counts by distance the pairs of a node of u's
+      subtree and a node of an earlier child's.  ``_with_leaves`` adds p's
+      leaves and p itself when p is peeled or reaches the sweep.
+    - A node at depth d below its root has one ancestor at each distance
+      1..d, so the pairs of a node and its ancestor at distance j are the
+      nodes at depth >= j: one suffix sum over the lanes of the roots' W.
+    - The pairs between the trees of two 2-core nodes come from
+      ``_core_pairs``, which gets the 2-core's W as ints.
+
+    Only a node with a second child copies lanes and multiplies: on a
+    spider, each core node for its k - 1 later legs, O(n) words in all.  A
+    tree copies at most about n^2 / 2 words, as when each node of a
+    caterpillar's spine has a leaf.  Every lane is at most n^2, so lanes
+    stay below 2^64 while n < 2^32; the node caps keep n far below that.
     """
     n = g.n
     adjacency = g.adjacency
     degree = list(map(len, adjacency))
-    weight = [1] * n
     peeled = [False] * n
+    leaves = [0] * n
+    weight = [0] * n
+    roots = []
+    cross = 0
     queue = [u for u in range(n) if degree[u] <= 1]
-    tree_pairs = 0
     for u in queue:  # grows while it is read: a node joins it on dropping to degree 1
-        peeled[u] = True
-        if degree[u]:
+        if weight[u] or leaves[u]:
+            w, pairs = _with_leaves(weight[u], leaves[u])
+            weight[u] = 0
+            cross += pairs
+        else:  # a leaf, or an isolated node
+            peeled[u] = True
+            if not degree[u]:
+                roots.append(u)
+                weight[u] = 1
+                continue
             for p in adjacency[u]:
                 if not peeled[p]:
                     break
-            s = weight[u] << 64
-            weight[u] = 0  # folded into p: a path holds O(n) words, not n^2 / 4
-            tree_pairs += weight[p] * s
-            weight[p] += s
             degree[p] -= 1
+            if degree[p] != 1 or weight[p] or leaves[p]:
+                leaves[p] += 1
+                if degree[p] == 1:
+                    queue.append(p)
+                continue
+            u, w = p, 1 << 64 | 1  # u is p's only child: walk on
+        while True:  # w is W_u
+            peeled[u] = True
+            if not degree[u]:
+                roots.append(u)
+                weight[u] = w if w.__class__ is int else int.from_bytes(w, "big")
+                break
+            for p in adjacency[u]:
+                if not peeled[p]:
+                    break
+            degree[p] -= 1
+            c = weight[p]
+            if not c and degree[p] == 1 and not leaves[p]:  # u is p's only child: walk on
+                if w.__class__ is not int:
+                    w += _LANE_ONE
+                elif w.bit_length() <= _SHORT_BITS:
+                    w = w << 64 | 1
+                else:
+                    w = bytearray(w.to_bytes(-(-w.bit_length() // 64) * 8, "big")) + _LANE_ONE
+                u = p
+                continue
+            if w.__class__ is not int:
+                w = int.from_bytes(w, "big")
+            w <<= 64
+            if c:
+                cross += c * w
+                w += c
+            weight[p] = w
             if degree[p] == 1:
                 queue.append(p)
-    core = [u for u in range(n) if not peeled[u]]
-    total = n + 2 * tree_pairs + (_core_pairs(adjacency, core, weight) if core else 0)
-    counts = list(array("Q", total.to_bytes(8 * -(-total.bit_length() // 64), sys.byteorder)))
-    return counts + [0] * (n - len(counts))
+            break
+    core = [u for u in range(n) if not peeled[u]] if False in peeled else []
+    for u in core:
+        weight[u], pairs = _with_leaves(weight[u], leaves[u])
+        cross += pairs
+    depths = _lanes(sum(map(weight.__getitem__, itertools.chain(roots, core))))
+    above = list(itertools.accumulate(reversed(depths[1:])))
+    above.reverse()  # above[j - 1]: the nodes at depth >= j
+    total = n + 2 * (cross + (_wide_lanes(above) << 64))
+    if core:
+        total += _core_pairs(adjacency, core, weight)
+    return _lanes(total)
+
+
+def _with_leaves(lanes: int, leaves: int) -> tuple[int, int]:
+    """W of a node from the lanes of its children other than leaves and its count of leaves.
+
+    Also returns the pairs its leaves add, in lanes: a leaf and a node at
+    depth j of another child are j + 1 apart, and two leaves are 2 apart.
+    """
+    pairs = (leaves * lanes + (leaves * (leaves - 1) // 2 << 64)) << 64
+    return lanes + (leaves << 64 | 1), pairs
 
 
 def _core_pairs(adjacency, core: list[int], weight: list[int]) -> int:
@@ -291,6 +379,11 @@ def _wide_lanes(values) -> int:
     return int.from_bytes(array("Q", values), sys.byteorder)
 
 
+def _lanes(value: int) -> list[int]:
+    """The 64-bit lanes of a non-negative int, the lowest first, up to its highest non-zero one."""
+    return list(array("Q", value.to_bytes(8 * -(-value.bit_length() // 64), sys.byteorder)))
+
+
 def density(g: Graph) -> Fraction:
     """Edges present over the n(n-1)/2 possible, as an exact fraction."""
     if g.n <= 1:
@@ -345,19 +438,34 @@ def h_index_of_groups(groups) -> int:
 
 
 def all_indicators(g: Graph) -> Indicators:
-    """Compute the full indicator record for a connected graph with n >= 2."""
-    delta = value_groups(Counter(map(len, g.adjacency)).items())
-    alpha = alpha_array(g)
-    d = max((j for j, a in enumerate(alpha, start=1) if a), default=0)
-    # Every entry past the diameter is 0: one run, so the entries placed one
-    # by one are only those up to the diameter.
-    runs = [(j, j, a, 0) for j, a in enumerate(alpha[:d], start=1)]
+    """Compute the full indicator record for a connected graph with n >= 2.
+
+    Only the distance lanes up to the diameter d are read: every alpha entry
+    past it is 0, one run.  Up to d, each stretch of equal differences is
+    one run, found without a Python step per entry.  The degree and gamma
+    multisets are counted without sorting n values.
+    """
+    n = g.n
+    dens = density(g)
+    counts = _distance_lanes(g)
+    if sum(counts) < n * n:
+        raise ValueError("distance indicators need a connected graph")
+    alpha = [c // 2 for c in counts[1:]]
+    d = len(alpha)
+    runs, j = [], 1
+    for b, steps in itertools.groupby(map(operator.sub, alpha[1:], alpha)):
+        last = j + len(list(steps)) - 1
+        runs.append((j, last, alpha[j - 1] - b * j, b))
+        j = last + 1
+    degree = list(map(len, g.adjacency))
+    neighbor_degrees = map(sum, map(map, itertools.repeat(degree.__getitem__), g.adjacency))
+    delta = value_groups(Counter(degree).items())
     return Indicators(
         delta=delta,
-        gamma=value_groups(Counter(gamma_array(g)).items()),
-        alpha=linear_runs(runs + [(d + 1, len(alpha), 0, 0)]),
-        density=density(g),
+        gamma=value_groups(Counter(map(operator.add, degree, neighbor_degrees)).items()),
+        alpha=linear_runs(runs + [(d, d, alpha[-1], 0), (d + 1, n - 1, 0, 0)]),
+        density=dens,
         diameter=d,
         h_index=h_index_of_groups(delta),
-        total_distance=sum(j * a for j, _, a, _ in runs),
+        total_distance=sum(map(operator.mul, alpha, range(1, d + 1))),
     )

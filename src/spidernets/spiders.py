@@ -16,7 +16,8 @@ Position p = 1 touches the core; position p = l is the leg's terminal node.
 ``build_spider`` fills each node's sorted neighbor tuple straight from this
 scheme, with no edge list, neighbor sets or sorting; tests pin it to
 ``graph_core.build_graph`` on the scheme's edge list.  ``export_size``
-sizes an export from (m, k, l) before anything is built.
+sizes an export from (m, k, l) before anything is built, with
+``decimal_digits``, which counts digits without making a string.
 """
 
 from __future__ import annotations
@@ -157,6 +158,20 @@ def export_graph(g: Graph, fmt: str, roles=None) -> str:
     raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
 
 
+def decimal_digits(value: int) -> int:
+    """Decimal digits of a non-negative int, counted without converting it to a string.
+
+    So it also counts values past Python's int-to-str digit limit.  The
+    estimate from the bit length is off by at most one either way.
+    """
+    digits = int((value.bit_length() - 1) * 0.3010299956639812) + 1  # log10(2)
+    if value >= 10**digits:
+        return digits + 1
+    if digits > 1 and value < 10 ** (digits - 1):
+        return digits - 1
+    return digits
+
+
 def export_size(p: SpiderParams, fmt: str) -> int:
     """Characters of ``export_spider(p, fmt)``, counted from (m, k, l) before anything is built.
 
@@ -167,7 +182,7 @@ def export_size(p: SpiderParams, fmt: str) -> int:
     stars and paths up to 20,000 nodes).
     """
     n, e = node_count(p), edge_count(p)
-    width = len(str(n - 1))
+    width = decimal_digits(n - 1)
     if fmt == "edge-list":
         return e * (2 * width + 2)  # "u v\n"
     if fmt == "dot":

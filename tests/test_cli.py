@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -171,6 +172,16 @@ class TestReport:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_mismatch_row_exits_1(self, capsys, monkeypatch):
+        argv = ("report", "-M", "3", "-K", "2", "-L", "2")
+        code, matched, _ = run(capsys, *argv)
+        assert code == 0 and "\ndiameter: 5  [MATCH]\n" in matched
+        real = closed_form.diameter_closed
+        monkeypatch.setattr(closed_form, "diameter_closed", lambda p: real(p) + 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert out == matched.replace("diameter: 5  [MATCH]", "diameter: 6  [MISMATCH]")
+
     def test_single_node(self, capsys):
         code, out, _ = run(capsys, "report", "-M", "1", "-K", "0", "-L", "0")
         assert code == 0
@@ -263,6 +274,45 @@ def test_array_row_chars_counts_the_printed_rows(p):
         assert cli.array_row_chars(report) == sum(
             len(rows[name]) + 1 for name in ("delta", "gamma", "alpha")
         )
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's default limit of 4,300 digits on int-to-str conversion, then the old limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length to strings")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+NINES, SHORTER_NINES = "9" * 3000, "9" * 2500
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--source", "closed", "-M", NINES, "-K", "1", "-L", "1"],
+        ["report", "--source", "closed", "-M", "2", "-K", NINES, "-L", NINES],
+        ["report", "-M", "2", "-K", NINES, "-L", NINES],
+        ["export", "-M", NINES, "-K", "1", "-L", "1"],
+        ["export", "-M", "2", "-K", NINES, "-L", NINES],
+        ["asymptotics", "--notion", "SWA", "--vary", "L", "--fix", f"M=2,K={SHORTER_NINES}"],
+    ],
+    ids=["report-rows", "report-budget-message", "report-oracle-refusal", "export-budget-message",
+         "export-size", "asymptotics-csv"],
+)
+def test_values_past_the_int_str_limit_are_a_resource_guard(capsys, tmp_path, int_str_limit, argv):
+    # each of these inputs has fewer than 4,300 digits, but a count or a
+    # ratio it derives has more; none may reach Python's own conversion error
+    out_path = tmp_path / "cell.csv"
+    if argv[0] == "asymptotics":
+        argv = argv + ["--out-csv", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, out_path.exists()) == (4, "", False)
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err
 
 
 class TestVerify:

@@ -90,6 +90,45 @@ def bridged_blocks(draw, max_blocks=6):
     return build_graph(n, [(label[u], label[v]) for u, v in edges])
 
 
+@st.composite
+def long_chains(draw):
+    """Paths, caterpillars, brooms, spiders and cycles with tails; chains of up to 300 nodes.
+
+    A depth histogram walked up a chain turns from an int into a bytearray
+    past 32 lanes and back into an int where the walk stops, so these cross
+    the switch both ways.  The node ids are shuffled, so the peel order
+    does not follow the build order.
+    """
+    kind = draw(st.sampled_from(["path", "caterpillar", "broom", "spider", "cycle"]))
+    if kind == "path":
+        g = path(draw(st.integers(2, 400)))
+    elif kind == "caterpillar":
+        spine = draw(st.integers(2, 200))
+        legs = sorted(draw(st.sets(st.integers(0, spine - 1), max_size=spine)))
+        g = build_graph(spine + len(legs), [(i, i + 1) for i in range(spine - 1)]
+                        + [(u, spine + i) for i, u in enumerate(legs)])
+    elif kind == "broom":
+        handle, bristles = draw(st.integers(1, 300)), draw(st.integers(1, 20))
+        g = build_graph(handle + bristles, [(i, i + 1) for i in range(handle - 1)]
+                        + [(handle - 1, handle + i) for i in range(bristles)])
+    elif kind == "spider":
+        m, k = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]))
+        g = build_spider(normalize(m, k, draw(st.integers(1, 300 if m * k <= 2 else 200))))
+    else:
+        ring = draw(st.integers(3, 12))
+        tails = draw(st.lists(st.tuples(st.integers(0, ring - 1), st.integers(1, 200)),
+                              min_size=1, max_size=3))
+        edges, n = [(i, (i + 1) % ring) for i in range(ring)], ring
+        for at, length in tails:
+            edges += [(at, n)] + [(v, v + 1) for v in range(n, n + length - 1)]
+            n += length
+        g = build_graph(n, edges)
+    label = list(range(g.n))
+    random.Random(draw(st.integers(0, 2**32))).shuffle(label)
+    edges = [(u, v) for u in range(g.n) for v in g.adjacency[u] if u < v]
+    return build_graph(g.n, [(label[u], label[v]) for u, v in edges])
+
+
 def pairs_by_distance(g):
     """Ordered pairs at each distance 0..n-1 from the all-pairs reference."""
     want = [0] * g.n
@@ -248,6 +287,10 @@ class TestScalarIndicators:
     def test_diameter_disconnected_rejected(self):
         with pytest.raises(ValueError):
             all_indicators(build_graph(2, []))
+
+    def test_single_node_rejected(self):
+        with pytest.raises(ValueError, match=r"^density needs at least 2 nodes$"):
+            all_indicators(build_graph(1, []))
 
     def test_density(self):
         assert density(complete(4)) == 1
@@ -576,6 +619,16 @@ class TestSharedRows:
     def test_histograms_equal_the_all_pairs_reference(self, g):
         assert graph_core._ordered_pairs(g) == pairs_by_distance(g)
 
+    @settings(max_examples=25, deadline=None)
+    @given(long_chains())
+    @example(path(32))
+    @example(path(33))
+    @example(path(34))
+    @example(build_spider(normalize(1, 3, 300)))
+    @example(cycle_with_tail(5, 300, at=2))
+    def test_long_chains_equal_the_all_pairs_reference(self, g):
+        assert graph_core._ordered_pairs(g) == pairs_by_distance(g)
+
     @pytest.mark.parametrize(
         "g, held, want",
         [
@@ -649,8 +702,10 @@ class TestFold:
 
     @pytest.mark.parametrize(
         "shape",
-        [(1, 1, 2999), (1, 19999, 1), (2, 166, 3), (2, 3, 166), (2, 2, 1000)],
-        ids=["path3000", "star20000", "spider2,166,3", "spider2,3,166", "spider2,2,1000"],
+        [(1, 1, 2999), (1, 1, 19999), (1, 19999, 1), (2, 166, 3), (2, 3, 166), (2, 2, 250),
+         (2, 2, 1000)],
+        ids=["path3000", "path20000", "star20000", "spider2,166,3", "spider2,3,166",
+             "spider2,2,250", "spider2,2,1000"],
     )
     def test_trees_run_no_core_sweep(self, shape):
         p = normalize(*shape)

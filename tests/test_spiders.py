@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import spider_params
 from spidernets import cli, spiders
@@ -8,6 +9,7 @@ from spidernets.spiders import (
     ConsistencyError,
     SpiderParams,
     build_spider,
+    decimal_digits,
     edge_count,
     export_graph,
     export_size,
@@ -224,6 +226,14 @@ class TestExport:
         for p in DEFAULT_GRID + [normalize(*shape) for shape in shapes]:
             true = len(export_spider(p, fmt))
             assert true <= export_size(p, fmt) <= 2 * true
+
+    @given(st.integers(min_value=0, max_value=10**4000))
+    @example(0)
+    @example(9)
+    @example(10)
+    @example(10**4000 - 1)
+    def test_decimal_digits_count_like_str(self, value):
+        assert decimal_digits(value) == len(str(value))
 
     def test_size_of_unknown_format_rejected(self):
         with pytest.raises(ValueError):
