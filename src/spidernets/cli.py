@@ -76,23 +76,31 @@ def _linear_run_chars(first: int, last: int, a: int, b: int) -> int:
     """Characters of a + b*j for j = first..last, with one separator each.
 
     The values of a run are non-negative and monotone in j, so those of at
-    least d + 1 digits, the ones >= 10**d, are a prefix or a suffix of it.
-    Every value has at least as many digits as the least one, so only the
-    thresholds between the least and the greatest value are counted.
+    least d + 1 digits, the ones >= T = 10**d, are a prefix or a suffix of
+    it, which ends at the floor quotient q of T - a by b.  Every value has
+    at least as many digits as the least one, so only the thresholds
+    between the least and the greatest value are counted.  From T to 10*T,
+    T - a becomes 10*(T - a) + 9*a, so each quotient follows from the last
+    one and from that of 9*a, taken once: no long division is left per
+    threshold, only one with a quotient below 11.
     """
     count = last - first + 1
     low, high = sorted((a + b * first, a + b * last))
     digits = spiders.decimal_digits(low)
     chars = count * (digits + 1)
     threshold = 10**digits
+    if threshold > high:  # also every run with b = 0, whose values are all equal
+        return chars
+    q, r = divmod(threshold - a, b)
+    q_nine, r_nine = divmod(9 * a, b)
     while threshold <= high:
-        if b > 0:
-            chars += last + 1 - max(first, -((a - threshold) // b))
-        elif b < 0:
-            chars += min(last, (a - threshold) // -b) + 1 - first
-        else:
-            chars += count
+        if b > 0:  # values >= threshold at j >= ceil((threshold - a) / b)
+            chars += last + 1 - max(first, q + (r != 0))
+        else:  # values >= threshold at j <= floor((threshold - a) / b)
+            chars += min(last, q) + 1 - first
         threshold *= 10
+        carry, r = divmod(10 * r + r_nine, b)
+        q = 10 * q + q_nine + carry
     return chars
 
 

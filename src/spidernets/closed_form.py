@@ -23,6 +23,13 @@ by field.  Each function asserts its own counting identities (node totals,
 sum rules, evaluated as sums of arithmetic series on the runs) before
 returning and raises ConsistencyError on any disagreement, so a wrong
 formula can never propagate silently.
+
+The forms a small-world indicator uses (the degree groups and the largest
+degree, the diameter and the total distance) are functions of the three
+ints (m, k, l), named ``..._at``, and so are ``spiders``' node, edge and
+pair counts; each function of a ``SpiderParams`` with the same name is a
+one-line adapter onto them.  A ratio sequence thus steps over ints and runs
+the same formulas and checks as a report.
 """
 
 from __future__ import annotations
@@ -34,7 +41,9 @@ from spidernets.spiders import (
     ConsistencyError,
     SpiderParams,
     edge_count,
+    edge_count_at,
     node_count,
+    node_count_at,
     pair_count,
 )
 
@@ -44,32 +53,47 @@ def _check(condition: bool, message: str) -> None:
         raise ConsistencyError(message)
 
 
-def _groups(pairs) -> tuple[tuple[int, int], ...]:
-    """``value_groups`` of formula pairs, where a negative count is a formula error."""
-    _check(all(count >= 0 for _, count in pairs), "a multiplicity is negative")
-    return value_groups(pairs)
+def _groups(pairs) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """``value_groups`` of formula pairs, with the sums of count and of value * count.
+
+    A negative count is a formula error.  Merging equal values changes
+    neither sum, so both are taken over the pairs in the same pass.
+    """
+    count_sum = value_sum = 0
+    for value, count in pairs:
+        if count < 0:
+            raise ConsistencyError("a multiplicity is negative")
+        count_sum += count
+        value_sum += value * count
+    return value_groups(pairs), count_sum, value_sum
 
 
-def _delta_groups(p: SpiderParams):
+def _delta_groups(m: int, k: int, l: int):
     """Degree multiset: core nodes, interior leg nodes, terminal leg nodes."""
-    m, k, l = p.m, p.k, p.l
     return [(m - 1 + k, m), (2, k * m * (l - 1)), (1, k * m)]
 
 
 def delta_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
     """Degree multiset as non-increasing (degree, count) groups, at most 3."""
-    groups = _groups(_delta_groups(p))
-    _check(sum(c for _, c in groups) == node_count(p), "degree groups miss nodes")
-    _check(
-        sum(v * c for v, c in groups) == 2 * edge_count(p),
-        "total degree is not twice the edge count",
-    )
+    return delta_groups_at(p.m, p.k, p.l)
+
+
+def delta_groups_at(m: int, k: int, l: int) -> tuple[tuple[int, int], ...]:
+    """``delta_groups`` of the spider (m, k, l)."""
+    groups, nodes, degree_sum = _groups(_delta_groups(m, k, l))
+    _check(nodes == node_count_at(m, k, l), "degree groups miss nodes")
+    _check(degree_sum == 2 * edge_count_at(m, k, l), "total degree is not twice the edge count")
     return groups
 
 
 def max_degree(p: SpiderParams) -> int:
     """Largest degree, without materializing the array."""
-    return delta_groups(p)[0][0]
+    return max_degree_at(p.m, p.k, p.l)
+
+
+def max_degree_at(m: int, k: int, l: int) -> int:
+    """``max_degree`` of the spider (m, k, l)."""
+    return delta_groups_at(m, k, l)[0][0]
 
 
 def _gamma_groups(p: SpiderParams):
@@ -97,12 +121,14 @@ def _gamma_groups(p: SpiderParams):
 
 def gamma_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
     """Gamma multiset as non-increasing (value, count) groups, at most 5."""
-    groups = _groups(_gamma_groups(p))
-    _check(sum(c for _, c in groups) == node_count(p), "gamma groups miss nodes")
+    groups, nodes, gamma_sum = _groups(_gamma_groups(p))
+    _check(nodes == node_count(p), "gamma groups miss nodes")
     # Summing gamma over nodes counts each degree once plus once per neighbor.
-    degree_square_sum = sum(count * value * value for value, count in _delta_groups(p))
+    degree_square_sum = sum(
+        count * value * value for value, count in _delta_groups(p.m, p.k, p.l)
+    )
     _check(
-        sum(v * c for v, c in groups) == 2 * edge_count(p) + degree_square_sum,
+        gamma_sum == 2 * edge_count(p) + degree_square_sum,
         "gamma sum identity failed",
     )
     return groups
@@ -166,12 +192,17 @@ def _run_sums(runs) -> tuple[int, int]:
 
 def diameter_closed(p: SpiderParams) -> int:
     """Largest distance: terminal to terminal across the core in the general case."""
-    if p.m > 1:
-        return 2 * p.l + 1
-    if p.k > 1:
-        return 2 * p.l
-    if p.k == 1:
-        return p.l
+    return diameter_closed_at(p.m, p.k, p.l)
+
+
+def diameter_closed_at(m: int, k: int, l: int) -> int:
+    """``diameter_closed`` of the spider (m, k, l)."""
+    if m > 1:
+        return 2 * l + 1
+    if k > 1:
+        return 2 * l
+    if k == 1:
+        return l
     return 0
 
 
@@ -254,10 +285,14 @@ def _quotient(numerator: int, denominator: int, what: str) -> int:
 
 def total_distance_closed(p: SpiderParams) -> int:
     """Exact total distance over unordered pairs."""
-    if node_count(p) < 2:
+    return total_distance_closed_at(p.m, p.k, p.l)
+
+
+def total_distance_closed_at(m: int, k: int, l: int) -> int:
+    """``total_distance_closed`` of the spider (m, k, l)."""
+    if node_count_at(m, k, l) < 2:
         raise ValueError("total distance needs at least 2 nodes")
-    within, foreign, same_r, same_f, cross_r, cross_f = _weighted_distance_sums(p.l)
-    m, k, l = p.m, p.k, p.l
+    within, foreign, same_r, same_f, cross_r, cross_f = _weighted_distance_sums(l)
     twice = (
         m * (m - 1)
         + 2 * m * k * l

@@ -83,7 +83,7 @@ def value_groups(pairs) -> tuple[tuple[int, int], ...]:
     merged: dict[int, int] = {}
     for value, count in pairs:
         merged[value] = merged.get(value, 0) + count
-    return tuple(group for group in sorted(merged.items(), reverse=True) if group[1])
+    return tuple(sorted([group for group in merged.items() if group[1]], reverse=True))
 
 
 def linear_runs(runs) -> tuple[tuple[int, int, int, int], ...]:

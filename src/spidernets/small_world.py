@@ -22,22 +22,34 @@ until the trend shows, for at most 128 doublings plus the bit length of the
 family's node count at t = 1.
 
 A ratio sequence keeps each indicator as the unreduced integer pair (P, Q)
-of its closed forms; it is reduced to lowest terms only for output.
+of its closed forms; it is reduced to lowest terms only for output.  It
+checks its steps once and then steps over plain ints: ``_INDICATOR_PAIRS``
+gives each notion's (P, Q) as closed forms of (m, k, l), evaluated at every
+step with every consistency check they make, and each step yields one
+``RatioPoint`` named tuple.  ``classify`` reads the same table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from spidernets.closed_form import (
     ConsistencyError,
-    diameter_closed,
-    max_degree,
-    total_distance_closed,
+    diameter_closed_at,
+    max_degree_at,
+    total_distance_closed_at,
 )
-from spidernets.spiders import SpiderParams, edge_count, node_count, pair_count
+from spidernets.spiders import (
+    SpiderParams,
+    edge_count_at,
+    node_count,
+    node_count_at,
+    pair_count_at,
+)
 
 GROWTH_PROBES = range(2, 9)  # seven samples pin down degrees up to 5
 STEP_COUNT = 12
@@ -111,12 +123,12 @@ CANONICAL_DIRECTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class RatioPoint:
+class RatioPoint(NamedTuple):
     """One sample along a growth direction: the exact indicator and its ratio to ln(n).
 
     ``pair`` is the indicator as the unreduced integer ratio (P, Q) of its
-    closed forms.
+    closed forms.  A named tuple, so it is immutable and cheap to make once
+    per step.
     """
 
     n: int
@@ -146,12 +158,15 @@ class SmallWorldVerdict:
         return not self.diverges and self.notion not in DEGREE_NOTIONS
 
 
-# Each notion's indicator as an integer ratio P / Q of closed forms.
+# Each notion's indicator as an integer ratio P / Q of closed forms of (m, k, l).
 _INDICATOR_PAIRS = {
-    SmallWorldNotion.DSWL: lambda p: (max_degree(p), 1),
-    SmallWorldNotion.DSWA: lambda p: (2 * edge_count(p), node_count(p)),
-    SmallWorldNotion.SWD: lambda p: (diameter_closed(p), 1),
-    SmallWorldNotion.SWA: lambda p: (total_distance_closed(p), pair_count(p)),
+    SmallWorldNotion.DSWL: lambda m, k, l: (max_degree_at(m, k, l), 1),
+    SmallWorldNotion.DSWA: lambda m, k, l: (2 * edge_count_at(m, k, l), node_count_at(m, k, l)),
+    SmallWorldNotion.SWD: lambda m, k, l: (diameter_closed_at(m, k, l), 1),
+    SmallWorldNotion.SWA: lambda m, k, l: (
+        total_distance_closed_at(m, k, l),
+        pair_count_at(m, k, l),
+    ),
 }
 
 
@@ -160,22 +175,35 @@ def ratio_sequence(
 ) -> list[RatioPoint]:
     """Sample indicator / ln(n) at strictly increasing parameter values.
 
-    Each point keeps the closed forms' pair (P, Q) as it comes and takes the
-    ratio as P / Q / ln(n); int true division is correctly rounded, so this
-    equals float(Fraction(P, Q)) / ln(n) bit for bit.  A growth direction's
+    The steps are checked once: strictly increasing, then the first at least 1.
+    ``GrowthDirection`` has already checked the fixed slots, so every step
+    is then a valid normalized spider, as ``params_at`` would make it, and
+    each step evaluates the notion's closed forms straight from the three
+    ints (m, k, l), every consistency check included, with no
+    ``SpiderParams`` in between.  Each point keeps the closed forms' pair
+    (P, Q) as it comes and takes the ratio as P / Q / ln(n); int true
+    division is correctly rounded, so this equals
+    float(Fraction(P, Q)) / ln(n) bit for bit.  A growth direction's
     spiders have at least 2 nodes, so every indicator is defined and
     ln(n) > 0.
     """
     steps = list(steps)
     if any(a >= b for a, b in zip(steps, steps[1:])):
         raise ValueError("steps must be strictly increasing")
+    if steps and steps[0] < 1:
+        raise ValueError(f"parameter value must be >= 1, got {steps[0]}")
     indicator_pair = _INDICATOR_PAIRS[notion]
+    log = math.log
+    # The varying slot is the one left None; the fixed ones repeat.
+    slots = (
+        steps if fixed is None else itertools.repeat(fixed)
+        for fixed in (direction.m, direction.k, direction.l)
+    )
     points = []
-    for value in steps:
-        p = direction.params_at(value)
-        n = node_count(p)
-        pair = indicator_pair(p)
-        points.append(RatioPoint(n, pair, pair[0] / pair[1] / math.log(n)))
+    for m, k, l in zip(*slots):
+        n = node_count_at(m, k, l)
+        pair = indicator_pair(m, k, l)
+        points.append(RatioPoint(n, pair, pair[0] / pair[1] / log(n)))
     return points
 
 
@@ -230,8 +258,7 @@ def classify(notion: SmallWorldNotion, direction: GrowthDirection) -> SmallWorld
     turns near M = K * L), so the walk stops after MAX_DOUBLINGS doublings
     plus the bit length of the node count at t = 1.
     """
-    indicator_pair = _INDICATOR_PAIRS[notion]
-    pairs = [indicator_pair(direction.params_at(t)) for t in GROWTH_PROBES]
+    pairs = [pt.pair for pt in ratio_sequence(notion, direction, GROWTH_PROBES)]
     diverges = polynomial_degree(p for p, _ in pairs) > polynomial_degree(q for _, q in pairs)
     horizon = MAX_DOUBLINGS + node_count(direction.params_at(1)).bit_length()
     ratios = [pt.ratio for pt in ratio_sequence(notion, direction, geometric_steps())]

@@ -17,7 +17,9 @@ Position p = 1 touches the core; position p = l is the leg's terminal node.
 scheme, with no edge list, neighbor sets or sorting; tests pin it to
 ``graph_core.build_graph`` on the scheme's edge list.  ``export_size``
 sizes an export from (m, k, l) before anything is built, with
-``decimal_digits``, which counts digits without making a string.
+``decimal_digits``, which counts digits without making a string.  The node,
+edge and pair counts are functions of the three ints (``node_count_at`` and
+its kin); ``node_count(p)`` and the others adapt a ``SpiderParams``.
 """
 
 from __future__ import annotations
@@ -64,21 +66,33 @@ def normalize(m: int, k: int, l: int) -> SpiderParams:
 
 
 def node_count(p: SpiderParams) -> int:
-    return p.m + p.m * p.k * p.l
+    return node_count_at(p.m, p.k, p.l)
+
+
+def node_count_at(m: int, k: int, l: int) -> int:
+    return m + m * k * l
 
 
 def edge_count(p: SpiderParams) -> int:
-    return p.m * (p.m - 1) // 2 + p.m * p.k * p.l
+    return edge_count_at(p.m, p.k, p.l)
+
+
+def edge_count_at(m: int, k: int, l: int) -> int:
+    return m * (m - 1) // 2 + m * k * l
 
 
 def pair_count(p: SpiderParams) -> int:
-    """Number of unordered node pairs, n(n-1)/2.
+    """Number of unordered node pairs, n(n-1)/2."""
+    return pair_count_at(p.m, p.k, p.l)
+
+
+def pair_count_at(m: int, k: int, l: int) -> int:
+    """Number of unordered node pairs n(n-1)/2 of the spider (m, k, l).
 
     Also checked against the expanded form
     m(m-1) - mkl + 2 m^2 k l + m^2 k^2 l^2 of n(n-1).
     """
-    n = node_count(p)
-    m, k, l = p.m, p.k, p.l
+    n = node_count_at(m, k, l)
     expanded = m * (m - 1) - m * k * l + 2 * m * m * k * l + m * m * k * k * l * l
     if n * (n - 1) != expanded:
         raise ConsistencyError("pair count expansion mismatch")

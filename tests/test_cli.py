@@ -161,8 +161,8 @@ class TestReport:
     def test_failed_consistency_check_is_mismatch(self, capsys, monkeypatch, source):
         real = closed_form._delta_groups
 
-        def shifted(p):
-            (core, m), interior, terminal = real(p)
+        def shifted(*mkl):
+            (core, m), interior, terminal = real(*mkl)
             return [(core + 1, m), interior, terminal]
 
         monkeypatch.setattr(closed_form, "_delta_groups", shifted)
@@ -260,6 +260,10 @@ def linear_runs(draw):
 
 @given(linear_runs())
 @example([(1, 1, 45, 0), (2, 3, 7, 2), (4, 9, 99, -11), (10, 12, 0, 0)])
+# values that cross dozens of powers of ten within one run
+@example([(1, 40, 1, 10**59)])
+@example([(1, 40, 43 * 10**59, -(10**59))])
+@example([(1, 30, 7 * 10**45 + 3, 10**50 + 1), (31, 60, 10**52 + 12345, -(10**50) + 7)])
 def test_linear_run_formatter_and_size(runs):
     text = cli.format_linear_runs(runs)
     assert text == format_array(_expand_runs(runs))
@@ -502,9 +506,9 @@ class TestAsymptotics:
         real_pair, real_classify = small_world._INDICATOR_PAIRS[notion], small_world.classify
         calls = {"all": 0, "classify": 0}
 
-        def counting_pair(p):
+        def counting_pair(m, k, l):
             calls["all"] += 1
-            return real_pair(p)
+            return real_pair(m, k, l)
 
         def counting_classify(notion, direction):
             before = calls["all"]
@@ -545,7 +549,7 @@ class TestAsymptotics:
         for step, pt in zip(steps, points):
             p = direction.params_at(step)
             n = spiders.node_count(p)
-            fraction = Fraction(*small_world._INDICATOR_PAIRS[notion](p))
+            fraction = Fraction(*small_world._INDICATOR_PAIRS[notion](p.m, p.k, p.l))
             ratio = float(fraction) / math.log(n)
             expected.append(
                 f"{step},{n},{cli.format_fraction(fraction)},{math.log(n):.6g},{ratio:.6g}"

@@ -264,8 +264,8 @@ class TestGroupedForms:
     def test_corrupted_group_detected(self, monkeypatch):
         real = closed_form._delta_groups
 
-        def shifted(p):
-            (core, m), interior, terminal = real(p)
+        def shifted(*mkl):
+            (core, m), interior, terminal = real(*mkl)
             return [(core + 1, m), interior, terminal]
 
         monkeypatch.setattr(closed_form, "_delta_groups", shifted)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spidernets import graph_core
+from spidernets import closed_form, graph_core
 from spidernets.closed_form import ConsistencyError
 from spidernets.small_world import (
     _INDICATOR_PAIRS,
@@ -78,7 +78,7 @@ class TestGrowthDirection:
 
 def numerator(notion, p):
     """The notion's indicator for one spider as a reduced Fraction."""
-    return Fraction(*_INDICATOR_PAIRS[notion](p))
+    return Fraction(*_INDICATOR_PAIRS[notion](p.m, p.k, p.l))
 
 
 class TestNumerator:
@@ -123,6 +123,11 @@ class TestRatioSequences:
         ratios = [pt.ratio for pt in ratio_sequence(SWA, d, (10, 100, 1000))]
         assert ratios[0] < ratios[1] < ratios[2]
 
+    def test_first_step_must_be_at_least_one(self):
+        for d in CANONICAL_DIRECTIONS:
+            with pytest.raises(ValueError):
+                ratio_sequence(SWD, d, (0, 1, 2))
+
     def test_steps_must_increase(self):
         d = GrowthDirection("M", k=1, l=1)
         with pytest.raises(ValueError):
@@ -141,6 +146,40 @@ class TestRatioSequences:
             ratios = [pt.ratio for pt in ratio_sequence(SWD, d, geometric_steps())]
             assert ratios[-1] < 0.5
             assert ratios[-1] < ratios[0] / 2
+
+
+class TestEveryCheckAtEveryStep:
+    """A formula that goes wrong at a single step of a long sequence is caught there."""
+
+    STEPS = range(2, 2002)
+
+    def test_degree_groups(self, monkeypatch):
+        real = closed_form._delta_groups
+
+        def wrong_at_1500(m, k, l):
+            (core, count), interior, terminal = real(m, k, l)
+            return [(core + (m == 1500), count), interior, terminal]
+
+        monkeypatch.setattr(closed_form, "_delta_groups", wrong_at_1500)
+        d = GrowthDirection("M", k=2, l=3)
+        with pytest.raises(ConsistencyError, match="total degree"):
+            ratio_sequence(DSWL, d, self.STEPS)
+        assert len(ratio_sequence(DSWL, d, [t for t in self.STEPS if t != 1500])) == 1999
+
+    def test_weighted_distance_sums(self, monkeypatch):
+        # The within-leg sum at l = 1500 is l(l-1)(l+4)/6; one more in its
+        # numerator leaves a remainder that the quotient check must see.
+        real, l = closed_form._quotient, 1500
+        within_at_1500 = l * (l - 1) * (l + 4)
+
+        def wrong_at_1500(numerator, denominator, what):
+            return real(numerator + (numerator == within_at_1500), denominator, what)
+
+        monkeypatch.setattr(closed_form, "_quotient", wrong_at_1500)
+        d = GrowthDirection("L", m=2, k=1)
+        with pytest.raises(ConsistencyError, match="weighted distance sum"):
+            ratio_sequence(SWA, d, self.STEPS)
+        assert len(ratio_sequence(SWA, d, [t for t in self.STEPS if t != 1500])) == 1999
 
 
 class TestClassification:

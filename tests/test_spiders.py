@@ -142,7 +142,7 @@ class TestBuildSpider:
             build_spider(normalize(2, 2, 1))
 
     def test_pair_count_mismatch_raises(self, monkeypatch):
-        monkeypatch.setattr(spiders, "node_count", lambda p: 7)
+        monkeypatch.setattr(spiders, "node_count_at", lambda m, k, l: 7)
         with pytest.raises(ConsistencyError, match="pair count"):
             pair_count(normalize(2, 2, 1))
 
