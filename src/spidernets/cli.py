@@ -312,16 +312,17 @@ def _parse_steps(text: str) -> list[int]:
 
 
 def _write_ratio_csv(path: str, steps, points) -> None:
-    """One row per point; each pair (P, Q) reduced to lowest terms as p/q."""
+    """One row per point, each pair (P, Q) as p/q in lowest terms."""
     rows = ["step,N,numerator,lnN,ratio\n"]
-    for value, pt in zip(steps, points):
-        top, bottom = pt.pair
-        common = math.gcd(top, bottom)
-        rows.append(
-            f"{value},{_decimal(pt.n)},"
-            f"{_decimal(top // common)}/{_decimal(bottom // common)},"
-            f"{math.log(pt.n):.6g},{pt.ratio:.6g}\n"
-        )
+    try:
+        for value, (n, (top, bottom), ratio) in zip(steps, points):
+            common = math.gcd(top, bottom)
+            top, bottom = top // common, bottom // common
+            rows.append(f"{value},{n},{top}/{bottom},{math.log(n):.6g},{ratio:.6g}\n")
+    except ValueError:  # past the int-to-str digit limit: name the row's first such value
+        for big in (n, top, bottom):
+            _decimal(big)
+        raise
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(rows))
 

@@ -29,7 +29,9 @@ degree, the diameter and the total distance) are functions of the three
 ints (m, k, l), named ``..._at``, and so are ``spiders``' node, edge and
 pair counts; each function of a ``SpiderParams`` with the same name is a
 one-line adapter onto them.  A ratio sequence thus steps over ints and runs
-the same formulas and checks as a report.
+the same checks as a report: the largest degree is read off the checked
+degree pairs unsorted, and the total distance checks each of its six
+divisions and its halving inline.
 """
 
 from __future__ import annotations
@@ -53,11 +55,11 @@ def _check(condition: bool, message: str) -> None:
         raise ConsistencyError(message)
 
 
-def _groups(pairs) -> tuple[tuple[tuple[int, int], ...], int, int]:
-    """``value_groups`` of formula pairs, with the sums of count and of value * count.
+def _sums(pairs) -> tuple[int, int]:
+    """Sums of count and of value * count over formula pairs; a negative count is a formula error.
 
-    A negative count is a formula error.  Merging equal values changes
-    neither sum, so both are taken over the pairs in the same pass.
+    Merging equal values changes neither sum, so they are taken over the raw
+    pairs, before ``value_groups``.
     """
     count_sum = value_sum = 0
     for value, count in pairs:
@@ -65,12 +67,21 @@ def _groups(pairs) -> tuple[tuple[tuple[int, int], ...], int, int]:
             raise ConsistencyError("a multiplicity is negative")
         count_sum += count
         value_sum += value * count
-    return value_groups(pairs), count_sum, value_sum
+    return count_sum, value_sum
 
 
 def _delta_groups(m: int, k: int, l: int):
     """Degree multiset: core nodes, interior leg nodes, terminal leg nodes."""
     return [(m - 1 + k, m), (2, k * m * (l - 1)), (1, k * m)]
+
+
+def _checked_delta_groups(m: int, k: int, l: int):
+    """``_delta_groups`` of (m, k, l) after delta's three checks, as raw (degree, count) pairs."""
+    pairs = _delta_groups(m, k, l)
+    nodes, degree_sum = _sums(pairs)
+    _check(nodes == node_count_at(m, k, l), "degree groups miss nodes")
+    _check(degree_sum == 2 * edge_count_at(m, k, l), "total degree is not twice the edge count")
+    return pairs
 
 
 def delta_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
@@ -80,10 +91,7 @@ def delta_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
 
 def delta_groups_at(m: int, k: int, l: int) -> tuple[tuple[int, int], ...]:
     """``delta_groups`` of the spider (m, k, l)."""
-    groups, nodes, degree_sum = _groups(_delta_groups(m, k, l))
-    _check(nodes == node_count_at(m, k, l), "degree groups miss nodes")
-    _check(degree_sum == 2 * edge_count_at(m, k, l), "total degree is not twice the edge count")
-    return groups
+    return value_groups(_checked_delta_groups(m, k, l))
 
 
 def max_degree(p: SpiderParams) -> int:
@@ -92,8 +100,8 @@ def max_degree(p: SpiderParams) -> int:
 
 
 def max_degree_at(m: int, k: int, l: int) -> int:
-    """``max_degree`` of the spider (m, k, l)."""
-    return delta_groups_at(m, k, l)[0][0]
+    """``max_degree`` of the spider (m, k, l), read off the checked pairs without sorting them."""
+    return max(value for value, count in _checked_delta_groups(m, k, l) if count)
 
 
 def _gamma_groups(p: SpiderParams):
@@ -121,17 +129,16 @@ def _gamma_groups(p: SpiderParams):
 
 def gamma_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
     """Gamma multiset as non-increasing (value, count) groups, at most 5."""
-    groups, nodes, gamma_sum = _groups(_gamma_groups(p))
+    pairs = _gamma_groups(p)
+    nodes, gamma_sum = _sums(pairs)
     _check(nodes == node_count(p), "gamma groups miss nodes")
     # Summing gamma over nodes counts each degree once plus once per neighbor.
-    degree_square_sum = sum(
-        count * value * value for value, count in _delta_groups(p.m, p.k, p.l)
-    )
+    degree_square_sum = sum(count * value * value for value, count in _delta_groups(p.m, p.k, p.l))
     _check(
         gamma_sum == 2 * edge_count(p) + degree_square_sum,
         "gamma sum identity failed",
     )
-    return groups
+    return value_groups(pairs)
 
 
 def _alpha_lines(p: SpiderParams):
@@ -253,34 +260,16 @@ def average_degree_closed(p: SpiderParams) -> Fraction:
     return value
 
 
-def _weighted_distance_sums(l: int):
-    """Six distance-weighted pair counts inside and between legs.
-
-    In order: within one leg (distances 2..l weighted by occurrences); leg to
-    foreign core (distances 2..l+1); same-bundle leg pairs split into the
-    rising part (distances 2..l+1, multiplicity s-1) and the falling part
-    (distances l+2..2l, multiplicity 2l+1-s); cross-bundle leg pairs likewise
-    (distances 3..l+2 and l+3..2l+1, shifted by the extra core hop).
-    """
-    within = _quotient(l * (l - 1) * (l + 4), 6, "weighted distance sum")
-    foreign_core = _quotient(l * (l + 3), 2, "weighted distance sum")
-    same_rising = _quotient(l * (l + 1) * (l + 2), 3, "weighted distance sum")
-    same_falling = _quotient(2 * l * (l - 1) * (l + 1), 3, "weighted distance sum")
-    cross_rising = _quotient(l * (l + 1) * (2 * l + 7), 6, "weighted distance sum")
-    cross_falling = _quotient(l * (l - 1) * (4 * l + 7), 6, "weighted distance sum")
-    return within, foreign_core, same_rising, same_falling, cross_rising, cross_falling
-
-
-def _quotient(numerator: int, denominator: int, what: str) -> int:
-    """numerator / denominator, which a correct formula makes an integer.
-
-    The message is built only when the check fails: this runs several
-    times per step of a ratio sequence.
-    """
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ConsistencyError(f"{what} is not an integer")
-    return quotient
+def _weighted_distance_numerators(l: int):
+    """Six distance-weighted pair counts inside and between legs, times 6, 2, 3, 3, 6 and 6."""
+    return (
+        l * (l - 1) * (l + 4),  # within one leg: distances 2..l
+        l * (l + 3),  # leg to foreign core: 2..l+1
+        l * (l + 1) * (l + 2),  # same-bundle leg pairs rising: 2..l+1, multiplicity s-1
+        2 * l * (l - 1) * (l + 1),  # and falling: l+2..2l, multiplicity 2l+1-s
+        l * (l + 1) * (2 * l + 7),  # cross-bundle leg pairs, one core hop longer: 3..l+2
+        l * (l - 1) * (4 * l + 7),  # and l+3..2l+1
+    )
 
 
 def total_distance_closed(p: SpiderParams) -> int:
@@ -292,16 +281,26 @@ def total_distance_closed_at(m: int, k: int, l: int) -> int:
     """``total_distance_closed`` of the spider (m, k, l)."""
     if node_count_at(m, k, l) < 2:
         raise ValueError("total distance needs at least 2 nodes")
-    within, foreign, same_r, same_f, cross_r, cross_f = _weighted_distance_sums(l)
-    twice = (
+    within, foreign, same_r, same_f, cross_r, cross_f = _weighted_distance_numerators(l)
+    # Six remainders, each checked: one check on their sum would miss errors that cancel.
+    within, r1 = divmod(within, 6)
+    foreign, r2 = divmod(foreign, 2)
+    same_r, r3 = divmod(same_r, 3)
+    same_f, r4 = divmod(same_f, 3)
+    cross_r, r5 = divmod(cross_r, 6)
+    cross_f, r6 = divmod(cross_f, 6)
+    _check(not (r1 or r2 or r3 or r4 or r5 or r6), "weighted distance sum is not an integer")
+    total, odd = divmod(
         m * (m - 1)
         + 2 * m * k * l
         + 2 * k * m * within
         + 2 * k * m * (m - 1) * foreign
         + m * k * (k - 1) * (same_r + same_f)
-        + m * k * k * (m - 1) * (cross_r + cross_f)
+        + m * k * k * (m - 1) * (cross_r + cross_f),
+        2,
     )
-    return _quotient(twice, 2, "total distance")
+    _check(not odd, "total distance is not an integer")
+    return total
 
 
 def closed_form_report(p: SpiderParams) -> Indicators:

@@ -25,7 +25,9 @@ A ratio sequence keeps each indicator as the unreduced integer pair (P, Q)
 of its closed forms; it is reduced to lowest terms only for output.  It
 checks its steps once and then steps over plain ints: ``_INDICATOR_PAIRS``
 gives each notion's (P, Q) as closed forms of (m, k, l), evaluated at every
-step with every consistency check they make, and each step yields one
+step with every consistency check they make (DSWL's three degree checks;
+SWA's n >= 2, six divisibility checks, halving and pair-count expansion;
+none beyond the formulas for DSWA and SWD), and each step yields one
 ``RatioPoint`` named tuple.  ``classify`` reads the same table.
 """
 
@@ -175,17 +177,13 @@ def ratio_sequence(
 ) -> list[RatioPoint]:
     """Sample indicator / ln(n) at strictly increasing parameter values.
 
-    The steps are checked once: strictly increasing, then the first at least 1.
-    ``GrowthDirection`` has already checked the fixed slots, so every step
-    is then a valid normalized spider, as ``params_at`` would make it, and
-    each step evaluates the notion's closed forms straight from the three
-    ints (m, k, l), every consistency check included, with no
-    ``SpiderParams`` in between.  Each point keeps the closed forms' pair
-    (P, Q) as it comes and takes the ratio as P / Q / ln(n); int true
-    division is correctly rounded, so this equals
-    float(Fraction(P, Q)) / ln(n) bit for bit.  A growth direction's
-    spiders have at least 2 nodes, so every indicator is defined and
-    ln(n) > 0.
+    The steps are checked once: strictly increasing, the first at least 1.
+    ``GrowthDirection`` has checked the fixed slots, so each step is a valid
+    normalized spider, and the notion's closed forms run straight on its
+    ints (m, k, l), every consistency check included.  Each point keeps the
+    pair (P, Q) as it comes and takes P / Q / ln(n); int true division is
+    correctly rounded, so this equals float(Fraction(P, Q)) / ln(n) bit for
+    bit.  Every spider of a growth direction has n >= 2, so ln(n) > 0.
     """
     steps = list(steps)
     if any(a >= b for a, b in zip(steps, steps[1:])):
@@ -199,11 +197,12 @@ def ratio_sequence(
         steps if fixed is None else itertools.repeat(fixed)
         for fixed in (direction.m, direction.k, direction.l)
     )
+    make_point = tuple.__new__  # RatioPoint without its Python-level __new__, twice as fast
     points = []
     for m, k, l in zip(*slots):
         n = node_count_at(m, k, l)
         pair = indicator_pair(m, k, l)
-        points.append(RatioPoint(n, pair, pair[0] / pair[1] / log(n)))
+        points.append(make_point(RatioPoint, (n, pair, pair[0] / pair[1] / log(n))))
     return points
 
 

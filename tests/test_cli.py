@@ -319,6 +319,20 @@ def test_values_past_the_int_str_limit_are_a_resource_guard(capsys, tmp_path, in
     assert "set_int_max_str_digits" not in err
 
 
+def test_a_late_csv_row_past_the_int_str_limit_is_a_resource_guard(capsys, tmp_path, int_str_limit):
+    # the row at K = 1 fits; at K = 10**2200 the pair count has 4,401 digits,
+    # and that row alone must stop the whole file, named by its digit count
+    out_path = tmp_path / "cell.csv"
+    code, out, err = run(
+        capsys,
+        "asymptotics", "--notion", "SWA", "--vary", "K", "--fix", "M=2,L=1",
+        "--steps", "1,1" + "0" * 2200, "--out-csv", str(out_path),
+    )
+    assert (code, out, out_path.exists()) == (4, "", False)
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "a 4401-digit integer, past Python's limit of 4300 digits" in err
+
+
 class TestVerify:
     def test_small_grid_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--Mmax", "1", "--Kmax", "1", "--Lmax", "1")

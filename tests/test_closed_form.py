@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import _expand, _expand_runs, spider_params
 from spidernets import closed_form, graph_core
@@ -246,6 +247,26 @@ class TestGroupedForms:
             sums = (sum(alpha), sum(j * a for j, a in enumerate(alpha, start=1)))
             assert closed_form._run_sums(runs) == sums
             assert sums == (pair_count(p), total_distance_closed(p))
+
+    @given(
+        st.builds(
+            normalize,
+            st.integers(min_value=1, max_value=10**30),
+            st.integers(min_value=0, max_value=10**30),
+            st.integers(min_value=0, max_value=10**30),
+        )
+    )
+    def test_step_forms_match_the_grouped_forms_far_past_the_grid(self, p):
+        # A ratio step reads the largest degree off the raw checked pairs and
+        # divides the weighted distance sums inline; both must still equal the
+        # sorted groups and the distance frequencies' sum, which the oracle
+        # grid checks only up to m = 6, k = 4, l = 5.
+        m, k, l = p.m, p.k, p.l
+        assert closed_form.max_degree_at(m, k, l) == closed_form.delta_groups_at(m, k, l)[0][0]
+        if node_count(p) >= 2:
+            assert closed_form.total_distance_closed_at(m, k, l) == closed_form._run_sums(
+                alpha_runs(p)
+            )[1]
 
     def test_alpha_runs_stay_few_on_long_arrays(self):
         runs = alpha_runs(normalize(3, 16666, 2))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spidernets import closed_form, graph_core
+from spidernets import closed_form, graph_core, spiders
 from spidernets.closed_form import ConsistencyError
 from spidernets.small_world import (
     _INDICATOR_PAIRS,
@@ -161,25 +161,55 @@ class TestEveryCheckAtEveryStep:
             return [(core + (m == 1500), count), interior, terminal]
 
         monkeypatch.setattr(closed_form, "_delta_groups", wrong_at_1500)
-        d = GrowthDirection("M", k=2, l=3)
-        with pytest.raises(ConsistencyError, match="total degree"):
-            ratio_sequence(DSWL, d, self.STEPS)
-        assert len(ratio_sequence(DSWL, d, [t for t in self.STEPS if t != 1500])) == 1999
+        self.assert_caught_at_1500(DSWL, GrowthDirection("M", k=2, l=3), "total degree")
 
     def test_weighted_distance_sums(self, monkeypatch):
         # The within-leg sum at l = 1500 is l(l-1)(l+4)/6; one more in its
-        # numerator leaves a remainder that the quotient check must see.
-        real, l = closed_form._quotient, 1500
-        within_at_1500 = l * (l - 1) * (l + 4)
+        # numerator leaves a remainder that its own divisibility check must see.
+        real = closed_form._weighted_distance_numerators
 
-        def wrong_at_1500(numerator, denominator, what):
-            return real(numerator + (numerator == within_at_1500), denominator, what)
+        def wrong_at_1500(l):
+            within, *rest = real(l)
+            return (within + (l == 1500), *rest)
 
-        monkeypatch.setattr(closed_form, "_quotient", wrong_at_1500)
-        d = GrowthDirection("L", m=2, k=1)
-        with pytest.raises(ConsistencyError, match="weighted distance sum"):
-            ratio_sequence(SWA, d, self.STEPS)
-        assert len(ratio_sequence(SWA, d, [t for t in self.STEPS if t != 1500])) == 1999
+        monkeypatch.setattr(closed_form, "_weighted_distance_numerators", wrong_at_1500)
+        self.assert_caught_at_1500(SWA, GrowthDirection("L", m=2, k=1), "weighted distance sum")
+
+    def test_degree_group_node_total(self, monkeypatch):
+        real = closed_form._delta_groups
+
+        def wrong_at_1500(m, k, l):
+            core, (degree, count), terminal = real(m, k, l)
+            return [core, (degree, count + (m == 1500)), terminal]
+
+        monkeypatch.setattr(closed_form, "_delta_groups", wrong_at_1500)
+        self.assert_caught_at_1500(DSWL, GrowthDirection("M", k=2, l=3), "miss nodes")
+
+    def test_negative_multiplicity(self, monkeypatch):
+        real = closed_form._delta_groups
+
+        def wrong_at_1500(m, k, l):
+            # (7, 1) and (7, -1) leave the node total and degree sum as they were.
+            return real(m, k, l) + [(7, 1), (7, -1)] * (m == 1500)
+
+        monkeypatch.setattr(closed_form, "_delta_groups", wrong_at_1500)
+        self.assert_caught_at_1500(DSWL, GrowthDirection("M", k=2, l=3), "multiplicity is negative")
+
+    def test_pair_count_expansion(self, monkeypatch):
+        real = spiders.node_count_at
+
+        def wrong_at_1500(m, k, l):
+            return real(m, k, l) + (l == 1500)
+
+        # Of the SWA step, only pair_count_at looks the node count up in
+        # spiders; the other forms keep their own n, and the expansion differs.
+        monkeypatch.setattr(spiders, "node_count_at", wrong_at_1500)
+        self.assert_caught_at_1500(SWA, GrowthDirection("L", m=2, k=1), "pair count expansion")
+
+    def assert_caught_at_1500(self, notion, direction, match):
+        with pytest.raises(ConsistencyError, match=match):
+            ratio_sequence(notion, direction, self.STEPS)
+        assert len(ratio_sequence(notion, direction, [t for t in self.STEPS if t != 1500])) == 1999
 
 
 class TestClassification:
