@@ -15,7 +15,6 @@ or export that exits 4 prints nothing to stdout and writes no file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -257,17 +256,17 @@ def iter_grid(mmax: int, kmax: int, lmax: int, node_cap: int):
 
 def compare_point(p: spiders.SpiderParams) -> list[str]:
     """Mismatch descriptions between closed forms and the brute-force oracle, field by field."""
-    prefix = f"M={p.m} K={p.k} L={p.l}"
+    m, k, l = p
+    prefix = f"M={m} K={k} L={l}"
     try:
         closed = closed_form.closed_form_report(p)
     except closed_form.ConsistencyError as exc:
         return [f"{prefix} internal consistency: {exc}"]
     oracle = graph_core.all_indicators(spiders.build_spider(p))
     return [
-        f"{prefix} {field.name.replace('_', '-')}: "
-        f"closed={getattr(closed, field.name)} oracle={getattr(oracle, field.name)}"
-        for field in dataclasses.fields(closed)
-        if getattr(closed, field.name) != getattr(oracle, field.name)
+        f"{prefix} {name.replace('_', '-')}: closed={ours} oracle={theirs}"
+        for name, ours, theirs in zip(graph_core.Indicators._fields, closed, oracle)
+        if ours != theirs
     ]
 
 

@@ -86,7 +86,7 @@ def _checked_delta_groups(m: int, k: int, l: int):
 
 def delta_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
     """Degree multiset as non-increasing (degree, count) groups, at most 3."""
-    return delta_groups_at(p.m, p.k, p.l)
+    return delta_groups_at(*p)
 
 
 def delta_groups_at(m: int, k: int, l: int) -> tuple[tuple[int, int], ...]:
@@ -96,7 +96,7 @@ def delta_groups_at(m: int, k: int, l: int) -> tuple[tuple[int, int], ...]:
 
 def max_degree(p: SpiderParams) -> int:
     """Largest degree, without materializing the array."""
-    return max_degree_at(p.m, p.k, p.l)
+    return max_degree_at(*p)
 
 
 def max_degree_at(m: int, k: int, l: int) -> int:
@@ -111,7 +111,7 @@ def _gamma_groups(p: SpiderParams):
     node change character at l = 1 and l = 2, and interior degree-6 nodes
     only appear from l = 3 on.
     """
-    m, k, l = p.m, p.k, p.l
+    m, k, l = p
     if k == 0:
         return [(m * (m - 1), m)]
     if l == 1:
@@ -133,7 +133,7 @@ def gamma_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
     nodes, gamma_sum = _sums(pairs)
     _check(nodes == node_count(p), "gamma groups miss nodes")
     # Summing gamma over nodes counts each degree once plus once per neighbor.
-    degree_square_sum = sum(count * value * value for value, count in _delta_groups(p.m, p.k, p.l))
+    degree_square_sum = sum(count * value * value for value, count in _delta_groups(*p))
     _check(
         gamma_sum == 2 * edge_count(p) + degree_square_sum,
         "gamma sum identity failed",
@@ -152,7 +152,7 @@ def _alpha_lines(p: SpiderParams):
     L+2..2L+1, and zero beyond the diameter.  Ranges may be empty or reach
     past n-1, where they hold only zeros.
     """
-    m, k, l = p.m, p.k, p.l
+    m, k, l = p
     legs = k * m
     same = m * (k * (k - 1) // 2)
     cross = (m * (m - 1) // 2) * k * k
@@ -199,7 +199,7 @@ def _run_sums(runs) -> tuple[int, int]:
 
 def diameter_closed(p: SpiderParams) -> int:
     """Largest distance: terminal to terminal across the core in the general case."""
-    return diameter_closed_at(p.m, p.k, p.l)
+    return diameter_closed_at(*p)
 
 
 def diameter_closed_at(m: int, k: int, l: int) -> int:
@@ -218,7 +218,7 @@ def density_closed(p: SpiderParams) -> Fraction:
     n = node_count(p)
     if n < 2:
         raise ValueError("density needs at least 2 nodes")
-    m, k, l = p.m, p.k, p.l
+    m, k, l = p
     value = Fraction(2 * k * l + m - 1, m * (1 + k * l) ** 2 - (1 + k * l))
     _check(
         value == Fraction(2 * edge_count(p), n * (n - 1)),
@@ -234,7 +234,7 @@ def h_index_closed(p: SpiderParams) -> int:
 
 def _h_index_checked(p: SpiderParams, delta) -> int:
     """h-index by parameter regime, checked against the degree groups delta of p."""
-    m, k, l = p.m, p.k, p.l
+    m, k, l = p
     if k == 0:
         value = m - 1
     elif m > 1:
@@ -252,7 +252,8 @@ def _h_index_checked(p: SpiderParams, delta) -> int:
 
 def average_degree_closed(p: SpiderParams) -> Fraction:
     """Mean degree (m + 2kl - 1) / (1 + kl), exact."""
-    value = Fraction(p.m + 2 * p.k * p.l - 1, 1 + p.k * p.l)
+    m, k, l = p
+    value = Fraction(m + 2 * k * l - 1, 1 + k * l)
     _check(
         value == Fraction(2 * edge_count(p), node_count(p)),
         "average degree disagrees with edge count",
@@ -274,7 +275,7 @@ def _weighted_distance_numerators(l: int):
 
 def total_distance_closed(p: SpiderParams) -> int:
     """Exact total distance over unordered pairs."""
-    return total_distance_closed_at(p.m, p.k, p.l)
+    return total_distance_closed_at(*p)
 
 
 def total_distance_closed_at(m: int, k: int, l: int) -> int:

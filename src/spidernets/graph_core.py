@@ -19,13 +19,13 @@ it.  Density is an exact fraction, never a float, so cross-checks are exact
 equality.  All functions are pure and safe to call concurrently.
 
 ``all_indicators`` returns ``Indicators``, the one record of a graph's
-indicators, shared with ``closed_form``: degree and gamma multisets as
-merged (value, count) groups and alpha as canonical linear runs, so two
-records of the same graph are equal field by field whichever side computed
-them.  It reads the distance histogram only up to the diameter and sorts
-no array of length n.  The tests' references work on full arrays:
-``bfs_distances`` and ``all_pairs_distances`` (plain BFS), ``degree_array``,
-``gamma_array``, ``alpha_array`` and ``h_index``.
+indicators, a named tuple shared with ``closed_form``: degree and gamma
+multisets as merged (value, count) groups and alpha as canonical linear
+runs, so two records of the same graph are equal field by field whichever
+side computed them.  It reads the distance histogram only up to the
+diameter and sorts no array of length n.  The tests' references work on
+full arrays: ``bfs_distances`` and ``all_pairs_distances`` (plain BFS),
+``degree_array``, ``gamma_array``, ``alpha_array`` and ``h_index``.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import operator
 import sys
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 UNREACHABLE = -1
 # A depth histogram walked up a chain is an int up to 32 lanes and a
@@ -45,9 +45,11 @@ _SHORT_BITS = 64 * 31
 _LANE_ONE = (1).to_bytes(8, "big")
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected simple graph: node count plus a sorted neighbor tuple per node."""
+class Graph(NamedTuple):
+    """Undirected simple graph: node count plus a sorted neighbor tuple per node.
+
+    A named tuple of two fields, so ``len(g)`` is 2; the node count is ``g.n``.
+    """
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
@@ -57,8 +59,7 @@ class Graph:
         return sum(map(len, self.adjacency)) // 2
 
 
-@dataclass(frozen=True)
-class Indicators:
+class Indicators(NamedTuple):
     """The indicators of a connected graph with n >= 2, in canonical form.
 
     ``delta`` and ``gamma`` are the degree and gamma multisets as

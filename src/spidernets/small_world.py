@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -68,32 +67,44 @@ class SmallWorldNotion(Enum):
 DEGREE_NOTIONS = frozenset({SmallWorldNotion.DSWL, SmallWorldNotion.DSWA})
 
 
-@dataclass(frozen=True)
-class GrowthDirection:
+class _GrowthFields(NamedTuple):
+    varying: str
+    m: int | None
+    k: int | None
+    l: int | None
+
+
+class GrowthDirection(_GrowthFields):
     """One parameter grows without bound; the other two are held fixed.
 
     The varying slot is None; fixed slots must satisfy the general-case
     preconditions (m >= 2, k >= 1, l >= 1) so that the core degree and the
     terminal-to-terminal diameter formulas stay valid along the sequence.
+    A named tuple; ``_make``, ``_replace``, copying and unpickling check it too.
     """
 
-    varying: str
-    m: int | None = None
-    k: int | None = None
-    l: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.varying not in ("M", "K", "L"):
-            raise ValueError(f"varying must be M, K, or L, got {self.varying!r}")
-        fixed = {"M": self.m, "K": self.k, "L": self.l}
-        if fixed.pop(self.varying) is not None:
-            raise ValueError(f"varying parameter {self.varying} must not be fixed")
+    def __new__(
+        cls, varying: str, m: int | None = None, k: int | None = None, l: int | None = None
+    ):
+        if varying not in ("M", "K", "L"):
+            raise ValueError(f"varying must be M, K, or L, got {varying!r}")
+        fixed = {"M": m, "K": k, "L": l}
+        if fixed.pop(varying) is not None:
+            raise ValueError(f"varying parameter {varying} must not be fixed")
         minima = {"M": 2, "K": 1, "L": 1}
         for name, value in fixed.items():
             if value is None:
                 raise ValueError(f"fixed parameter {name} missing")
             if value < minima[name]:
                 raise ValueError(f"fixed {name} must be >= {minima[name]}, got {value}")
+        return super().__new__(cls, varying, m, k, l)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through ``__new__``, so ``_replace`` checks too; the inherited ``_make`` skips it."""
+        return cls(*iterable)
 
     def params_at(self, value: int) -> SpiderParams:
         """Substitute a concrete value into the varying slot.
@@ -138,8 +149,7 @@ class RatioPoint(NamedTuple):
     ratio: float
 
 
-@dataclass(frozen=True)
-class SmallWorldVerdict:
+class SmallWorldVerdict(NamedTuple):
     """Outcome of one limit test: whether the notion's ratio to ln(n) diverges.
 
     A ratio that does not diverge tends to 0, because every indicator is a

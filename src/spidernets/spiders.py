@@ -19,12 +19,13 @@ scheme, with no edge list, neighbor sets or sorting; tests pin it to
 sizes an export from (m, k, l) before anything is built, with
 ``decimal_digits``, which counts digits without making a string.  The node,
 edge and pair counts are functions of the three ints (``node_count_at`` and
-its kin); ``node_count(p)`` and the others adapt a ``SpiderParams``.
+its kin); ``node_count(p)`` and the others adapt a ``SpiderParams``, a
+named tuple of (m, k, l) that checks its values however it is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from spidernets.graph_core import Graph
 
@@ -35,23 +36,34 @@ class ConsistencyError(RuntimeError):
     """An internal counting identity failed; the formula is wrong."""
 
 
-@dataclass(frozen=True)
-class SpiderParams:
-    """Normalized spider parameters: core size m, legs per core node k, leg length l."""
-
+class _SpiderFields(NamedTuple):
     m: int
     k: int
     l: int
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"core size must be >= 1, got {self.m}")
-        if self.k < 0 or self.l < 0:
-            raise ValueError(f"leg count and length must be >= 0, got k={self.k} l={self.l}")
-        if (self.k == 0) != (self.l == 0):
-            raise ValueError(
-                f"k={self.k} l={self.l} not normalized: no legs means zero of both"
-            )
+
+class SpiderParams(_SpiderFields):
+    """Normalized spider parameters: core size m, legs per core node k, leg length l.
+
+    A named tuple, so ``m, k, l = p`` unpacks it.  Every way of making one,
+    ``_make``, ``_replace``, copying and unpickling included, checks it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, k: int, l: int):
+        if m < 1:
+            raise ValueError(f"core size must be >= 1, got {m}")
+        if k < 0 or l < 0:
+            raise ValueError(f"leg count and length must be >= 0, got k={k} l={l}")
+        if (k == 0) != (l == 0):
+            raise ValueError(f"k={k} l={l} not normalized: no legs means zero of both")
+        return super().__new__(cls, m, k, l)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through ``__new__``, so ``_replace`` checks too; the inherited ``_make`` skips it."""
+        return cls(*iterable)
 
 
 def normalize(m: int, k: int, l: int) -> SpiderParams:
@@ -66,7 +78,7 @@ def normalize(m: int, k: int, l: int) -> SpiderParams:
 
 
 def node_count(p: SpiderParams) -> int:
-    return node_count_at(p.m, p.k, p.l)
+    return node_count_at(*p)
 
 
 def node_count_at(m: int, k: int, l: int) -> int:
@@ -74,7 +86,7 @@ def node_count_at(m: int, k: int, l: int) -> int:
 
 
 def edge_count(p: SpiderParams) -> int:
-    return edge_count_at(p.m, p.k, p.l)
+    return edge_count_at(*p)
 
 
 def edge_count_at(m: int, k: int, l: int) -> int:
@@ -83,7 +95,7 @@ def edge_count_at(m: int, k: int, l: int) -> int:
 
 def pair_count(p: SpiderParams) -> int:
     """Number of unordered node pairs, n(n-1)/2."""
-    return pair_count_at(p.m, p.k, p.l)
+    return pair_count_at(*p)
 
 
 def pair_count_at(m: int, k: int, l: int) -> int:
@@ -108,7 +120,7 @@ def build_spider(p: SpiderParams) -> Graph:
     leg of length 1 to its core node.  Every tuple comes out sorted, so no
     edge list is made and nothing is sorted.
     """
-    m, k, l = p.m, p.k, p.l
+    m, k, l = p
     span = k * l  # leg nodes per core node
     core = tuple(range(m))
     # l = 0 only together with k = 0: the range of first leg nodes is empty.
@@ -213,6 +225,6 @@ def export_spider(p: SpiderParams, fmt: str) -> str:
     By the id scheme the m core nodes come first, then each leg's l nodes
     outward from the core, the last of them its terminal.
     """
-    m, k, l = p.m, p.k, p.l
+    m, k, l = p
     roles = ["core"] * m + (["leg"] * (l - 1) + ["terminal"]) * (m * k) if fmt == "dot" else None
     return export_graph(build_spider(p), fmt, roles)

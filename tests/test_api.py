@@ -1,7 +1,15 @@
-"""The package's exports: ``__all__`` lists exactly what ``__init__`` imports, once, in order."""
+"""The package's exports and imports.
+
+``__all__`` lists exactly what ``__init__`` imports, once, in order, and
+importing the command line loads neither ``dataclasses`` nor ``inspect``.
+"""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import spidernets
 
@@ -29,3 +37,22 @@ def test_all_equals_the_imported_names():
 def test_every_name_resolves():
     for name in spidernets.__all__:
         assert getattr(spidernets, name) is not None, name
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Only modules that importing spidernets.cli adds count, so a Python that
+    # loads them at start-up or with the modules the program does use passes.
+    probe = (
+        "import sys; import argparse, array, fractions, typing, enum; "
+        "before = set(sys.modules); import spidernets.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"

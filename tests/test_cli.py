@@ -432,6 +432,27 @@ class TestVerify:
         mismatches = [line for line in out.splitlines() if line.startswith("MISMATCH")]
         assert mismatches and all(" alpha: closed=" in line for line in mismatches)
 
+    def test_mismatch_lines_follow_the_record_field_order(self, capsys, monkeypatch):
+        def skewed(p):
+            return graph_core.Indicators(
+                ((9, 1),), ((8, 1),), ((1, 1, 7, 0),), Fraction(1, 7), 6, 5, 4
+            )
+
+        monkeypatch.setattr(closed_form, "closed_form_report", skewed)
+        assert run(capsys, "verify", "--Mmax", "2", "--Kmax", "0", "--Lmax", "0") == (
+            1,
+            "MISMATCH M=2 K=0 L=0 delta: closed=((9, 1),) oracle=((1, 2),)\n"
+            "MISMATCH M=2 K=0 L=0 gamma: closed=((8, 1),) oracle=((2, 2),)\n"
+            "MISMATCH M=2 K=0 L=0 alpha: closed=((1, 1, 7, 0),) oracle=((1, 1, 1, 0),)\n"
+            "MISMATCH M=2 K=0 L=0 density: closed=1/7 oracle=1\n"
+            "MISMATCH M=2 K=0 L=0 diameter: closed=6 oracle=1\n"
+            "MISMATCH M=2 K=0 L=0 h-index: closed=5 oracle=1\n"
+            "MISMATCH M=2 K=0 L=0 total-distance: closed=4 oracle=1\n"
+            "1 parameter points verified\n"
+            "7 mismatches found\n",
+            "",
+        )
+
     @settings(max_examples=50)
     @given(
         st.integers(min_value=0, max_value=7),

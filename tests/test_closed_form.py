@@ -176,7 +176,9 @@ class TestOracleEquivalence:
     @given(spider_params)
     def test_report_equals_oracle_record(self, p):
         if node_count(p) >= 2:
-            assert graph_core.all_indicators(build_spider(p)) == closed_form_report(p)
+            closed, oracle = closed_form_report(p), graph_core.all_indicators(build_spider(p))
+            assert type(closed) is type(oracle) is graph_core.Indicators
+            assert closed == oracle
 
 
 class TestIdentities:

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,19 @@ class TestGrowthDirection:
     def test_unknown_direction(self):
         with pytest.raises(ValueError):
             GrowthDirection("N", k=1, l=1)
+
+    def test_replace_and_make_are_checked(self):
+        d = GrowthDirection("M", k=1, l=1)
+        with pytest.raises(ValueError, match="fixed L must be >= 1, got 0"):
+            d._replace(l=0)
+        with pytest.raises(ValueError, match="varying parameter M must not be fixed"):
+            GrowthDirection._make(("M", 2, 1, 1))
+        assert d._replace(k=3) == GrowthDirection("M", k=3, l=1)
+
+    def test_copy_and_pickle_give_an_equal_record(self):
+        for d in CANONICAL_DIRECTIONS:
+            for twin in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+                assert type(twin) is GrowthDirection and twin == d
 
 
 def numerator(notion, p):
@@ -226,7 +240,7 @@ class TestClassification:
             assert far.ratio < near.ratio / 2
 
     def test_verdict_is_its_notion_and_divergence(self):
-        assert [f.name for f in dataclasses.fields(SmallWorldVerdict)] == ["notion", "diverges"]
+        assert list(SmallWorldVerdict._fields) == ["notion", "diverges"]
         for notion in SmallWorldNotion:
             degree = notion in (DSWL, DSWA)
             for diverges in (False, True):

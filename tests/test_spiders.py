@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -58,6 +61,21 @@ class TestNormalize:
     def test_unnormalized_ctor_rejected(self):
         with pytest.raises(ValueError):
             SpiderParams(3, 2, 0)
+
+    def test_replace_and_make_are_checked(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            normalize(2, 1, 1)._replace(k=0)
+        with pytest.raises(ValueError, match="core size must be >= 1, got 0"):
+            SpiderParams._make((0, 1, 1))
+        assert normalize(2, 1, 1)._replace(l=3) == SpiderParams(2, 1, 3)
+
+    def test_copy_and_pickle_give_an_equal_record(self):
+        p = normalize(2, 1, 1)
+        for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(twin) is SpiderParams and twin == p
+
+    def test_repr_names_the_fields(self):
+        assert repr(SpiderParams(2, 1, 1)) == "SpiderParams(m=2, k=1, l=1)"
 
 
 class TestCounts:
