@@ -2,7 +2,8 @@
 
 Output is deterministic (sorted edges, exact fractions as p/q, floats with 6
 significant digits) so files and stdout are stable across runs and suitable
-for golden-file comparison.
+for golden-file comparison.  Report rows and exports are made and written
+in chunks of bounded length, never as one string per row or per file.
 
 Exit codes: 0 ok, 1 verification mismatch (a closed form that disagrees with
 the oracle or fails its own consistency check), 2 usage error, 3 I/O failure,
@@ -52,23 +53,57 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def format_runs(groups) -> str:
-    """Each value of the (value, count) groups count times, space-separated, in group order."""
-    return "".join((str(v) + " ") * c for v, c in groups)[:-1]
+def _equal_chunks(value: int, count: int) -> list[str]:
+    """count entries of value, each followed by a space, as chunks.
+
+    Every full chunk holds as many whole entries as fit in
+    ``spiders._CHUNK`` characters (one, when an entry is longer) and is one
+    object repeated; one shorter chunk holds the rest.
+    """
+    unit = str(value) + " "
+    per = max(1, spiders._CHUNK // len(unit))
+    full, rest = divmod(count, per)
+    chunks = [unit * per] * full if full else []
+    if rest:
+        chunks.append(unit * rest)
+    return chunks
 
 
-def format_linear_runs(runs) -> str:
+def _row(chunks: list[str]) -> list[str]:
+    """The chunks of a row with the space after its last entry removed."""
+    if chunks:
+        chunks[-1] = chunks[-1][:-1]
+    return chunks
+
+
+def format_runs(groups) -> list[str]:
+    """Each value of the (value, count) groups count times, space-separated, in group order.
+
+    As chunks that join to the row text, each at most ``spiders._CHUNK``
+    characters or one entry.
+    """
+    return _row([chunk for value, count in groups for chunk in _equal_chunks(value, count)])
+
+
+def format_linear_runs(runs) -> list[str]:
     """The entries a + b*j of linear runs (first, last, a, b) at j = first..last, space-separated.
 
-    A run's entries are one range, or one repeated string when b is 0, so
-    no Python code runs per entry.
+    As chunks that join to the row text, each at most ``spiders._CHUNK``
+    characters or one entry.  A run with b = 0 is chunked as equal entries;
+    any other is joined from ranges of as many entries as its widest one
+    allows, so no Python code runs per entry.
     """
-    return "".join(
-        " ".join(map(str, range(a + b * first, a + b * (last + 1), b))) + " "
-        if b
-        else (str(a) + " ") * (last - first + 1)
-        for first, last, a, b in runs
-    )[:-1]
+    chunks = []
+    for first, last, a, b in runs:
+        if not b:
+            chunks += _equal_chunks(a, last - first + 1)
+            continue
+        width = spiders.decimal_digits(max(a + b * first, a + b * last)) + 1
+        per = max(1, spiders._CHUNK // width)
+        for j in range(first, last + 1, per):
+            end = min(j + per, last + 1)
+            chunks.append(" ".join(map(str, range(a + b * j, a + b * end, b))) + " ")
+    return _row(chunks)
 
 
 def _linear_run_chars(first: int, last: int, a: int, b: int) -> int:
@@ -133,27 +168,40 @@ def cmd_export(args) -> int:
             file=sys.stderr,
         )
         return EXIT_RESOURCE
-    text = spiders.export_spider(p, args.format)
+    chunks = spiders.export_spider(p, args.format)  # builds the graph before any file is opened
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return EXIT_OK
 
 
-def _rows(record: graph_core.Indicators, pairs: int) -> dict[str, str]:
-    """The report rows of an indicator record, for a graph with this many node pairs."""
+def _rows(record: graph_core.Indicators, pairs: int) -> dict[str, list[str]]:
+    """The report rows of an indicator record, as chunks, for a graph with this many node pairs.
+
+    Groups and runs are canonical (``value_groups``, ``linear_runs``) and
+    the chunks a function of them, so two rows are the same text exactly
+    when their chunk lists are equal.
+    """
     return {
         "delta": format_runs(record.delta),
         "gamma": format_runs(record.gamma),
         "alpha": format_linear_runs(record.alpha),
-        "density": format_fraction(record.density),
-        "diameter": str(record.diameter),
-        "h-index": str(record.h_index),
-        "neighboring-index": str(sum(v * c for v, c in record.gamma)),
-        "mean-distance": format_fraction(Fraction(record.total_distance, pairs)),
+        "density": [format_fraction(record.density)],
+        "diameter": [str(record.diameter)],
+        "h-index": [str(record.h_index)],
+        "neighboring-index": [str(sum(v * c for v, c in record.gamma))],
+        "mean-distance": [format_fraction(Fraction(record.total_distance, pairs))],
     }
+
+
+def _write_row(name: str, chunks: list[str], end: str = "\n") -> None:
+    """Write "name: ", the row's chunks one by one, then end."""
+    out = sys.stdout
+    out.write(f"{name}: ")
+    out.writelines(chunks)
+    out.write(end)
 
 
 def oracle_refusal(p: spiders.SpiderParams, cap: int) -> str | None:
@@ -182,7 +230,7 @@ def oracle_refusal(p: spiders.SpiderParams, cap: int) -> str | None:
 
 
 def cmd_report(args) -> int:
-    """Print a report; every row is computed before the first line is printed."""
+    """Print a report; every row is computed, as chunks, before the first line is printed."""
     p = spiders.normalize(args.m, args.k, args.l)
     if args.cap < 0:
         raise ValueError(f"--cap must be non-negative, got {args.cap}")
@@ -195,8 +243,8 @@ def cmd_report(args) -> int:
         _print_counts(p)
         print("single node: distance indicators are undefined")
         gamma = closed_form.gamma_groups(p)
-        print(f"delta: {format_runs(closed_form.delta_groups(p))}")
-        print(f"gamma: {format_runs(gamma)}")
+        _write_row("delta", format_runs(closed_form.delta_groups(p)))
+        _write_row("gamma", format_runs(gamma))
         print(f"diameter: {closed_form.diameter_closed(p)}")
         print(f"h-index: {closed_form.h_index_closed(p)}")
         print(f"neighboring-index: {sum(v * c for v, c in gamma)}")
@@ -218,13 +266,13 @@ def cmd_report(args) -> int:
         rows.append(_rows(oracle, pairs))
     _print_counts(p)
     mismatches = 0
-    for name, value in rows[0].items():
+    for name, chunks in rows[0].items():
         if len(rows) == 2:
-            match = value == rows[1][name]
+            match = chunks == rows[1][name]
             mismatches += not match
-            print(f"{name}: {value}  [{'MATCH' if match else 'MISMATCH'}]")
+            _write_row(name, chunks, f"  [{'MATCH' if match else 'MISMATCH'}]\n")
         else:
-            print(f"{name}: {value}")
+            _write_row(name, chunks)
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 

@@ -15,7 +15,8 @@ Position p = 1 touches the core; position p = l is the leg's terminal node.
 
 ``build_spider`` fills each node's sorted neighbor tuple straight from this
 scheme, with no edge list, neighbor sets or sorting; tests pin it to
-``graph_core.build_graph`` on the scheme's edge list.  ``export_size``
+``graph_core.build_graph`` on the scheme's edge list.  ``export_graph``
+serializes a graph lazily, as chunks of whole lines.  ``export_size``
 sizes an export from (m, k, l) before anything is built, with
 ``decimal_digits``, which counts digits without making a string.  The node,
 edge and pair counts are functions of the three ints (``node_count_at`` and
@@ -25,11 +26,15 @@ named tuple of (m, k, l) that checks its values however it is made.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from spidernets.graph_core import Graph
 
 EXPORT_FORMATS = ("edge-list", "dot", "adjacency-csv")
+# Characters in one chunk of an export or of a report row (cli): both are
+# made and written as such chunks, never as one string.
+_CHUNK = 2**16
 
 
 class ConsistencyError(RuntimeError):
@@ -144,44 +149,52 @@ def build_spider(p: SpiderParams) -> Graph:
     return g
 
 
-def export_graph(g: Graph, fmt: str, roles=None) -> str:
-    """Serialize a graph deterministically.
+def export_graph(g: Graph, fmt: str, roles=None):
+    """Serialize a graph deterministically, as an iterator of text chunks.
 
     Formats: "edge-list" ("u v" per line with u < v, sorted), "dot"
     (undirected block, node role attributes when roles are given), and
-    "adjacency-csv" (n rows of comma-separated 0/1, no header).
+    "adjacency-csv" (n rows of comma-separated 0/1, no header).  Each chunk
+    is whole lines, as many as fit in _CHUNK characters at the longest
+    line's length, or one line when that is longer; joined, the chunks are
+    the file.  An unknown format is rejected before the first chunk.
     """
+    width = decimal_digits(max(g.n - 1, 0))
     if fmt == "edge-list":
-        lines = [
-            f"{u} {v}"
-            for u in range(g.n)
-            for v in g.adjacency[u]
-            if u < v
-        ]
-        return "".join(line + "\n" for line in lines)
-    if fmt == "dot":
-        out = ["graph spider {"]
-        for u in range(g.n):
-            if roles is not None:
-                out.append(f'  {u} [role="{roles[u]}"];')
-            else:
-                out.append(f"  {u};")
-        for u in range(g.n):
-            for v in g.adjacency[u]:
-                if u < v:
-                    out.append(f"  {u} -- {v};")
-        out.append("}")
-        return "".join(line + "\n" for line in out)
-    if fmt == "adjacency-csv":
-        zeros = ["0"] * g.n
-        rows = []
-        for nbrs in g.adjacency:
-            cells = zeros.copy()
-            for v in nbrs:
-                cells[v] = "1"
-            rows.append(",".join(cells))
-        return "".join(row + "\n" for row in rows)
-    raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
+        lines = (f"{u} {v}\n" for u in range(g.n) for v in g.adjacency[u] if u < v)
+        longest = 2 * width + 2
+    elif fmt == "dot":
+        if roles is None:
+            nodes, role_width = (f"  {u};\n" for u in range(g.n)), 0
+        else:
+            nodes = (f'  {u} [role="{roles[u]}"];\n' for u in range(g.n))
+            role_width = max(map(len, roles), default=0)
+        edges = (f"  {u} -- {v};\n" for u in range(g.n) for v in g.adjacency[u] if u < v)
+        lines = itertools.chain(["graph spider {\n"], nodes, edges, ["}\n"])
+        longest = 2 * width + 14 + role_width  # '  u [role="r"];\n' or "  u -- v;\n"
+    elif fmt == "adjacency-csv":
+        lines = _adjacency_rows(g)
+        longest = 2 * g.n
+    else:
+        raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
+    return _chunks(lines, max(1, _CHUNK // max(1, longest)))
+
+
+def _adjacency_rows(g: Graph):
+    """The 0/1 adjacency matrix of g, one comma-separated row per node, each ending in a newline."""
+    zeros = ["0"] * g.n
+    for nbrs in g.adjacency:
+        cells = zeros.copy()
+        for v in nbrs:
+            cells[v] = "1"
+        yield ",".join(cells) + "\n"
+
+
+def _chunks(lines, per: int):
+    """Consecutive lines joined into chunks of per lines each, the last one possibly shorter."""
+    lines = iter(lines)
+    while chunk := "".join(itertools.islice(lines, per)):
+        yield chunk
 
 
 def decimal_digits(value: int) -> int:
@@ -199,7 +212,7 @@ def decimal_digits(value: int) -> int:
 
 
 def export_size(p: SpiderParams, fmt: str) -> int:
-    """Characters of ``export_spider(p, fmt)``, counted from (m, k, l) before anything is built.
+    """Characters of the export of p in fmt, counted from (m, k, l) before anything is built.
 
     Exact for "adjacency-csv": n rows of n digits, each followed by a comma
     or a newline.  For "edge-list" and "dot" an upper bound that writes
@@ -219,8 +232,8 @@ def export_size(p: SpiderParams, fmt: str) -> int:
     raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
 
 
-def export_spider(p: SpiderParams, fmt: str) -> str:
-    """Build and serialize a spider, attaching roles for the dot format.
+def export_spider(p: SpiderParams, fmt: str):
+    """Build a spider now and serialize it lazily, as ``export_graph``'s chunks, with roles for dot.
 
     By the id scheme the m core nodes come first, then each leg's l nodes
     outward from the core, the last of them its terminal.

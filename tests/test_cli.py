@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import sys
 import tracemalloc
@@ -47,6 +49,18 @@ class TestGenerate:
         assert code == 0
         assert out_path.read_text() == "0 1\n"
         assert out == ""
+
+    def test_failed_build_writes_no_file(self, capsys, monkeypatch, tmp_path):
+        def exhausted(p):
+            raise MemoryError
+
+        monkeypatch.setattr(spiders, "build_spider", exhausted)
+        out_path = tmp_path / "h.edges"
+        code, out, err = run(
+            capsys, "export", "-M", "2", "-K", "2", "-L", "1", "--out", str(out_path)
+        )
+        assert (code, out, out_path.exists()) == (4, "", False)
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_unwritable_path(self, capsys, tmp_path):
         code, _, err = run(
@@ -241,7 +255,7 @@ runs = st.lists(
 @example([(5, 0), (3, 2)])
 @example([(4, 1), (4, 2), (1, 0)])
 def test_run_formatter_matches_expanded_array(groups):
-    assert cli.format_runs(groups) == format_array(_expand(groups))
+    assert "".join(cli.format_runs(groups)) == format_array(_expand(groups))
 
 
 @st.composite
@@ -265,9 +279,76 @@ def linear_runs(draw):
 @example([(1, 40, 43 * 10**59, -(10**59))])
 @example([(1, 30, 7 * 10**45 + 3, 10**50 + 1), (31, 60, 10**52 + 12345, -(10**50) + 7)])
 def test_linear_run_formatter_and_size(runs):
-    text = cli.format_linear_runs(runs)
+    text = "".join(cli.format_linear_runs(runs))
     assert text == format_array(_expand_runs(runs))
     assert sum(cli._linear_run_chars(*run) for run in runs) == len(text) + bool(runs)
+
+
+@given(runs, linear_runs())
+@example([(7, 100_000)], [(1, 100_000, 3, 7)])
+@example(
+    [(123_456, 9000), (5, 0), (3, 70_000)],
+    [(1, 30_000, 10**9 + 30_000, -1), (30_001, 30_002, 0, 0)],
+)
+@example([(10**40, 3000)], [(1, 5000, 10**45, 10**40), (5001, 9000, 10**20, 0)])
+def test_row_chunks_join_to_the_row_and_stay_bounded(groups, runs):
+    for chunks, values in [
+        (cli.format_runs(groups), _expand(groups)),
+        (cli.format_linear_runs(runs), _expand_runs(runs)),
+    ]:
+        assert "".join(chunks) == format_array(values)
+        bound = max(spiders._CHUNK, max((len(str(v)) for v in values), default=0) + 1)
+        assert all(len(chunk) <= bound for chunk in chunks)
+
+
+@pytest.fixture
+def no_int_str_limit():
+    """No limit on int-to-str conversion, then the old limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_entries_longer_than_a_chunk_are_one_chunk_each(no_int_str_limit):
+    value = 10**spiders._CHUNK
+    chunks = cli.format_runs([(value, 3)]) + cli.format_linear_runs([(1, 3, value, 1)])
+    digits = spiders._CHUNK + 1
+    assert [len(chunk) for chunk in chunks] == [digits + 1, digits + 1, digits] * 2
+
+
+def test_repeated_entries_share_one_chunk_object():
+    chunks = cli.format_runs([(7, 100_000)])
+    per = spiders._CHUNK // 2
+    assert len(chunks) == 100_000 // per + 1
+    assert chunks[0] == "7 " * per and len({id(chunk) for chunk in chunks[:-1]}) == 1
+    assert chunks[-1] == "7 " * (100_000 % per - 1) + "7"
+
+
+class _CharCount(io.TextIOBase):
+    """A text sink that keeps only the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def test_closed_report_writes_a_million_node_report_in_bounded_memory():
+    sink = _CharCount()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(["report", "--source", "closed", "-M", "3", "-K", "1042", "-L", "320"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.chars) == (0, 6_016_852)
+    assert peak < 2 * 2**20
 
 
 @given(spider_params)
@@ -276,7 +357,7 @@ def test_array_row_chars_counts_the_printed_rows(p):
         report = closed_form.closed_form_report(p)
         rows = cli._rows(report, spiders.pair_count(p))
         assert cli.array_row_chars(report) == sum(
-            len(rows[name]) + 1 for name in ("delta", "gamma", "alpha")
+            len("".join(rows[name])) + 1 for name in ("delta", "gamma", "alpha")
         )
 
 

@@ -26,6 +26,11 @@ from spidernets.spiders import (
 DEFAULT_GRID = cli.iter_grid(8, 5, 6, 2000)
 
 
+def export_text(p, fmt):
+    """The export of a spider as one string, its chunks joined."""
+    return "".join(export_spider(p, fmt))
+
+
 def scheme_edges(p):
     """The spider's edges written out from the documented id scheme."""
     m, k, l = p.m, p.k, p.l
@@ -173,32 +178,32 @@ def dot_role(text, node):
 class TestLabels:
     def test_core_block_comes_first(self):
         # node 3 is position 1 of leg 0 of core node 0
-        text = export_spider(normalize(3, 2, 2), "dot")
+        text = export_text(normalize(3, 2, 2), "dot")
         assert (dot_role(text, 2), dot_role(text, 3)) == ("core", "leg")
         assert "\n  0 -- 3;\n" in text
 
     def test_roles(self):
-        text = export_spider(normalize(2, 1, 2), "dot")
+        text = export_text(normalize(2, 1, 2), "dot")
         assert dot_role(text, 0) == "core"
         assert dot_role(text, 2) == "leg"
         assert dot_role(text, 3) == "terminal"
 
     def test_length_one_legs_are_terminal(self):
-        text = export_spider(normalize(2, 2, 1), "dot")
+        text = export_text(normalize(2, 2, 1), "dot")
         assert all(dot_role(text, u) == "terminal" for u in range(2, 6))
 
 
 class TestExport:
     def test_edge_list_single_segment(self):
-        assert export_spider(normalize(1, 1, 1), "edge-list") == "0 1\n"
+        assert export_text(normalize(1, 1, 1), "edge-list") == "0 1\n"
 
     def test_edge_list_complete(self):
-        text = export_spider(normalize(4, 0, 0), "edge-list")
+        text = export_text(normalize(4, 0, 0), "edge-list")
         assert text.splitlines() == ["0 1", "0 2", "0 3", "1 2", "1 3", "2 3"]
 
     def test_adjacency_csv_h_graph(self):
         rows = [
-            line.split(",") for line in export_spider(normalize(2, 2, 1), "adjacency-csv").splitlines()
+            line.split(",") for line in export_text(normalize(2, 2, 1), "adjacency-csv").splitlines()
         ]
         assert len(rows) == 6 and all(len(r) == 6 for r in rows)
         assert sum(value == "1" for row in rows for value in row) == 10
@@ -215,15 +220,31 @@ class TestExport:
             for u in range(g.n):
                 nbrs = set(g.adjacency[u])
                 rows.append(",".join("1" if v in nbrs else "0" for v in range(g.n)))
-            assert export_graph(g, "adjacency-csv") == "".join(row + "\n" for row in rows)
+            assert "".join(export_graph(g, "adjacency-csv")) == "".join(row + "\n" for row in rows)
 
     def test_dot_roles(self):
-        text = export_spider(normalize(1, 1, 3), "dot")
+        text = export_text(normalize(1, 1, 3), "dot")
         assert text.startswith("graph spider {\n")
         assert '0 [role="core"];' in text
         assert text.count('role="leg"') == 2
         assert text.count('role="terminal"') == 1
         assert "2 -- 3;" in text
+
+    @pytest.mark.parametrize(
+        "shape,fmt",
+        [(shape, fmt) for shape in [(1, 0, 0), (3, 2, 2), (150, 0, 0), (1, 1, 999)]
+         for fmt in spiders.EXPORT_FORMATS]
+        + [((3, 4, 2000), "edge-list"), ((3, 4, 2000), "dot")],
+    )
+    def test_chunks_are_whole_lines_within_the_bound(self, shape, fmt):
+        p = normalize(*shape)
+        chunks = list(export_spider(p, fmt))
+        text = "".join(chunks)
+        longest = max(map(len, text.splitlines(keepends=True)), default=0)
+        assert all(chunk.endswith("\n") for chunk in chunks)
+        assert all(len(chunk) <= max(spiders._CHUNK, longest) for chunk in chunks)
+        # lines are batched, not written one by one
+        assert len(chunks) <= 1 + 4 * len(text) // spiders._CHUNK
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -231,18 +252,18 @@ class TestExport:
 
     def test_deterministic(self):
         p = normalize(3, 2, 2)
-        assert export_spider(p, "edge-list") == export_spider(p, "edge-list")
-        assert export_spider(p, "dot") == export_spider(p, "dot")
+        assert export_text(p, "edge-list") == export_text(p, "edge-list")
+        assert export_text(p, "dot") == export_text(p, "dot")
 
     def test_size_is_exact_for_adjacency_csv(self):
         for p in DEFAULT_GRID + [normalize(1, 0, 0)]:
-            assert export_size(p, "adjacency-csv") == len(export_spider(p, "adjacency-csv"))
+            assert export_size(p, "adjacency-csv") == len(export_text(p, "adjacency-csv"))
 
     @pytest.mark.parametrize("fmt", ["edge-list", "dot"])
     def test_size_bounds_the_export_within_twice(self, fmt):
         shapes = [(1, 0, 0), (1, 10, 1), (1, 100, 1), (100, 0, 0), (1, 1, 3999), (1, 19999, 1)]
         for p in DEFAULT_GRID + [normalize(*shape) for shape in shapes]:
-            true = len(export_spider(p, fmt))
+            true = len(export_text(p, fmt))
             assert true <= export_size(p, fmt) <= 2 * true
 
     @given(st.integers(min_value=0, max_value=10**4000))
@@ -259,5 +280,5 @@ class TestExport:
 
     def test_single_node_exports(self):
         p = normalize(1, 0, 0)
-        assert export_spider(p, "edge-list") == ""
-        assert export_spider(p, "adjacency-csv") == "0\n"
+        assert export_text(p, "edge-list") == ""
+        assert export_text(p, "adjacency-csv") == "0\n"
