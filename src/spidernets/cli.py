@@ -338,40 +338,88 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _parse_int(text: str, error: str) -> int:
+    """int(text), or ValueError(error) when text is not an integer.
+
+    Digits past Python's limit on int-string conversion keep int's own error.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        if (body[1:] if body[:1] in "+-" else body).isdecimal():
+            raise
+        raise ValueError(error) from None
+
+
 def _parse_fix(text: str | None) -> dict[str, int]:
     """``--fix`` as keyword arguments of ``GrowthDirection``: {"k": 1, "l": 1} for K=1,L=1."""
     fixed = {}
     for part in text.split(",") if text else ():
         name, _, raw = part.partition("=")
         name = name.strip().lower()
+        error = f"cannot parse fixed parameter {part!r}; expected e.g. K=1"
         if name not in ("m", "k", "l") or not raw.strip():
-            raise ValueError(f"cannot parse fixed parameter {part!r}; expected e.g. K=1")
+            raise ValueError(error)
         if name in fixed:
             raise ValueError(f"fixed parameter {name.upper()} given more than once")
-        fixed[name] = int(raw)
+        fixed[name] = _parse_int(raw, error)
     return fixed
 
 
 def _parse_steps(text: str) -> list[int]:
     if not text.strip():
         raise ValueError("--steps needs at least one value")
-    return [int(s) for s in text.split(",")]
+    entries = text.split(",")
+    try:
+        return list(map(int, entries))
+    except ValueError:  # name the first entry that is not an integer
+        for entry in entries:
+            _parse_int(entry, f"--steps entry {entry!r} is not an integer")
+        raise
+
+
+_RATIO_ROW = "%d,%d,%d/%d,%.6g,%.6g\n"
+# Rows per % call: bounds the value list, the repeated pattern and each block's text.
+_RATIO_BLOCK = 4096
+
+
+def _ratio_rows(values: list) -> str:
+    """The rows of a block of six values per row, formatted by one % call.
+
+    Past the int-to-str digit limit, the first of n, p and q, row by row,
+    that cannot be written is named by ``_decimal``'s OverflowError.
+    """
+    try:
+        return _RATIO_ROW * (len(values) // 6) % tuple(values)
+    except ValueError:
+        for row in range(0, len(values), 6):
+            for big in values[row + 1 : row + 4]:
+                _decimal(big)
+        raise
 
 
 def _write_ratio_csv(path: str, steps, points) -> None:
-    """One row per point, each pair (P, Q) as p/q in lowest terms."""
-    rows = ["step,N,numerator,lnN,ratio\n"]
-    try:
-        for value, (n, (top, bottom), ratio) in zip(steps, points):
-            common = math.gcd(top, bottom)
-            top, bottom = top // common, bottom // common
-            rows.append(f"{value},{n},{top}/{bottom},{math.log(n):.6g},{ratio:.6g}\n")
-    except ValueError:  # past the int-to-str digit limit: name the row's first such value
-        for big in (n, top, bottom):
-            _decimal(big)
-        raise
+    """One row per point, each pair (P, Q) as p/q in lowest terms.
+
+    Each row's six values, the step, n, p, q, the point's ln(n) and its
+    ratio, are collected for a block of ``_RATIO_BLOCK`` rows, and the
+    block is formatted by one % call; %d and %.6g give the text of str and
+    format(x, ".6g").  Every block is formatted before the file is opened,
+    so a row past the int-to-str digit limit writes no file; the first of
+    its n, p and q that is past the limit is named, as ``_decimal`` names it.
+    """
+    blocks, values, gcd = ["step,N,numerator,lnN,ratio\n"], [], math.gcd
+    for step, (n, (top, bottom), ratio, log_n) in zip(steps, points):
+        common = gcd(top, bottom)
+        values += step, n, top // common, bottom // common, log_n, ratio
+        if len(values) == 6 * _RATIO_BLOCK:
+            blocks.append(_ratio_rows(values))
+            values = []
+    if values:
+        blocks.append(_ratio_rows(values))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(rows))
+        fh.writelines(blocks)
 
 
 def cmd_asymptotics(args) -> int:

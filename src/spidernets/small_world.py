@@ -28,13 +28,16 @@ gives each notion's (P, Q) as closed forms of (m, k, l), evaluated at every
 step with every consistency check they make (DSWL's three degree checks;
 SWA's n >= 2, six divisibility checks, halving and pair-count expansion;
 none beyond the formulas for DSWA and SWD), and each step yields one
-``RatioPoint`` named tuple.  ``classify`` reads the same table.
+``RatioPoint`` named tuple.  A point carries ln(n), taken once per step for
+its ratio, as ``log_n``, so the ratio CSV writes it without a second
+logarithm.  ``classify`` reads the same table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from enum import Enum
 from typing import NamedTuple
 
@@ -140,13 +143,15 @@ class RatioPoint(NamedTuple):
     """One sample along a growth direction: the exact indicator and its ratio to ln(n).
 
     ``pair`` is the indicator as the unreduced integer ratio (P, Q) of its
-    closed forms.  A named tuple, so it is immutable and cheap to make once
-    per step.
+    closed forms, and ``log_n`` is math.log(n), the float that ``ratio`` =
+    P / Q / ``log_n`` divides by.  A named tuple, so it is immutable and
+    cheap to make once per step.
     """
 
     n: int
     pair: tuple[int, int]
     ratio: float
+    log_n: float
 
 
 class SmallWorldVerdict(NamedTuple):
@@ -191,12 +196,13 @@ def ratio_sequence(
     ``GrowthDirection`` has checked the fixed slots, so each step is a valid
     normalized spider, and the notion's closed forms run straight on its
     ints (m, k, l), every consistency check included.  Each point keeps the
-    pair (P, Q) as it comes and takes P / Q / ln(n); int true division is
-    correctly rounded, so this equals float(Fraction(P, Q)) / ln(n) bit for
-    bit.  Every spider of a growth direction has n >= 2, so ln(n) > 0.
+    pair (P, Q) as it comes and ln(n), taken once, and its ratio is
+    P / Q / ln(n); int true division is correctly rounded, so this equals
+    float(Fraction(P, Q)) / ln(n) bit for bit.  Every spider of a growth
+    direction has n >= 2, so ln(n) > 0.
     """
     steps = list(steps)
-    if any(a >= b for a, b in zip(steps, steps[1:])):
+    if not all(map(operator.lt, steps, steps[1:])):
         raise ValueError("steps must be strictly increasing")
     if steps and steps[0] < 1:
         raise ValueError(f"parameter value must be >= 1, got {steps[0]}")
@@ -212,7 +218,8 @@ def ratio_sequence(
     for m, k, l in zip(*slots):
         n = node_count_at(m, k, l)
         pair = indicator_pair(m, k, l)
-        points.append(make_point(RatioPoint, (n, pair, pair[0] / pair[1] / log(n))))
+        log_n = log(n)
+        points.append(make_point(RatioPoint, (n, pair, pair[0] / pair[1] / log_n, log_n)))
     return points
 
 

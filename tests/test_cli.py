@@ -568,6 +568,62 @@ class TestVerify:
         assert len(cli.iter_grid(*bounds, 50)) == count
 
 
+def _per_row_ratio_csv(steps, points) -> str:
+    """A ratio CSV as one f-string per row, the writer's text before it formatted blocks."""
+    rows = ["step,N,numerator,lnN,ratio\n"]
+    for step, (n, (top, bottom), ratio, log_n) in zip(steps, points):
+        common = math.gcd(top, bottom)
+        rows.append(f"{step},{n},{top // common}/{bottom // common},{log_n:.6g},{ratio:.6g}\n")
+    return "".join(rows)
+
+
+_BIG = st.integers(min_value=1, max_value=10**300)
+
+
+@st.composite
+def _ratio_points(draw):
+    """Rows of the writer: steps, node counts, pairs that share factors, any two doubles."""
+    points = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        common, top, bottom = draw(_BIG), draw(st.integers(0, 10**300)), draw(_BIG)
+        pair, ratio, log_n = (common * top, common * bottom), draw(st.floats()), draw(st.floats())
+        points.append(small_world.RatioPoint(draw(_BIG), pair, ratio, log_n))
+    return draw(st.lists(_BIG, min_size=len(points), max_size=len(points))), points
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ratio_points(), st.integers(min_value=1, max_value=5))
+@example(([1, 2], [small_world.RatioPoint(2, (6, 4), -0.0, 5e-324)] * 2), 1)
+@example(([7], [small_world.RatioPoint(3, (0, 9), math.inf, math.nan)]), 4096)
+def test_ratio_csv_equals_the_per_row_text(tmp_path_factory, rows, block):
+    steps, points = rows
+    path = tmp_path_factory.getbasetemp() / "ratio-property.csv"
+    with mock.patch.object(cli, "_RATIO_BLOCK", block):
+        cli._write_ratio_csv(str(path), steps, points)
+    assert path.read_bytes() == _per_row_ratio_csv(steps, points).encode()
+
+
+def test_ratio_csv_of_more_rows_than_a_block(tmp_path):
+    steps = list(range(1, 2 * cli._RATIO_BLOCK + 2))
+    direction = small_world.GrowthDirection("L", m=3, k=2)
+    points = small_world.ratio_sequence(small_world.SmallWorldNotion.SWA, direction, steps)
+    cli._write_ratio_csv(str(tmp_path / "cell.csv"), steps, points)
+    assert (tmp_path / "cell.csv").read_text() == _per_row_ratio_csv(steps, points)
+
+
+def test_a_csv_row_past_the_int_str_limit_in_a_later_block(capsys, tmp_path, int_str_limit):
+    # with one row per block, the first block is formatted before the second fails
+    out_path = tmp_path / "cell.csv"
+    with mock.patch.object(cli, "_RATIO_BLOCK", 1):
+        code, out, err = run(
+            capsys,
+            "asymptotics", "--notion", "SWA", "--vary", "K", "--fix", "M=2,L=1",
+            "--steps", "1,2,1" + "0" * 2200, "--out-csv", str(out_path),
+        )
+    assert (code, out, out_path.exists()) == (4, "", False)
+    assert err.count("\n") == 1 and "a 4401-digit integer, past Python's limit" in err
+
+
 class TestAsymptotics:
     def test_single_cell_verdict(self, capsys):
         code, out, _ = run(
@@ -620,20 +676,27 @@ class TestAsymptotics:
     def test_csv_computes_each_numerator_once(self, capsys, monkeypatch, tmp_path):
         notion = small_world.SmallWorldNotion.SWA
         real_pair, real_classify = small_world._INDICATOR_PAIRS[notion], small_world.classify
-        calls = {"all": 0, "classify": 0}
+        real_log = math.log
+        calls = {"all": 0, "classify": 0, "log": 0, "classify log": 0}
 
         def counting_pair(m, k, l):
             calls["all"] += 1
             return real_pair(m, k, l)
 
+        def counting_log(x):
+            calls["log"] += 1
+            return real_log(x)
+
         def counting_classify(notion, direction):
-            before = calls["all"]
+            before, logs_before = calls["all"], calls["log"]
             verdict = real_classify(notion, direction)
             calls["classify"] += calls["all"] - before
+            calls["classify log"] += calls["log"] - logs_before
             return verdict
 
         monkeypatch.setitem(small_world._INDICATOR_PAIRS, notion, counting_pair)
         monkeypatch.setattr(small_world, "classify", counting_classify)
+        monkeypatch.setattr(math, "log", counting_log)
         steps = ",".join(str(s) for s in range(1, 51))
         code, _, _ = run(
             capsys,
@@ -643,6 +706,8 @@ class TestAsymptotics:
         assert code == 0
         assert calls["classify"] > 0
         assert calls["all"] - calls["classify"] == 50
+        # one ln(n) per step, for the ratio; the CSV reuses it
+        assert calls["log"] - calls["classify log"] == 50
 
     @pytest.mark.parametrize("notion", list(small_world.SmallWorldNotion))
     @pytest.mark.parametrize("vary", ["M", "K", "L"])
@@ -750,6 +815,38 @@ class TestAsymptotics:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not csv_path.exists()
+
+    @pytest.mark.parametrize("entry", ["", "x", "2.5", "1e3"])
+    def test_steps_entry_not_an_integer(self, capsys, tmp_path, entry):
+        csv_path = tmp_path / "ratios.csv"
+        code, out, err = run(
+            capsys,
+            "asymptotics", "--notion", "SWD", "--vary", "M", "--fix", "K=1,L=1",
+            "--steps", f"2,{entry},9", "--out-csv", str(csv_path),
+        )
+        assert (code, out, err) == (2, "", f"error: --steps entry {entry!r} is not an integer\n")
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("value", ["", "x", "2.5", "1e3"])
+    def test_fixed_value_not_an_integer(self, capsys, value):
+        code, out, err = run(
+            capsys, "asymptotics", "--notion", "SWD", "--vary", "M", "--fix", f"K={value},L=1"
+        )
+        expected = f"error: cannot parse fixed parameter 'K={value}'; expected e.g. K=1\n"
+        assert (code, out, err) == (2, "", expected)
+
+    def test_integers_past_the_digit_limit_are_not_called_non_integers(
+        self, capsys, tmp_path, int_str_limit
+    ):
+        digits, csv_path = "1" * 4301, str(tmp_path / "ratios.csv")
+        for argv in (["--fix", "K=1,L=1", "--steps", f"2,{digits}"], ["--fix", f"K={digits},L=1"]):
+            code, out, err = run(
+                capsys,
+                "asymptotics", "--notion", "SWD", "--vary", "M", *argv, "--out-csv", csv_path,
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "not an integer" not in err and "cannot parse" not in err
 
     def test_all_rejects_empty_steps(self, capsys):
         code, out, err = run(capsys, "asymptotics", "--all", "--steps", "")

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from spidernets.small_world import (
     CANONICAL_DIRECTIONS,
     GROWTH_PROBES,
     GrowthDirection,
+    RatioPoint,
     SmallWorldNotion,
     SmallWorldVerdict,
     classify,
@@ -151,6 +153,15 @@ class TestRatioSequences:
         d = GrowthDirection("K", m=2, l=1)
         points = ratio_sequence(SWD, d, (2, 4, 8))
         assert [pt.n for pt in points] == [6, 10, 18]
+
+    @pytest.mark.parametrize("notion", list(SmallWorldNotion))
+    @pytest.mark.parametrize("direction", CANONICAL_DIRECTIONS)
+    def test_each_point_carries_its_log(self, notion, direction):
+        assert RatioPoint._fields == ("n", "pair", "ratio", "log_n")
+        steps = [*range(1, 40), *geometric_steps()[5:], 2**64, 3**50]
+        for pt in ratio_sequence(notion, direction, steps):
+            assert pt.log_n == math.log(pt.n)
+            assert pt.ratio == pt.pair[0] / pt.pair[1] / pt.log_n
 
     def test_geometric_steps_doubling(self):
         assert geometric_steps() == [2 ** i for i in range(1, 13)]
