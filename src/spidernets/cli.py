@@ -9,7 +9,8 @@ Exit codes: 0 ok, 1 verification mismatch (a closed form that disagrees with
 the oracle or fails its own consistency check), 2 usage error, 3 I/O failure,
 4 resource guard (oracle requested beyond the node cap or its BFS work
 bound, a closed report or an export above the output budget, out of
-memory, or a result too large to index or to write in decimal).  A report
+memory, a result too large to index or to write in decimal, or an integer
+option with more digits than Python reads).  A report
 or export that exits 4 prints nothing to stdout and writes no file.
 """
 
@@ -19,6 +20,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -47,6 +49,47 @@ def _decimal(value: int) -> str:
             f"a {spiders.decimal_digits(value)}-digit integer, past Python's limit "
             f"of {sys.get_int_max_str_digits()} digits for integer string conversion"
         ) from None
+
+
+class _InputTooLarge(OverflowError):
+    """An integer input past Python's int-string digit limit: a resource guard, not a usage error."""
+
+
+# What int() reads as a base-10 integer; it fails on such text only past the digit limit.
+_INTEGER = re.compile(r"\s*[+-]?(\d(?:_?\d)*)\s*")
+
+
+def _check_digits(text: str, name: str) -> None:
+    """After int(text) raised ValueError: if text is an integer, raise ``_InputTooLarge``.
+
+    Its message names the input by name and counts its digits, without
+    echoing them.
+    """
+    match = _INTEGER.fullmatch(text)
+    if match:
+        digits = len(match[1]) - match[1].count("_")
+        raise _InputTooLarge(
+            f"{name} is a {digits}-digit integer, past Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer string conversion"
+        )
+
+
+def _int_option(name: str):
+    """int as the argparse type of the option name, with ``_check_digits`` on int's ValueError.
+
+    argparse turns a ValueError into its usage error; ``_InputTooLarge`` it
+    passes on from ``parse_args``.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            _check_digits(text, name)
+            raise
+
+    parse.__name__ = "int"  # argparse's usage error names the type: "invalid int value"
+    return parse
 
 
 def format_fraction(value: Fraction) -> str:
@@ -214,11 +257,12 @@ def oracle_refusal(p: spiders.SpiderParams, cap: int) -> str | None:
     pendant trees into depth histograms, where a chain step appends one
     lane and only a node with a second child copies lanes and multiplies:
     O(n) words on a spider's legs, at most n^2 / 2 on any tree.  It sweeps
-    only the 2-core, at most (D + 1) * (n + 2E) * ceil(n / 64) word
-    operations for a 2-core of diameter D.  A spider's 2-core is empty or
-    its complete core, D = 1, so that budget still bounds the folded
-    oracle.  The sweep holds up to 3 * n^2 / 8 bytes of bitsets
-    (150 MB at n = 20000); running out of memory exits 4.
+    only the 2-core, in at most D passes of (n + 2E) * ceil(n / 64) word
+    operations for a connected 2-core of diameter D, since a node leaves
+    the sweep once it has seen every 2-core node.  A spider's 2-core is
+    empty or its complete core, D = 1, one pass, so that budget still
+    bounds the folded oracle.  The sweep holds up to 3 * n^2 / 8 bytes of
+    bitsets (150 MB at n = 20000); running out of memory exits 4.
     """
     n = spiders.node_count(p)
     if n > cap:
@@ -311,6 +355,8 @@ def compare_point(p: spiders.SpiderParams) -> list[str]:
     except closed_form.ConsistencyError as exc:
         return [f"{prefix} internal consistency: {exc}"]
     oracle = graph_core.all_indicators(spiders.build_spider(p))
+    if closed == oracle:
+        return []
     return [
         f"{prefix} {name.replace('_', '-')}: closed={ours} oracle={theirs}"
         for name, ours, theirs in zip(graph_core.Indicators._fields, closed, oracle)
@@ -338,17 +384,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _parse_int(text: str, error: str) -> int:
+def _parse_int(text: str, error: str, name: str) -> int:
     """int(text), or ValueError(error) when text is not an integer.
 
-    Digits past Python's limit on int-string conversion keep int's own error.
+    An integer past Python's limit on int-string conversion is
+    ``_InputTooLarge``, which names it by name.
     """
     try:
         return int(text)
     except ValueError:
-        body = text.strip()
-        if (body[1:] if body[:1] in "+-" else body).isdecimal():
-            raise
+        _check_digits(text, name)
         raise ValueError(error) from None
 
 
@@ -363,7 +408,7 @@ def _parse_fix(text: str | None) -> dict[str, int]:
             raise ValueError(error)
         if name in fixed:
             raise ValueError(f"fixed parameter {name.upper()} given more than once")
-        fixed[name] = _parse_int(raw, error)
+        fixed[name] = _parse_int(raw, error, f"--fix {name.upper()}")
     return fixed
 
 
@@ -374,8 +419,8 @@ def _parse_steps(text: str) -> list[int]:
     try:
         return list(map(int, entries))
     except ValueError:  # name the first entry that is not an integer
-        for entry in entries:
-            _parse_int(entry, f"--steps entry {entry!r} is not an integer")
+        for i, entry in enumerate(entries, start=1):
+            _parse_int(entry, f"--steps entry {entry!r} is not an integer", f"--steps entry {i}")
         raise
 
 
@@ -465,16 +510,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_params(sp):
-        sp.add_argument("-M", dest="m", type=int, required=True, help="core size (>= 1)")
-        sp.add_argument("-K", dest="k", type=int, required=True, help="legs per core node (>= 0)")
-        sp.add_argument("-L", dest="l", type=int, required=True, help="leg length (>= 0)")
+        for flag, text in (
+            ("-M", "core size (>= 1)"),
+            ("-K", "legs per core node (>= 0)"),
+            ("-L", "leg length (>= 0)"),
+        ):
+            sp.add_argument(
+                flag, dest=flag[1].lower(), type=_int_option(flag), required=True, help=text
+            )
 
     rep = sub.add_parser("report", help="print all indicators for one spider")
     add_params(rep)
     rep.add_argument("--source", choices=("closed", "oracle", "both"), default="both")
     rep.add_argument(
         "--cap",
-        type=int,
+        type=_int_option("--cap"),
         default=REPORT_CAP_DEFAULT,
         help=(
             "largest node count allowed for oracle computation, whose BFS work "
@@ -484,12 +534,12 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(func=cmd_report)
 
     ver = sub.add_parser("verify", help="sweep a grid and compare closed forms to brute force")
-    ver.add_argument("--Mmax", dest="mmax", type=int, default=8)
-    ver.add_argument("--Kmax", dest="kmax", type=int, default=5)
-    ver.add_argument("--Lmax", dest="lmax", type=int, default=6)
+    ver.add_argument("--Mmax", dest="mmax", type=_int_option("--Mmax"), default=8)
+    ver.add_argument("--Kmax", dest="kmax", type=_int_option("--Kmax"), default=5)
+    ver.add_argument("--Lmax", dest="lmax", type=_int_option("--Lmax"), default=6)
     ver.add_argument(
         "--cap",
-        type=int,
+        type=_int_option("--cap"),
         default=VERIFY_CAP_DEFAULT,
         help=(
             "largest node count in the grid; points whose BFS work exceeds that "
@@ -525,8 +575,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)  # passes _InputTooLarge on
         return args.func(args)
     except closed_form.ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -539,6 +589,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except MemoryError:
         print("error: out of memory (resource guard)", file=sys.stderr)
+        return EXIT_RESOURCE
+    except _InputTooLarge as exc:
+        print(f"error: {exc} (resource guard)", file=sys.stderr)
         return EXIT_RESOURCE
     except OverflowError as exc:
         print(f"error: result too large ({exc}) (resource guard)", file=sys.stderr)

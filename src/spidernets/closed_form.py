@@ -22,7 +22,11 @@ canonical forms the oracle's ``graph_core.Indicators`` record uses, so
 by field.  Each function asserts its own counting identities (node totals,
 sum rules, evaluated as sums of arithmetic series on the runs) before
 returning and raises ConsistencyError on any disagreement, so a wrong
-formula can never propagate silently.
+formula can never propagate silently.  The density and the average degree
+are checked against the edge count as exact integer cross-products,
+top * n(n-1) == 2E * bottom and top * n == 2E * bottom, which hold exactly
+when the fractions are equal since both denominators are positive; only
+the value returned is built as a ``Fraction``.
 
 The forms a small-world indicator uses (the degree groups and the largest
 degree, the diameter and the total distance) are functions of the three
@@ -219,12 +223,12 @@ def density_closed(p: SpiderParams) -> Fraction:
     if n < 2:
         raise ValueError("density needs at least 2 nodes")
     m, k, l = p
-    value = Fraction(2 * k * l + m - 1, m * (1 + k * l) ** 2 - (1 + k * l))
+    top, bottom = 2 * k * l + m - 1, m * (1 + k * l) ** 2 - (1 + k * l)
     _check(
-        value == Fraction(2 * edge_count(p), n * (n - 1)),
+        top * n * (n - 1) == 2 * edge_count(p) * bottom,
         "density formula disagrees with edge count",
     )
-    return value
+    return Fraction(top, bottom)
 
 
 def h_index_closed(p: SpiderParams) -> int:
@@ -253,12 +257,12 @@ def _h_index_checked(p: SpiderParams, delta) -> int:
 def average_degree_closed(p: SpiderParams) -> Fraction:
     """Mean degree (m + 2kl - 1) / (1 + kl), exact."""
     m, k, l = p
-    value = Fraction(m + 2 * k * l - 1, 1 + k * l)
+    top, bottom = m + 2 * k * l - 1, 1 + k * l
     _check(
-        value == Fraction(2 * edge_count(p), node_count(p)),
+        top * node_count(p) == 2 * edge_count(p) * bottom,
         "average degree disagrees with edge count",
     )
-    return value
+    return Fraction(top, bottom)
 
 
 def _weighted_distance_numerators(l: int):

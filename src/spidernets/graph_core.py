@@ -327,8 +327,11 @@ def _core_pairs(adjacency, core: list[int], weight: list[int]) -> int:
     neighbors' rings that u has not seen yet; a peeled neighbor's ring stays
     empty, since no path between 2-core nodes enters a pendant tree.  So
     each level is one pass over the adjacency of the nodes whose rings still
-    grow, and a node whose ring comes out empty has reached its eccentricity
-    and leaves the pass.  The 2-core nodes are grouped into classes of equal
+    grow.  A node leaves the pass once it has seen every 2-core node, at its
+    eccentricity: its last ring stays for its neighbors to read, and its
+    next would be empty.  On a complete core that is after one pass.  A node
+    that never sees them all, on a disconnected 2-core, leaves when its ring
+    comes out empty.  The 2-core nodes are grouped into classes of equal
     W, and each new ring adds popcount(ring & class mask) to its level's
     tally for the pair of its source's class and that class.  Each class
     pair then adds W_a * W_b times its tallies as lanes.  The grouping only
@@ -366,7 +369,8 @@ def _core_pairs(adjacency, core: list[int], weight: list[int]) -> int:
                 base = row[u]
                 for c, mask in enumerate(masks):
                     tally[base + c] += (r & mask).bit_count()
-                growing.append(u)
+                if unseen[u]:
+                    growing.append(u)
         ring, active = next_ring, growing
         tallies.append(tally)
     pairs = 0
@@ -387,9 +391,14 @@ def _lanes(value: int) -> list[int]:
 
 def density(g: Graph) -> Fraction:
     """Edges present over the n(n-1)/2 possible, as an exact fraction."""
-    if g.n <= 1:
+    return _density(g.n, 2 * g.num_edges)
+
+
+def _density(n: int, degree_sum: int) -> Fraction:
+    """``density`` of a graph of n nodes whose degrees sum to degree_sum, twice its edges."""
+    if n <= 1:
         raise ValueError("density needs at least 2 nodes")
-    return Fraction(2 * g.num_edges, g.n * (g.n - 1))
+    return Fraction(degree_sum, n * (n - 1))
 
 
 def h_index(values) -> int:
@@ -444,10 +453,13 @@ def all_indicators(g: Graph) -> Indicators:
     Only the distance lanes up to the diameter d are read: every alpha entry
     past it is 0, one run.  Up to d, each stretch of equal differences is
     one run, found without a Python step per entry.  The degree and gamma
-    multisets are counted without sorting n values.
+    multisets are counted without sorting n values; a ``Counter`` already
+    holds them merged and without zero counts, so its items are their
+    groups once sorted.  The density takes 2E from the same degree list.
     """
     n = g.n
-    dens = density(g)
+    degree = list(map(len, g.adjacency))
+    dens = _density(n, sum(degree))
     counts = _distance_lanes(g)
     if sum(counts) < n * n:
         raise ValueError("distance indicators need a connected graph")
@@ -458,12 +470,12 @@ def all_indicators(g: Graph) -> Indicators:
         last = j + len(list(steps)) - 1
         runs.append((j, last, alpha[j - 1] - b * j, b))
         j = last + 1
-    degree = list(map(len, g.adjacency))
     neighbor_degrees = map(sum, map(map, itertools.repeat(degree.__getitem__), g.adjacency))
-    delta = value_groups(Counter(degree).items())
+    gamma = Counter(map(operator.add, degree, neighbor_degrees))
+    delta = tuple(sorted(Counter(degree).items(), reverse=True))
     return Indicators(
         delta=delta,
-        gamma=value_groups(Counter(map(operator.add, degree, neighbor_degrees)).items()),
+        gamma=tuple(sorted(gamma.items(), reverse=True)),
         alpha=linear_runs(runs + [(d, d, alpha[-1], 0), (d + 1, n - 1, 0, 0)]),
         density=dens,
         diameter=d,

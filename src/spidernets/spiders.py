@@ -123,7 +123,10 @@ def build_spider(p: SpiderParams) -> Graph:
     of each of its legs, m + c*k*l + j*l; a leg node to the nodes before and
     after it, a terminal node to the one before it, and the only node of a
     leg of length 1 to its core node.  Every tuple comes out sorted, so no
-    edge list is made and nothing is sorted.
+    edge list is made and nothing is sorted.  The leg rows are made in bulk,
+    with no Python step per leg: every leg node's row as (u - 1, u + 1) by
+    one ``zip`` of two ranges, then each leg's first and terminal rows by
+    two extended-slice assignments, one every l rows.
     """
     m, k, l = p
     span = k * l  # leg nodes per core node
@@ -137,12 +140,12 @@ def build_spider(p: SpiderParams) -> Graph:
         for c in range(m):
             adjacency += [(c,)] * k
     elif l:
-        for c in range(m):
-            for first in range(m + c * span, m + (c + 1) * span, l):
-                last = first + l - 1
-                adjacency.append((c, first + 1))
-                adjacency += zip(range(first, last - 1), range(first + 2, last + 1))
-                adjacency.append((last - 1,))
+        end = m + m * span  # one past the last leg node
+        legs = list(zip(range(m - 1, end - 1), range(m + 1, end + 1)))
+        owners = itertools.chain.from_iterable(map(itertools.repeat, range(m), itertools.repeat(k)))
+        legs[0::l] = zip(owners, range(m + 1, end, l))  # (c, first + 1)
+        legs[l - 1::l] = zip(range(m + l - 2, end, l))  # (last - 1,)
+        adjacency += legs
     g = Graph(node_count(p), tuple(adjacency))
     if g.num_edges != edge_count(p):
         raise ConsistencyError("spider edge count mismatch")

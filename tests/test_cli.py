@@ -414,6 +414,54 @@ def test_a_late_csv_row_past_the_int_str_limit_is_a_resource_guard(capsys, tmp_p
     assert "a 4401-digit integer, past Python's limit of 4300 digits" in err
 
 
+ONES = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["report", "--source", "closed", "-M", ONES, "-K", "1", "-L", "1"], "-M"),
+        (["report", "-M", "2", "-K", ONES, "-L", "1"], "-K"),
+        (["report", "-M", "2", "-K", "1", "-L", f" -{ONES} "], "-L"),
+        (["report", "-M", "2", "-K", "1", "-L", "1", "--cap", ONES], "--cap"),
+        (["export", "-M", "2", "-K", "1", "-L", ONES], "-L"),
+        (["verify", "--Mmax", ONES], "--Mmax"),
+        (["verify", "--Kmax", ONES], "--Kmax"),
+        (["verify", "--Lmax", "+" + ONES], "--Lmax"),
+        (["verify", "--cap", ONES[:-1] + "_1"], "--cap"),
+        (["asymptotics", "--notion", "SWD", "--vary", "M", "--fix", f"K={ONES},L=1"], "--fix K"),
+        (["asymptotics", "--notion", "SWD", "--vary", "M", "--fix", "K=1,L=1", "--steps",
+          f"2,{ONES},8"], "--steps entry 2"),
+    ],
+    ids=["report-M", "report-K", "report-L-negative", "report-cap", "export-L", "verify-Mmax",
+         "verify-Kmax", "verify-Lmax-signed", "verify-cap-underscore", "asymptotics-fix",
+         "asymptotics-steps"],
+)
+def test_integer_options_past_the_int_str_limit_are_a_resource_guard(
+    capsys, tmp_path, int_str_limit, argv, name
+):
+    # one line that names the option and its digit count, without its digits
+    out_path = tmp_path / "cell.csv"
+    if argv[0] == "asymptotics":
+        argv = argv + ["--out-csv", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, out_path.exists()) == (4, "", False)
+    assert err == (
+        f"error: {name} is a 4301-digit integer, past Python's limit of 4300 digits "
+        "for integer string conversion (resource guard)\n"
+    )
+
+
+@pytest.mark.parametrize("text", ["1__1" + ONES, ONES + "x", "_" + ONES])
+def test_long_non_integers_stay_usage_errors(capsys, int_str_limit, text):
+    # int() refuses these for their length before it reads them, yet they
+    # are not integers: argparse's own usage error, exit 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "-M", text, "-K", "1", "-L", "1"])
+    assert exc.value.code == 2
+    assert "argument -M: invalid int value" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_small_grid_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--Mmax", "1", "--Kmax", "1", "--Lmax", "1")
@@ -531,6 +579,31 @@ class TestVerify:
             "MISMATCH M=2 K=0 L=0 total-distance: closed=4 oracle=1\n"
             "1 parameter points verified\n"
             "7 mismatches found\n",
+            "",
+        )
+
+    @pytest.mark.parametrize(
+        "field, wrong, line",
+        [
+            ("delta", ((9, 1),), "delta: closed=((9, 1),) oracle=((1, 2),)"),
+            ("gamma", ((8, 1),), "gamma: closed=((8, 1),) oracle=((2, 2),)"),
+            ("alpha", ((1, 1, 7, 0),), "alpha: closed=((1, 1, 7, 0),) oracle=((1, 1, 1, 0),)"),
+            ("density", Fraction(1, 7), "density: closed=1/7 oracle=1"),
+            ("diameter", 6, "diameter: closed=6 oracle=1"),
+            ("h_index", 5, "h-index: closed=5 oracle=1"),
+            ("total_distance", 4, "total-distance: closed=4 oracle=1"),
+        ],
+    )
+    def test_a_record_off_in_one_field_gives_one_mismatch_line(
+        self, capsys, monkeypatch, field, wrong, line
+    ):
+        real = closed_form.closed_form_report
+        monkeypatch.setattr(
+            closed_form, "closed_form_report", lambda p: real(p)._replace(**{field: wrong})
+        )
+        assert run(capsys, "verify", "--Mmax", "2", "--Kmax", "0", "--Lmax", "0") == (
+            1,
+            f"MISMATCH M=2 K=0 L=0 {line}\n1 parameter points verified\n1 mismatches found\n",
             "",
         )
 
@@ -844,7 +917,7 @@ class TestAsymptotics:
                 capsys,
                 "asymptotics", "--notion", "SWD", "--vary", "M", *argv, "--out-csv", csv_path,
             )
-            assert (code, out) == (2, "")
+            assert (code, out) == (4, "")
             assert err.startswith("error:") and err.count("\n") == 1
             assert "not an integer" not in err and "cannot parse" not in err
 

@@ -320,6 +320,38 @@ class TestGroupedForms:
             gamma_groups(normalize(2, 1, 3))
 
 
+class TestEdgeCountCrossProducts:
+    """The density and average-degree checks compare integer cross-products, exact at any size."""
+
+    @given(
+        st.builds(
+            normalize,
+            st.integers(min_value=1, max_value=10**30),
+            st.integers(min_value=0, max_value=10**30),
+            st.integers(min_value=0, max_value=10**30),
+        )
+    )
+    def test_equal_to_the_edge_ratios_at_huge_sizes(self, p):
+        n, twice_edges = node_count(p), 2 * edge_count(p)
+        if n >= 2:
+            assert density_closed(p) == Fraction(twice_edges, n * (n - 1))
+        assert average_degree_closed(p) == Fraction(twice_edges, n)
+
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            (density_closed, "density formula disagrees with edge count"),
+            (average_degree_closed, "average degree disagrees with edge count"),
+        ],
+    )
+    @pytest.mark.parametrize("shape", [(2, 0, 0), (1, 1, 1), (3, 2, 2), (5, 4, 3)])
+    def test_one_edge_too_many_is_detected(self, monkeypatch, check, message, shape):
+        real = closed_form.edge_count
+        monkeypatch.setattr(closed_form, "edge_count", lambda p: real(p) + 1)
+        with pytest.raises(ConsistencyError, match=f"^{message}$"):
+            check(normalize(*shape))
+
+
 class TestDensityTrend:
     @pytest.mark.parametrize("m,k", [(2, 1), (3, 2), (4, 3)])
     def test_density_strictly_decreasing_in_leg_length(self, m, k):

@@ -735,6 +735,37 @@ class TestFold:
         assert counts == pairs_by_distance(g)
         assert_indicators_match_reference(g)
 
+    @pytest.mark.parametrize(
+        "g",
+        [complete(m) for m in range(3, 9)] + [build_spider(normalize(5, 2, 3))],
+        ids=[f"complete{m}" for m in range(3, 9)] + ["spider5,2,3"],
+    )
+    def test_a_complete_core_is_swept_in_one_pass(self, g):
+        # a node leaves the sweep once it has seen every 2-core node, so a
+        # complete core takes one level and no further pass that finds nothing
+        inside, lengths = [], []
+        sweep, wide = graph_core._core_pairs, graph_core._wide_lanes
+
+        def sweeping(*args):
+            inside.append(True)
+            try:
+                return sweep(*args)
+            finally:
+                inside.pop()
+
+        def recording(values):
+            values = list(values)
+            if inside:
+                lengths.append(len(values))
+            return wide(values)
+
+        with mock.patch.object(graph_core, "_core_pairs", sweeping), mock.patch.object(
+            graph_core, "_wide_lanes", recording
+        ):
+            counts = graph_core._ordered_pairs(g)
+        assert lengths == [2]  # lane 0 and the one level, for the one weight class
+        assert counts == pairs_by_distance(g)
+
     def test_folded_weights_are_dropped(self):
         # a weight is dropped once folded into its parent, so a bare path
         # holds the two growing ends, not every node's depth histogram
