@@ -4,6 +4,10 @@ Output is deterministic (sorted edges, exact fractions as p/q, floats with 6
 significant digits) so files and stdout are stable across runs and suitable
 for golden-file comparison.  Report rows and exports are made and written
 in chunks of bounded length, never as one string per row or per file.
+``main`` parses argv with the parser of the command it names, and again with
+the top-level parser when it names none or leaves arguments over.  An error
+names an int past 50 digits, or an integer option's text past 50 characters,
+by its length.
 
 Exit codes: 0 ok, 1 verification mismatch (a closed form that disagrees with
 the oracle or fails its own consistency check), 2 usage error, 3 I/O failure,
@@ -77,8 +81,10 @@ def _check_digits(text: str, name: str) -> None:
 def _int_option(name: str):
     """int as the argparse type of the option name, with ``_check_digits`` on int's ValueError.
 
-    argparse turns a ValueError into its usage error; ``_InputTooLarge`` it
-    passes on from ``parse_args``.
+    A text that is not an integer is argparse's usage error, "invalid int
+    value: 'text'" as argparse words it, with only the first
+    ``spiders._SHOWN`` characters of a longer text and its length;
+    ``_InputTooLarge`` argparse passes on from ``parse_args``.
     """
 
     def parse(text: str) -> int:
@@ -86,9 +92,10 @@ def _int_option(name: str):
             return int(text)
         except ValueError:
             _check_digits(text, name)
-            raise
+            shown = text[: spiders._SHOWN]
+            more = f"... ({len(text)} characters)" if len(text) > len(shown) else ""
+            raise argparse.ArgumentTypeError(f"invalid int value: {shown!r}{more}") from None
 
-    parse.__name__ = "int"  # argparse's usage error names the type: "invalid int value"
     return parse
 
 
@@ -206,7 +213,7 @@ def cmd_export(args) -> int:
     size = spiders.export_size(p, args.format)
     if size > OUTPUT_BUDGET:
         print(
-            f"error: {args.format} export needs up to {_decimal(size)} characters, "
+            f"error: {args.format} export needs up to {spiders.decimal_text(size)} characters, "
             f"above the output budget {OUTPUT_BUDGET}",
             file=sys.stderr,
         )
@@ -224,8 +231,8 @@ def _rows(record: graph_core.Indicators, pairs: int) -> dict[str, list[str]]:
     """The report rows of an indicator record, as chunks, for a graph with this many node pairs.
 
     Groups and runs are canonical (``value_groups``, ``linear_runs``) and
-    the chunks a function of them, so two rows are the same text exactly
-    when their chunk lists are equal.
+    each row a function of the fields it renders, so two records give a row
+    the same text exactly when ``_row_keys`` gives it equal keys.
     """
     return {
         "delta": format_runs(record.delta),
@@ -237,6 +244,12 @@ def _rows(record: graph_core.Indicators, pairs: int) -> dict[str, list[str]]:
         "neighboring-index": [str(sum(v * c for v, c in record.gamma))],
         "mean-distance": [format_fraction(Fraction(record.total_distance, pairs))],
     }
+
+
+def _row_keys(r: graph_core.Indicators) -> tuple:
+    """What each row of ``_rows`` renders of the record, in row order; the pair count is shared."""
+    gamma_sum = sum(v * c for v, c in r.gamma)
+    return r.delta, r.gamma, r.alpha, r.density, r.diameter, r.h_index, gamma_sum, r.total_distance
 
 
 def _write_row(name: str, chunks: list[str], end: str = "\n") -> None:
@@ -266,10 +279,10 @@ def oracle_refusal(p: spiders.SpiderParams, cap: int) -> str | None:
     """
     n = spiders.node_count(p)
     if n > cap:
-        return f"{_decimal(n)} nodes, above the cap {cap}"
+        return f"{spiders.decimal_text(n)} nodes, above the cap {cap}"
     work, work_cap = n * (n + 2 * spiders.edge_count(p)), cap * (3 * cap - 2)
     if work > work_cap:
-        return f"{_decimal(work)} BFS steps, above the {work_cap} of a {cap}-node tree"
+        return f"{spiders.decimal_text(work)} BFS steps, above the {work_cap} of a {cap}-node tree"
     return None
 
 
@@ -293,31 +306,27 @@ def cmd_report(args) -> int:
         print(f"h-index: {closed_form.h_index_closed(p)}")
         print(f"neighboring-index: {sum(v * c for v, c in gamma)}")
         return EXIT_OK
-    rows, pairs = [], spiders.pair_count(p)
+    records, pairs = [], spiders.pair_count(p)
     if args.source != "oracle":
         report = closed_form.closed_form_report(p)
         size = array_row_chars(report)
         if size > OUTPUT_BUDGET:
             print(
-                f"error: report needs {_decimal(size)} characters of arrays, "
+                f"error: report needs {spiders.decimal_text(size)} characters of arrays, "
                 f"above the output budget {OUTPUT_BUDGET}",
                 file=sys.stderr,
             )
             return EXIT_RESOURCE
-        rows.append(_rows(report, pairs))
+        records.append(report)
     if args.source != "closed":
-        oracle = graph_core.all_indicators(spiders.build_spider(p))
-        rows.append(_rows(oracle, pairs))
+        records.append(graph_core.all_indicators(spiders.build_spider(p)))
+    rows = _rows(records[0], pairs)
+    matches = [a == b for a, b in zip(*map(_row_keys, records))] if len(records) == 2 else []
+    ends = [f"  [{'MATCH' if match else 'MISMATCH'}]\n" for match in matches] or ["\n"] * len(rows)
     _print_counts(p)
-    mismatches = 0
-    for name, chunks in rows[0].items():
-        if len(rows) == 2:
-            match = chunks == rows[1][name]
-            mismatches += not match
-            _write_row(name, chunks, f"  [{'MATCH' if match else 'MISMATCH'}]\n")
-        else:
-            _write_row(name, chunks)
-    return EXIT_MISMATCH if mismatches else EXIT_OK
+    for (name, chunks), end in zip(rows.items(), ends):
+        _write_row(name, chunks, end)
+    return EXIT_OK if all(matches) else EXIT_MISMATCH
 
 
 def iter_grid(mmax: int, kmax: int, lmax: int, node_cap: int):
@@ -508,6 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 ok, 1 verification mismatch, 2 usage, 3 I/O, 4 resource guard",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, for main's dispatch
 
     def add_params(sp):
         for flag, text in (
@@ -574,9 +584,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """argv by its command's parser; by the top-level one when it names none or leaves some over."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, argv)
+    return args if command and not rest else parser.parse_args(argv)  # passes _InputTooLarge on
+
+
 def main(argv=None) -> int:
+    """Run the command of argv (default ``sys.argv[1:]``) as ``_parse`` reads it; its exit code."""
     try:
-        args = _build_parser().parse_args(argv)  # passes _InputTooLarge on
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except closed_form.ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)

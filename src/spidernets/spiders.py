@@ -18,7 +18,9 @@ scheme, with no edge list, neighbor sets or sorting; tests pin it to
 ``graph_core.build_graph`` on the scheme's edge list.  ``export_graph``
 serializes a graph lazily, as chunks of whole lines.  ``export_size``
 sizes an export from (m, k, l) before anything is built, with
-``decimal_digits``, which counts digits without making a string.  The node,
+``decimal_digits``, which counts digits without making a string;
+``decimal_text`` names an int in an error message by that count past
+``_SHOWN`` digits.  The node,
 edge and pair counts are functions of the three ints (``node_count_at`` and
 its kin); ``node_count(p)`` and the others adapt a ``SpiderParams``, a
 named tuple of (m, k, l) that checks its values however it is made.
@@ -35,6 +37,8 @@ EXPORT_FORMATS = ("edge-list", "dot", "adjacency-csv")
 # Characters in one chunk of an export or of a report row (cli): both are
 # made and written as such chunks, never as one string.
 _CHUNK = 2**16
+# Digits of an int, or characters of an argument, that an error message shows.
+_SHOWN = 50
 
 
 class ConsistencyError(RuntimeError):
@@ -57,11 +61,9 @@ class SpiderParams(_SpiderFields):
     __slots__ = ()
 
     def __new__(cls, m: int, k: int, l: int):
-        if m < 1:
-            raise ValueError(f"core size must be >= 1, got {m}")
-        if k < 0 or l < 0:
-            raise ValueError(f"leg count and length must be >= 0, got k={k} l={l}")
+        _check_ranges(m, k, l)
         if (k == 0) != (l == 0):
+            k, l = decimal_text(k), decimal_text(l)
             raise ValueError(f"k={k} l={l} not normalized: no legs means zero of both")
         return super().__new__(cls, m, k, l)
 
@@ -71,12 +73,19 @@ class SpiderParams(_SpiderFields):
         return cls(*iterable)
 
 
+def _check_ranges(m: int, k: int, l: int) -> None:
+    """ValueError unless m >= 1 and k, l >= 0, naming the values by ``decimal_text``."""
+    if m < 1:
+        raise ValueError(f"core size must be >= 1, got {decimal_text(m)}")
+    if k < 0 or l < 0:
+        raise ValueError(
+            f"leg count and length must be >= 0, got k={decimal_text(k)} l={decimal_text(l)}"
+        )
+
+
 def normalize(m: int, k: int, l: int) -> SpiderParams:
     """Collapse k = 0 or l = 0 to the no-legs form (k = l = 0)."""
-    if m < 1:
-        raise ValueError(f"core size must be >= 1, got {m}")
-    if k < 0 or l < 0:
-        raise ValueError(f"leg count and length must be >= 0, got k={k} l={l}")
+    _check_ranges(m, k, l)
     if k == 0 or l == 0:
         return SpiderParams(m, 0, 0)
     return SpiderParams(m, k, l)
@@ -212,6 +221,17 @@ def decimal_digits(value: int) -> int:
     if digits > 1 and value < 10 ** (digits - 1):
         return digits - 1
     return digits
+
+
+def decimal_text(value: int) -> str:
+    """An int for an error message: its digits up to ``_SHOWN`` of them, else "a N-digit integer".
+
+    So a message stays one short line, also past Python's int-to-str digit limit.
+    """
+    digits = decimal_digits(abs(value))
+    if digits <= _SHOWN:
+        return str(value)
+    return f"a {digits}-digit {'negative ' if value < 0 else ''}integer"
 
 
 def export_size(p: SpiderParams, fmt: str) -> int:

@@ -1,7 +1,10 @@
 import contextlib
 import io
+import itertools
 import math
+import os
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -460,6 +463,45 @@ def test_long_non_integers_stay_usage_errors(capsys, int_str_limit, text):
         cli.main(["report", "-M", text, "-K", "1", "-L", "1"])
     assert exc.value.code == 2
     assert "argument -M: invalid int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        ("abc", "'abc'"),
+        ("", "''"),
+        ("1" * 49 + "x", repr("1" * 49 + "x")),
+        ("1" * 50 + "x", f"'{'1' * 50}'... (51 characters)"),
+        (ONES + "x", f"'{'1' * 50}'... (4302 characters)"),
+    ],
+    ids=["short", "empty", "fifty", "fifty-one", "long"],
+)
+def test_non_integer_values_are_shown_up_to_fifty_characters(capsys, int_str_limit, text, shown):
+    # up to 50 characters, argparse's own text; past that, the first 50 and the length
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "-M", text, "-K", "1", "-L", "1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.encode()) < 1024
+    assert err.splitlines()[-1] == (
+        f"spidernets report: error: argument -M: invalid int value: {shown}"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (["report", "-M", "1" * 4300, "-K", "4", "-L", "2"], 4,
+         "error: oracle computation needs a 4300-digit integer nodes, above the cap 20000"),
+        (["report", "-M", "3", "-K", "-2", "-L", "1" * 4300], 2,
+         "error: leg count and length must be >= 0, got k=-2 l=a 4300-digit integer"),
+    ],
+    ids=["oracle-refusal", "negative-leg-count"],
+)
+def test_values_past_fifty_digits_are_named_by_their_digit_count(
+    capsys, int_str_limit, argv, code, text
+):
+    assert run(capsys, *argv) == (code, "", text + "\n")
+    assert len(text.encode()) <= 200
 
 
 class TestVerify:
@@ -1059,3 +1101,186 @@ class TestDeterminism:
             fresh.append(run(capsys, *argv))
         assert reused == fresh
         assert [code for code, _, _ in reused] == [4, 0, 0]
+
+
+class TestReportMarks:
+    """``report --source both`` marks each row from the fields that row renders."""
+
+    @pytest.mark.parametrize(
+        "wrong, row",
+        [
+            (lambda r: r._replace(gamma=((sum(v * c for v, c in r.gamma), 1),)), "gamma"),
+            (lambda r: r._replace(total_distance=r.total_distance + 1), "mean-distance"),
+            (lambda r: r._replace(h_index=r.h_index + 1), "h-index"),
+        ],
+        ids=["gamma-same-sum", "total-distance", "h-index"],
+    )
+    def test_only_the_row_of_a_wrong_field_mismatches(self, capsys, monkeypatch, wrong, row):
+        true_indicators = graph_core.all_indicators
+        monkeypatch.setattr(graph_core, "all_indicators", lambda g: wrong(true_indicators(g)))
+        code, out, err = run(capsys, "report", "-M", "3", "-K", "2", "-L", "2")
+        marks = {
+            line.partition(":")[0]: line.rpartition("  ")[2]
+            for line in out.splitlines()
+            if line.endswith("]")
+        }
+        assert (code, err, len(marks)) == (1, "", 8)
+        assert {name for name, mark in marks.items() if mark != "[MATCH]"} == {row}
+        assert marks[row] == "[MISMATCH]"
+
+
+def _outcome(call, argv):
+    """(result, stdout, stderr) of call(argv); a SystemExit or _InputTooLarge is its result."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(list(argv))
+        except SystemExit as exc:
+            result = ("SystemExit", exc.code)
+        except cli._InputTooLarge as exc:
+            result = ("_InputTooLarge", str(exc))
+    return result, out.getvalue(), err.getvalue()
+
+
+def _top_level(argv):
+    """argv parsed by the top-level parser alone, less the ``command`` it records."""
+    args = cli._build_parser().parse_args(argv)
+    del args.command
+    return args
+
+
+def check_argv(argv):
+    """The checks of one argv, with each "@" in it standing for a fresh temporary directory.
+
+    ``cli._parse``, which hands argv to the parser of the command it names,
+    gives what the top-level parser gives: the same namespace, or the same
+    exit, stdout and stderr.  ``main`` then lets no exception but SystemExit
+    out, exits 0-4, writes no output and no file for a report or export
+    that exits 4, and writes no stderr line longer than 200 bytes.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.replace("@", tmp) for arg in argv]
+        assert _outcome(cli._parse, argv) == _outcome(_top_level, argv)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in range(5)
+        if code == 4 and argv[:1] in (["report"], ["export"]):
+            assert out.getvalue() == "" and os.listdir(tmp) == []
+        assert all(len(line.encode()) <= 200 for line in err.getvalue().splitlines())
+        return code, err.getvalue()
+
+
+_REPORT = ("report", "-M", "1", "-K", "1", "-L", "1")
+_BOGUS = [*_REPORT, "--bogus"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["bogus"],
+        ["rep", "-M", "1"],
+        ["--", *_REPORT],
+        ["-x", *_REPORT],
+        ["report"],
+        ["report", "-h"],
+        ["report", "-h", "--bogus"],
+        ["verify", "-h"],
+        ["asymptotics", "-h"],
+        ["export", "-h"],
+        [*_REPORT, "--source=closed"],
+        [*_REPORT, "--sou", "closed"],
+        [*_REPORT, "--source", "bogus"],
+        [*_REPORT, "--"],
+        [*_REPORT, "--", "x"],
+        ["report", "--", "-M", "1", "-K", "1", "-L", "1"],
+        ["report", "-M", "-1", "-K", "1", "-L", "1"],
+        ["report", "-M", "2", "-K", "-1", "-L", "-3"],
+        ["report", "-M", "2", "-K", "1"],
+        _BOGUS,
+        [*_REPORT, "extra", "--x"],
+        [*_REPORT, "report"],
+        ["report", "-M", "1" * 60, "-K", "1", "-L", "1"],
+        ["report", "-M", "1" * 4300, "-K", "4", "-L", "2"],
+        ["report", "-M", "3", "-K", "-2", "-L", "1" * 4300],
+        ["report", "-M", "1" * 4301 + "x", "-K", "1", "-L", "1"],
+        ["report", "-M", "1" * 4301, "-K", "1", "-L", "1"],
+        ["export", "-M", "2", "-K", "1" * 2000, "-L", "1", "--out", "@/g.txt"],
+        ["export", "-M", "2", "-K", "1", "-L", "2", "--format", "dot", "--out", "@/g.dot"],
+        ["verify", "--Mmax", "3", "--Kmax", "2", "--Lmax", "2"],
+        ["verify", "--Mmax", "3", "--bogus"],
+        ["asymptotics", "--all"],
+        ["asymptotics", "--notion", "SWD", "--vary", "M", "--fix", "K=1,L=1", "--steps", "2,4",
+         "--out-csv", "@/c.csv"],
+    ],
+)
+def test_argv_dispatch_matches_the_top_level_parser(int_str_limit, argv):
+    code, err = check_argv(argv)
+    if argv == _BOGUS:  # under the top-level usage, not the report usage
+        assert code == 2
+        assert err.startswith("usage: spidernets [-h] {report,")
+        assert err.splitlines()[-1] == "spidernets: error: unrecognized arguments: --bogus"
+
+
+_SMALL = st.integers(min_value=-1, max_value=6).map(str)
+# Mostly small integers.  Report and export stay cheap at 10**9, by a budget, the cap or
+# normalization; verify's grid would not, so verify takes small values only.
+_VALUE = _SMALL | _SMALL | st.sampled_from(["abc", "1x", "", " 3 ", "+2", "1_0", "1000000000"])
+# Each command's options: its spellings and the values it takes (None: a flag).
+_OPTIONS = {
+    "report": [
+        (["-M"], _VALUE), (["-K"], _VALUE), (["-L"], _VALUE),
+        (["--source", "--sou"], st.sampled_from(["closed", "oracle", "both", "x"])),
+        (["--cap"], _VALUE),
+    ],
+    "export": [
+        (["-M"], _VALUE), (["-K"], _VALUE), (["-L"], _VALUE),
+        (["--format"], st.sampled_from([*spiders.EXPORT_FORMATS, "png"])),
+        (["--out"], st.just("@/g.txt")),
+    ],
+    "verify": [
+        (["--Mmax"], st.integers(min_value=-1, max_value=3).map(str)),
+        (["--Kmax", "--K"], _SMALL), (["--Lmax"], _SMALL), (["--cap"], _SMALL),
+    ],
+    "asymptotics": [
+        (["--notion"], st.sampled_from(["SWD", "SWA", "DSWL", "x"])),
+        (["--vary"], st.sampled_from(["M", "K", "L", "x"])),
+        (["--fix"], st.sampled_from(["K=1,L=1", "M=2,K=1", "M=2,L=1", "K=x", "", "K=1,K=2"])),
+        (["--steps"], st.sampled_from(["2,4,8", "1", "", "x", "3,2"])),
+        (["--out-csv"], st.just("@/c.csv")),
+        (["--all"], None),
+        (["--csv-dir"], st.just("@/cells")),
+    ],
+}
+_JUNK = st.sampled_from(["--bogus", "-h", "--", "x", "-1", "--cap", "3", "--all", "-M", "="])
+
+
+@st.composite
+def argvs(draw):
+    """An argv: a command (or none, or not one), some of its options in any order, some junk."""
+    command = draw(st.sampled_from([*_OPTIONS, "bogus", "-h", "--"]))
+    groups = []
+    for spellings, values in _OPTIONS.get(command, []):
+        if spellings[0] == "--Mmax" or draw(st.integers(0, 9)):  # keep verify's grid small
+            flag = draw(st.sampled_from(spellings))
+            value = [] if values is None else [draw(values)]
+            if value and draw(st.integers(0, 5)) == 0:
+                groups.append([f"{flag}={value[0]}"])
+            else:
+                groups.append([flag, *value])
+    argv = [command, *itertools.chain.from_iterable(draw(st.permutations(groups)))]
+    for junk in draw(st.lists(_JUNK, max_size=2)) if draw(st.integers(0, 2)) == 0 else ():
+        argv.insert(draw(st.integers(0, len(argv))), junk)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_random_argv_dispatch_matches_the_top_level_parser(argv):
+    check_argv(argv)

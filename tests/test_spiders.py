@@ -74,6 +74,14 @@ class TestNormalize:
             SpiderParams._make((0, 1, 1))
         assert normalize(2, 1, 1)._replace(l=3) == SpiderParams(2, 1, 3)
 
+    def test_range_errors_name_long_values_by_digit_count(self):
+        with pytest.raises(ValueError, match=r"^k=0 l=a 61-digit integer not normalized"):
+            SpiderParams(1, 0, 10**60)
+        with pytest.raises(ValueError, match=r"got k=-2 l=a 61-digit integer$"):
+            normalize(3, -2, 10**60)
+        with pytest.raises(ValueError, match=r"got a 61-digit negative integer$"):
+            normalize(-(10**60), 1, 1)
+
     def test_copy_and_pickle_give_an_equal_record(self):
         p = normalize(2, 1, 1)
         for twin in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
@@ -273,6 +281,16 @@ class TestExport:
     @example(10**4000 - 1)
     def test_decimal_digits_count_like_str(self, value):
         assert decimal_digits(value) == len(str(value))
+
+    @given(st.integers(min_value=-(10**80), max_value=10**80))
+    @example(10**50 - 1)
+    @example(10**50)
+    @example(-(10**50))
+    def test_decimal_text_shows_at_most_fifty_digits(self, value):
+        digits = len(str(abs(value)))
+        sign = "negative " if value < 0 else ""
+        expected = str(value) if digits <= 50 else f"a {digits}-digit {sign}integer"
+        assert spiders.decimal_text(value) == expected
 
     def test_size_of_unknown_format_rejected(self):
         with pytest.raises(ValueError):
