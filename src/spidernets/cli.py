@@ -6,8 +6,8 @@ for golden-file comparison.  Report rows and exports are made and written
 in chunks of bounded length, never as one string per row or per file.
 ``main`` parses argv with the parser of the command it names, and again with
 the top-level parser when it names none or leaves arguments over.  An error
-names an int past 50 digits, or an integer option's text past 50 characters,
-by its length.
+names an int past 50 digits by its digit count, and an argument past 50
+characters by its first 50 and its length.
 
 Exit codes: 0 ok, 1 verification mismatch (a closed form that disagrees with
 the oracle or fails its own consistency check), 2 usage error, 3 I/O failure,
@@ -63,40 +63,62 @@ class _InputTooLarge(OverflowError):
 _INTEGER = re.compile(r"\s*[+-]?(\d(?:_?\d)*)\s*")
 
 
-def _check_digits(text: str, name: str) -> None:
-    """After int(text) raised ValueError: if text is an integer, raise ``_InputTooLarge``.
+def _parse_int(text: str, error: str, name: str) -> int:
+    """int(text), or ValueError(error) when text is not an integer.
 
-    Its message names the input by name and counts its digits, without
-    echoing them.
+    An integer past Python's int-string digit limit is ``_InputTooLarge``,
+    named by name and its digit count.
     """
-    match = _INTEGER.fullmatch(text)
-    if match:
-        digits = len(match[1]) - match[1].count("_")
-        raise _InputTooLarge(
-            f"{name} is a {digits}-digit integer, past Python's limit of "
-            f"{sys.get_int_max_str_digits()} digits for integer string conversion"
-        )
+    try:
+        return int(text)
+    except ValueError:
+        match = _INTEGER.fullmatch(text)
+        if match:
+            digits = len(match[1]) - match[1].count("_")
+            raise _InputTooLarge(
+                f"{name} is a {digits}-digit integer, past Python's limit of "
+                f"{sys.get_int_max_str_digits()} digits for integer string conversion"
+            ) from None
+        raise ValueError(error) from None
 
 
 def _int_option(name: str):
-    """int as the argparse type of the option name, with ``_check_digits`` on int's ValueError.
+    """``_parse_int`` as the argparse type of the option name; ``_InputTooLarge`` passes argparse.
 
-    A text that is not an integer is argparse's usage error, "invalid int
-    value: 'text'" as argparse words it, with only the first
-    ``spiders._SHOWN`` characters of a longer text and its length;
-    ``_InputTooLarge`` argparse passes on from ``parse_args``.
+    argparse words a ValueError by the type's name: "invalid int value: 'text'".
     """
 
     def parse(text: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            _check_digits(text, name)
-            shown = text[: spiders._SHOWN]
-            more = f"... ({len(text)} characters)" if len(text) > len(shown) else ""
-            raise argparse.ArgumentTypeError(f"invalid int value: {shown!r}{more}") from None
+        return _parse_int(text, "not an integer", name)
 
+    parse.__name__ = "int"
     return parse
+
+
+def _shown(text: str, form=repr) -> str:
+    """form(text); past ``spiders._SHOWN`` characters, form of the first ones and the length."""
+    if len(text) <= spiders._SHOWN:
+        return form(text)
+    return f"{form(text[: spiders._SHOWN])}... ({len(text)} characters)"
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser; errors show a bad value and the unrecognized arguments by ``_shown``."""
+
+    def _get_values(self, action, arg_strings):
+        try:
+            return super()._get_values(action, arg_strings)
+        except argparse.ArgumentError as exc:
+            message = exc.message
+            for text in arg_strings:
+                message = message.replace(repr(text), _shown(text), 1)
+            raise argparse.ArgumentError(action, message) from None
+
+    def parse_args(self, args=None, namespace=None):
+        args, rest = self.parse_known_args(args, namespace)
+        if rest:
+            self.error("unrecognized arguments: " + _shown(" ".join(rest), str))
+        return args
 
 
 def format_fraction(value: Fraction) -> str:
@@ -393,26 +415,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _parse_int(text: str, error: str, name: str) -> int:
-    """int(text), or ValueError(error) when text is not an integer.
-
-    An integer past Python's limit on int-string conversion is
-    ``_InputTooLarge``, which names it by name.
-    """
-    try:
-        return int(text)
-    except ValueError:
-        _check_digits(text, name)
-        raise ValueError(error) from None
-
-
 def _parse_fix(text: str | None) -> dict[str, int]:
     """``--fix`` as keyword arguments of ``GrowthDirection``: {"k": 1, "l": 1} for K=1,L=1."""
     fixed = {}
     for part in text.split(",") if text else ():
         name, _, raw = part.partition("=")
         name = name.strip().lower()
-        error = f"cannot parse fixed parameter {part!r}; expected e.g. K=1"
+        error = f"cannot parse fixed parameter {_shown(part)}; expected e.g. K=1"
         if name not in ("m", "k", "l") or not raw.strip():
             raise ValueError(error)
         if name in fixed:
@@ -429,7 +438,8 @@ def _parse_steps(text: str) -> list[int]:
         return list(map(int, entries))
     except ValueError:  # name the first entry that is not an integer
         for i, entry in enumerate(entries, start=1):
-            _parse_int(entry, f"--steps entry {entry!r} is not an integer", f"--steps entry {i}")
+            error = f"--steps entry {_shown(entry)} is not an integer"
+            _parse_int(entry, error, f"--steps entry {i}")
         raise
 
 
@@ -511,7 +521,7 @@ def cmd_asymptotics(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser; it reads no run-time state, so main reuses one instance."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spidernets",
         description="Spider graphs: generation, exact indicators, and small-world asymptotics.",
         epilog="exit codes: 0 ok, 1 verification mismatch, 2 usage, 3 I/O, 4 resource guard",

@@ -2,40 +2,35 @@
 
 ``closed_form_report`` returns exactly the indicator record that
 ``graph_core.all_indicators`` computes on the constructed graph, without
-building it.  The distance bookkeeping works by classifying unordered node
-pairs:
+building it.  Its distance indicators are read off one polynomial, the sum
+of x^d over unordered node pairs at distance d (Wilf, generatingfunctionology):
 
-* core-core pairs and core-to-adjacent-leg pairs are at distance 1;
-* pairs inside one leg (including its core node) are at distance q - p;
-* leg-leg pairs in the same bundle meet at their shared core node, so the
-  distance is p + q;
-* leg-leg pairs in different bundles cross two core nodes: p + q + 1;
-* a leg node and a foreign core node are at distance p + 1.
+    A(x) = m k Q(x) + m C(k,2) L(x)^2 + C(m,2) x B(x)^2,
 
-Degree and gamma multisets are computed as (value, count) groups and the
-alpha array as at most 4 linear runs, alpha_j = a + b*j on a range of j, so
-``closed_form_report`` costs the same at every n; no array of length n is
-ever built here.  The groups and runs go through
-``graph_core.value_groups`` and ``graph_core.linear_runs``, the same
-canonical forms the oracle's ``graph_core.Indicators`` record uses, so
-``closed_form_report`` returns that record and it equals the oracle's field
-by field.  Each function asserts its own counting identities (node totals,
-sum rules, evaluated as sums of arithmetic series on the runs) before
-returning and raises ConsistencyError on any disagreement, so a wrong
-formula can never propagate silently.  The density and the average degree
-are checked against the edge count as exact integer cross-products,
-top * n(n-1) == 2E * bottom and top * n == 2E * bottom, which hold exactly
-when the fractions are equal since both denominators are positive; only
-the value returned is built as a ``Fraction``.
+with L = x + ... + x^l, Q = L + sum of (l-d) x^d for d < l, and B = 1 + k L.
+``_pair_classes`` holds its terms as plain integer expressions in (m, k, l):
 
-The forms a small-world indicator uses (the degree groups and the largest
-degree, the diameter and the total distance) are functions of the three
-ints (m, k, l), named ``..._at``, and so are ``spiders``' node, edge and
-pair counts; each function of a ``SpiderParams`` with the same name is a
-one-line adapter onto them.  A ratio sequence thus steps over ints and runs
-the same checks as a report: the largest degree is read off the checked
-degree pairs unsorted, and the total distance checks each of its six
-divisions and its halving inline.
+* m k Q: two nodes of one leg, its core node included, q - p apart;
+* m C(k,2) L^2: nodes of two legs of one core node, p + q apart;
+* C(m,2) x B^2: two nodes under different core nodes, p + 1 + q apart.
+
+A(1) is the pair count, A'(1) the total distance, the coefficients of A the
+distance frequencies alpha_j and deg A the diameter.  Degree and gamma
+multisets are (value, count) groups and alpha at most 4 linear runs, the
+canonical forms (``graph_core.value_groups``, ``linear_runs``) of the
+oracle's ``Indicators`` record, so the records are equal field by field and
+no array of length n is built.  The checks, each a ConsistencyError:
+
+* degree groups: no negative count, the node total, twice the edge count;
+* gamma groups: no negative count, the node total, the sum identity;
+* A: each exact division on its own numerator, A(1) = ``pair_count_at``,
+  and in a report sum alpha_j = pair count and sum j alpha_j = A'(1);
+* density and average degree: integer cross-products with the edge count;
+* h-index: its regime against the degree groups.
+
+The forms a small-world indicator uses are functions of the ints (m, k, l),
+named ``..._at``, and each function of a ``SpiderParams`` with the same
+name is a one-line adapter onto one.
 """
 
 from __future__ import annotations
@@ -51,6 +46,7 @@ from spidernets.spiders import (
     node_count,
     node_count_at,
     pair_count,
+    pair_count_at,
 )
 
 
@@ -145,27 +141,41 @@ def gamma_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
     return value_groups(pairs)
 
 
-def _alpha_lines(p: SpiderParams):
-    """Distance frequencies as lines (first, last, a, b): alpha_j = a + b*j.
+def _exact(numerator: int, divisor: int) -> int:
+    """numerator / divisor, which must leave no remainder."""
+    quotient, remainder = divmod(numerator, divisor)
+    if remainder:
+        raise ConsistencyError("a pair-class term is not an integer")
+    return quotient
 
-    Counting pairs at distance j >= 2 by class: within one leg k*m*(L+1-j)
-    up to j = L+1; leg to foreign core k*m*(m-1) up to j = L+1; same-bundle
-    leg pairs j-1 per pair of legs, rising up to L+1 and falling as 2L+1-j
-    after; and cross-bundle leg pairs, one core hop longer, rising as j-2 up
-    to L+2 and falling as 2L+2-j after.  So alpha is linear on 2..L+1 and on
-    L+2..2L+1, and zero beyond the diameter.  Ranges may be empty or reach
-    past n-1, where they hold only zeros.
+
+def _pair_classes(m: int, k: int, l: int):
+    """The terms Q, L^2 and x B^2 of A(x) as rows (count, P(1), P'(1), coefficients).
+
+    A is the sum of count * P over the rows.  The coefficients (c, a, b, a',
+    b') of P are c at x, a + b*j at x^j for j = 2..l+1 and a' + b'*j for
+    j = l+2..2l+1; P has no term past x^(2l+1).
+    """
+    half = _exact(l * (l + 1), 2)  # Q(1) = L'(1)
+    legs, cores = _exact(k * (k - 1), 2), _exact(m * (m - 1), 2)  # C(k,2), C(m,2)
+    b, kk = 1 + k * l, k * k  # B(1)
+    return (
+        (m * k, half, _exact(l * (l + 1) * (l + 2), 6), (l, l + 1, -1, 0, 0)),
+        (m * legs, l * l, l * l * (l + 1), (0, -1, 1, 2 * l + 1, -1)),
+        (cores, b * b, b * (b + 2 * k * half), (1, 2 * (k - kk), kk, 2 * kk * (l + 1), -kk)),
+    )
+
+
+def _alpha_lines(p: SpiderParams):
+    """Distance frequencies as lines (first, last, a, b), alpha_j = a + b*j: A's coefficients.
+
+    Ranges may be empty or reach past n-1, where they hold only zeros.
     """
     m, k, l = p
-    legs = k * m
-    same = m * (k * (k - 1) // 2)
-    cross = (m * (m - 1) // 2) * k * k
-    return [
-        (1, 1, m * (m - 1) // 2 + legs * l, 0),
-        (2, l + 1, legs * (l + 1) - same - 2 * cross + legs * (m - 1), same + cross - legs),
-        (l + 2, 2 * l + 1, same * (2 * l + 1) + cross * (2 * l + 2), -same - cross),
-        (2 * l + 2, node_count(p) - 1, 0, 0),
-    ]
+    (c1, _, _, q), (c2, _, _, s), (c3, _, _, t) = _pair_classes(m, k, l)
+    c, a, b, a2, b2 = [c1 * x + c2 * y + c3 * z for x, y, z in zip(q, s, t)]
+    end = node_count(p) - 1
+    return [(1, 1, c, 0), (2, l + 1, a, b), (l + 2, 2 * l + 1, a2, b2), (2 * l + 2, end, 0, 0)]
 
 
 def alpha_runs(p: SpiderParams) -> tuple[tuple[int, int, int, int], ...]:
@@ -207,7 +217,11 @@ def diameter_closed(p: SpiderParams) -> int:
 
 
 def diameter_closed_at(m: int, k: int, l: int) -> int:
-    """``diameter_closed`` of the spider (m, k, l)."""
+    """``diameter_closed`` of the spider (m, k, l): deg A, the largest degree of a present term.
+
+    x B(x)^2 (two core nodes) has degree 2l+1, L(x)^2 (two legs at one core
+    node) 2l and Q(x) (one leg) l; with none present, a single node, 0.
+    """
     if m > 1:
         return 2 * l + 1
     if k > 1:
@@ -265,18 +279,6 @@ def average_degree_closed(p: SpiderParams) -> Fraction:
     return Fraction(top, bottom)
 
 
-def _weighted_distance_numerators(l: int):
-    """Six distance-weighted pair counts inside and between legs, times 6, 2, 3, 3, 6 and 6."""
-    return (
-        l * (l - 1) * (l + 4),  # within one leg: distances 2..l
-        l * (l + 3),  # leg to foreign core: 2..l+1
-        l * (l + 1) * (l + 2),  # same-bundle leg pairs rising: 2..l+1, multiplicity s-1
-        2 * l * (l - 1) * (l + 1),  # and falling: l+2..2l, multiplicity 2l+1-s
-        l * (l + 1) * (2 * l + 7),  # cross-bundle leg pairs, one core hop longer: 3..l+2
-        l * (l - 1) * (4 * l + 7),  # and l+3..2l+1
-    )
-
-
 def total_distance_closed(p: SpiderParams) -> int:
     """Exact total distance over unordered pairs."""
     return total_distance_closed_at(*p)
@@ -284,28 +286,20 @@ def total_distance_closed(p: SpiderParams) -> int:
 
 def total_distance_closed_at(m: int, k: int, l: int) -> int:
     """``total_distance_closed`` of the spider (m, k, l)."""
-    if node_count_at(m, k, l) < 2:
+    return distance_sums_at(m, k, l)[0]
+
+
+def distance_sums_at(m: int, k: int, l: int) -> tuple[int, int]:
+    """(A'(1), A(1)), the total distance and the pair count of the spider (m, k, l).
+
+    A(1) = 0 is fewer than 2 nodes, a ValueError; else it must be ``pair_count_at``.
+    """
+    (c1, p1, d1, _), (c2, p2, d2, _), (c3, p3, d3, _) = _pair_classes(m, k, l)
+    pairs = c1 * p1 + c2 * p2 + c3 * p3
+    if not pairs:
         raise ValueError("total distance needs at least 2 nodes")
-    within, foreign, same_r, same_f, cross_r, cross_f = _weighted_distance_numerators(l)
-    # Six remainders, each checked: one check on their sum would miss errors that cancel.
-    within, r1 = divmod(within, 6)
-    foreign, r2 = divmod(foreign, 2)
-    same_r, r3 = divmod(same_r, 3)
-    same_f, r4 = divmod(same_f, 3)
-    cross_r, r5 = divmod(cross_r, 6)
-    cross_f, r6 = divmod(cross_f, 6)
-    _check(not (r1 or r2 or r3 or r4 or r5 or r6), "weighted distance sum is not an integer")
-    total, odd = divmod(
-        m * (m - 1)
-        + 2 * m * k * l
-        + 2 * k * m * within
-        + 2 * k * m * (m - 1) * foreign
-        + m * k * (k - 1) * (same_r + same_f)
-        + m * k * k * (m - 1) * (cross_r + cross_f),
-        2,
-    )
-    _check(not odd, "total distance is not an integer")
-    return total
+    _check(pairs == pair_count_at(m, k, l), "pair classes miss pairs")
+    return c1 * d1 + c2 * d2 + c3 * d3, pairs
 
 
 def closed_form_report(p: SpiderParams) -> Indicators:

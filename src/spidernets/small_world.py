@@ -22,15 +22,13 @@ until the trend shows, for at most 128 doublings plus the bit length of the
 family's node count at t = 1.
 
 A ratio sequence keeps each indicator as the unreduced integer pair (P, Q)
-of its closed forms; it is reduced to lowest terms only for output.  It
-checks its steps once and then steps over plain ints: ``_INDICATOR_PAIRS``
-gives each notion's (P, Q) as closed forms of (m, k, l), evaluated at every
-step with every consistency check they make (DSWL's three degree checks;
-SWA's n >= 2, six divisibility checks, halving and pair-count expansion;
-none beyond the formulas for DSWA and SWD), and each step yields one
-``RatioPoint`` named tuple.  A point carries ln(n), taken once per step for
-its ratio, as ``log_n``, so the ratio CSV writes it without a second
-logarithm.  ``classify`` reads the same table.
+of its closed forms, reduced to lowest terms only for output.
+``_INDICATOR_PAIRS`` gives each notion's (P, Q) as closed forms of the ints
+(m, k, l), run at every step with every check they make: DSWL's three
+degree checks; for SWA, (A'(1), A(1)) of ``distance_sums_at`` with its four
+divisibility checks and A(1) against ``pair_count_at`` and its expansion;
+none beyond the formulas for DSWA and SWD.  Each step yields one
+``RatioPoint`` with n and ln(n).  ``classify`` reads the same table.
 """
 
 from __future__ import annotations
@@ -44,15 +42,14 @@ from typing import NamedTuple
 from spidernets.closed_form import (
     ConsistencyError,
     diameter_closed_at,
+    distance_sums_at,
     max_degree_at,
-    total_distance_closed_at,
 )
 from spidernets.spiders import (
     SpiderParams,
     edge_count_at,
     node_count,
     node_count_at,
-    pair_count_at,
 )
 
 GROWTH_PROBES = range(2, 9)  # seven samples pin down degrees up to 5
@@ -180,10 +177,7 @@ _INDICATOR_PAIRS = {
     SmallWorldNotion.DSWL: lambda m, k, l: (max_degree_at(m, k, l), 1),
     SmallWorldNotion.DSWA: lambda m, k, l: (2 * edge_count_at(m, k, l), node_count_at(m, k, l)),
     SmallWorldNotion.SWD: lambda m, k, l: (diameter_closed_at(m, k, l), 1),
-    SmallWorldNotion.SWA: lambda m, k, l: (
-        total_distance_closed_at(m, k, l),
-        pair_count_at(m, k, l),
-    ),
+    SmallWorldNotion.SWA: distance_sums_at,
 }
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -485,6 +486,56 @@ def test_non_integer_values_are_shown_up_to_fifty_characters(capsys, int_str_lim
     assert err.splitlines()[-1] == (
         f"spidernets report: error: argument -M: invalid int value: {shown}"
     )
+
+
+_LONG_X, _X50 = "x" * 5000, "x" * 50
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["report", "-M", "1", "-K", "1", "-L", "1", "--source", _LONG_X],
+         f"spidernets report: error: argument --source: invalid choice: '{_X50}'... "
+         "(5000 characters) (choose from "),
+        (["export", "-M", "1", "-K", "1", "-L", "1", "--format", _LONG_X],
+         f"spidernets export: error: argument --format: invalid choice: '{_X50}'... "
+         "(5000 characters) (choose from "),
+        (["asymptotics", "--notion", _LONG_X],
+         f"spidernets asymptotics: error: argument --notion: invalid choice: '{_X50}'... "
+         "(5000 characters) (choose from "),
+        ([_LONG_X],
+         f"spidernets: error: argument command: invalid choice: '{_X50}'... "
+         "(5000 characters) (choose from "),
+        (["report", "-M", "1", "-K", "1", "-L", "1", _LONG_X],
+         f"spidernets: error: unrecognized arguments: {_X50}... (5000 characters)"),
+        (["asymptotics", "--notion", "SWD", "--vary", "M", "--fix", "K=" + _LONG_X],
+         f"error: cannot parse fixed parameter 'K={_X50[2:]}'... (5002 characters); "
+         "expected e.g. K=1"),
+        (["asymptotics", "--notion", "SWD", "--vary", "M", "--fix", "K=1,L=1",
+          "--steps", "2," + _LONG_X, "--out-csv", "@/c.csv"],
+         f"error: --steps entry '{_X50}'... (5000 characters) is not an integer"),
+    ],
+    ids=["source", "format", "notion", "command", "unrecognized", "fix", "steps"],
+)
+def test_long_values_are_echoed_by_their_first_fifty_characters(argv, line):
+    # the first 50 characters and the length, as for a non-integer option
+    code, err = check_argv(argv)
+    assert code == 2 and len(err.encode()) < 1024
+    assert err.splitlines()[-1].startswith(line)
+
+
+@pytest.mark.parametrize("value", ["bogus", "-", _X50, "'\"" * 25])
+def test_values_up_to_fifty_characters_read_as_argparse_words_them(value):
+    # a plain argparse parser with the same option and prog gives the same last line
+    plain = argparse.ArgumentParser(prog="spidernets report")
+    plain.add_argument("--source", choices=("closed", "oracle", "both"))
+    _, _, want = _outcome(plain.parse_args, ["--source=" + value])
+    code, err = check_argv([*_REPORT, "--source=" + value])
+    assert code == 2 and err.splitlines()[-1] == want.splitlines()[-1]
+    top = argparse.ArgumentParser(prog="spidernets")
+    _, _, want = _outcome(top.parse_args, [value])
+    code, err = check_argv([*_REPORT, value])
+    assert code == 2 and err.splitlines()[-1] == want.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -1229,19 +1280,24 @@ def test_argv_dispatch_matches_the_top_level_parser(int_str_limit, argv):
 
 
 _SMALL = st.integers(min_value=-1, max_value=6).map(str)
+# Tokens past the 50 characters an error message shows; none is an integer, so none
+# is a node count or a cap.
+_LONG = st.sampled_from(["x" * 51, "1" * 60 + "x", "-" + "y" * 60, "z" * 5000])
 # Mostly small integers.  Report and export stay cheap at 10**9, by a budget, the cap or
 # normalization; verify's grid would not, so verify takes small values only.
-_VALUE = _SMALL | _SMALL | st.sampled_from(["abc", "1x", "", " 3 ", "+2", "1_0", "1000000000"])
+_VALUE = _SMALL | _SMALL | _LONG | st.sampled_from(
+    ["abc", "1x", "", " 3 ", "+2", "1_0", "1000000000"]
+)
 # Each command's options: its spellings and the values it takes (None: a flag).
 _OPTIONS = {
     "report": [
         (["-M"], _VALUE), (["-K"], _VALUE), (["-L"], _VALUE),
-        (["--source", "--sou"], st.sampled_from(["closed", "oracle", "both", "x"])),
+        (["--source", "--sou"], st.sampled_from(["closed", "oracle", "both", "x"]) | _LONG),
         (["--cap"], _VALUE),
     ],
     "export": [
         (["-M"], _VALUE), (["-K"], _VALUE), (["-L"], _VALUE),
-        (["--format"], st.sampled_from([*spiders.EXPORT_FORMATS, "png"])),
+        (["--format"], st.sampled_from([*spiders.EXPORT_FORMATS, "png"]) | _LONG),
         (["--out"], st.just("@/g.txt")),
     ],
     "verify": [
@@ -1249,22 +1305,25 @@ _OPTIONS = {
         (["--Kmax", "--K"], _SMALL), (["--Lmax"], _SMALL), (["--cap"], _SMALL),
     ],
     "asymptotics": [
-        (["--notion"], st.sampled_from(["SWD", "SWA", "DSWL", "x"])),
-        (["--vary"], st.sampled_from(["M", "K", "L", "x"])),
-        (["--fix"], st.sampled_from(["K=1,L=1", "M=2,K=1", "M=2,L=1", "K=x", "", "K=1,K=2"])),
-        (["--steps"], st.sampled_from(["2,4,8", "1", "", "x", "3,2"])),
+        (["--notion"], st.sampled_from(["SWD", "SWA", "DSWL", "x"]) | _LONG),
+        (["--vary"], st.sampled_from(["M", "K", "L", "x"]) | _LONG),
+        (["--fix"], st.sampled_from(["K=1,L=1", "M=2,K=1", "M=2,L=1", "K=x", "", "K=1,K=2"])
+         | _LONG.map("K=1,".__add__)),
+        (["--steps"], st.sampled_from(["2,4,8", "1", "", "x", "3,2"]) | _LONG.map("2,".__add__)),
         (["--out-csv"], st.just("@/c.csv")),
         (["--all"], None),
         (["--csv-dir"], st.just("@/cells")),
     ],
 }
-_JUNK = st.sampled_from(["--bogus", "-h", "--", "x", "-1", "--cap", "3", "--all", "-M", "="])
+_JUNK = _LONG | st.sampled_from(
+    ["--bogus", "-h", "--", "x", "-1", "--cap", "3", "--all", "-M", "="]
+)
 
 
 @st.composite
 def argvs(draw):
     """An argv: a command (or none, or not one), some of its options in any order, some junk."""
-    command = draw(st.sampled_from([*_OPTIONS, "bogus", "-h", "--"]))
+    command = draw(st.sampled_from([*_OPTIONS, "bogus", "-h", "--"]) | _LONG)
     groups = []
     for spellings, values in _OPTIONS.get(command, []):
         if spellings[0] == "--Mmax" or draw(st.integers(0, 9)):  # keep verify's grid small

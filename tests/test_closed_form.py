@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _expand, _expand_runs, spider_params
-from spidernets import closed_form, graph_core
+from spidernets import cli, closed_form, graph_core
 from spidernets.closed_form import (
     ConsistencyError,
     alpha_runs,
@@ -360,3 +360,102 @@ class TestDensityTrend:
 
     def test_density_vanishes_for_long_legs(self):
         assert density_closed(normalize(3, 2, 50)) < Fraction(1, 100)
+
+
+def _plus(*polys):
+    """The sum of coefficient lists."""
+    out = [0] * max(map(len, polys))
+    for poly in polys:
+        for j, c in enumerate(poly):
+            out[j] += c
+    return out
+
+
+def _times(p, q):
+    """The product of two coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _scaled(c, poly):
+    return [c * a for a in poly]
+
+
+def distance_polynomial(m, k, l):
+    """A(x) of the spider (m, k, l) by list arithmetic: coefficient j is the pairs at distance j.
+
+    A = m (k L + k S + C(k,2) L^2) + C(m,2) x B^2 with L = x + ... + x^l (a
+    core node to the nodes of one of its legs), S = sum of (l-d) x^d for
+    d < l (two nodes inside one leg) and B = 1 + k L (a core node and its legs).
+    """
+    L = [0] + [1] * l
+    S = [0] + [l - d for d in range(1, l)]
+    B = _plus([1], _scaled(k, L))
+    bundle = _plus(_scaled(k, L), _scaled(k, S), _scaled(k * (k - 1) // 2, _times(L, L)))
+    A = _plus(_scaled(m, bundle), _scaled(m * (m - 1) // 2, _times([0, 1], _times(B, B))))
+    while len(A) > 1 and A[-1] == 0:
+        A.pop()
+    return A
+
+
+def six_numerator_total_distance(m, k, l):
+    """The total distance as six distance-weighted pair counts, each a sum over one pair class."""
+    within = l * (l - 1) * (l + 4) // 6  # within one leg: distances 2..l
+    foreign = l * (l + 3) // 2  # leg to foreign core: 2..l+1
+    same = l * (l + 1) * (l + 2) // 3 + 2 * l * (l - 1) * (l + 1) // 3  # two legs, one core
+    cross = l * (l + 1) * (2 * l + 7) // 6 + l * (l - 1) * (4 * l + 7) // 6  # two cores
+    return (
+        m * (m - 1)
+        + 2 * m * k * l
+        + 2 * k * m * within
+        + 2 * k * m * (m - 1) * foreign
+        + m * k * (k - 1) * same
+        + m * k * k * (m - 1) * cross
+    ) // 2
+
+
+@st.composite
+def spiders_up_to_2000_nodes(draw):
+    m = draw(st.integers(min_value=1, max_value=50))
+    k = draw(st.integers(min_value=0, max_value=10))
+    l = draw(st.integers(min_value=0, max_value=(2000 // m - 1) // max(k, 1)))
+    return normalize(m, k, l)
+
+
+class TestDistancePolynomial:
+    """Every distance closed form equals its reading of A(x), built here by list arithmetic."""
+
+    def check(self, p):
+        A = distance_polynomial(*p)
+        if node_count(p) < 2:
+            assert A == [0] and p == (1, 0, 0) and diameter_closed(p) == 0
+            return
+        alpha = _expand_runs(alpha_runs(p))
+        assert A == [0] + list(alpha[: len(A) - 1]) and not any(alpha[len(A) - 1:])
+        assert sum(A) == pair_count(p)
+        assert sum(j * a for j, a in enumerate(A)) == total_distance_closed(p)
+        assert len(A) - 1 == diameter_closed(p)
+
+    def test_default_grid(self):
+        points = cli.iter_grid(8, 5, 6, 2000)
+        assert len(points) == 247
+        for p in [normalize(1, 0, 0), *points]:
+            self.check(p)
+
+    @settings(deadline=None)
+    @given(spiders_up_to_2000_nodes())
+    def test_points_up_to_2000_nodes(self, p):
+        self.check(p)
+
+    @given(
+        st.integers(min_value=1, max_value=10**30),
+        st.integers(min_value=0, max_value=10**30),
+        st.integers(min_value=0, max_value=10**30),
+    )
+    def test_total_distance_equals_the_six_numerator_form(self, m, k, l):
+        p = normalize(m, k, l)
+        if node_count(p) >= 2:
+            assert total_distance_closed(p) == six_numerator_total_distance(*p)

@@ -189,16 +189,49 @@ class TestEveryCheckAtEveryStep:
         self.assert_caught_at_1500(DSWL, GrowthDirection("M", k=2, l=3), "total degree")
 
     def test_weighted_distance_sums(self, monkeypatch):
-        # The within-leg sum at l = 1500 is l(l-1)(l+4)/6; one more in its
+        # At l = 1500 the leg term of A'(1) is l(l+1)(l+2)/6; one more in its
         # numerator leaves a remainder that its own divisibility check must see.
-        real = closed_form._weighted_distance_numerators
+        real = closed_form._exact
 
-        def wrong_at_1500(l):
-            within, *rest = real(l)
-            return (within + (l == 1500), *rest)
+        def wrong_at_1500(numerator, divisor):
+            return real(numerator + (numerator == 1500 * 1501 * 1502), divisor)
 
-        monkeypatch.setattr(closed_form, "_weighted_distance_numerators", wrong_at_1500)
-        self.assert_caught_at_1500(SWA, GrowthDirection("L", m=2, k=1), "weighted distance sum")
+        monkeypatch.setattr(closed_form, "_exact", wrong_at_1500)
+        self.assert_caught_at_1500(SWA, GrowthDirection("L", m=2, k=1), "not an integer")
+
+    # The other three numerators, each at the one step of its direction where it
+    # takes the value below: l(l+1), k(k-1) and m(m-1).
+    @pytest.mark.parametrize(
+        "direction, value",
+        [
+            (GrowthDirection("L", m=2, k=1), 1500 * 1501),
+            (GrowthDirection("K", m=2, l=1), 1500 * 1499),
+            (GrowthDirection("M", k=1, l=1), 1500 * 1499),
+        ],
+        ids=["half", "leg-pairs", "core-pairs"],
+    )
+    def test_pair_class_numerators(self, monkeypatch, direction, value):
+        real = closed_form._exact
+
+        def wrong_at_1500(numerator, divisor):
+            return real(numerator + (numerator == value), divisor)
+
+        monkeypatch.setattr(closed_form, "_exact", wrong_at_1500)
+        self.assert_caught_at_1500(SWA, direction, "not an integer")
+
+    # One more pair in any class term of A(1) misses pair_count_at's count.
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_pair_class_pairs(self, monkeypatch, row):
+        real = closed_form._pair_classes
+
+        def wrong_at_1500(m, k, l):
+            rows = list(real(m, k, l))
+            count, pairs, distance, coefficients = rows[row]
+            rows[row] = (count, pairs + (k == 1500), distance, coefficients)
+            return rows
+
+        monkeypatch.setattr(closed_form, "_pair_classes", wrong_at_1500)
+        self.assert_caught_at_1500(SWA, GrowthDirection("K", m=2, l=2), "pair classes miss pairs")
 
     def test_degree_group_node_total(self, monkeypatch):
         real = closed_form._delta_groups
