@@ -614,7 +614,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc.filename, str):
+            message = message.replace(repr(exc.filename), _shown(exc.filename), 1)
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_IO
     except MemoryError:
         print("error: out of memory (resource guard)", file=sys.stderr)

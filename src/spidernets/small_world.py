@@ -12,14 +12,12 @@ tested, each comparing an indicator against ln(n):
 
 A converging SWD or SWA ratio with C = 0 is an ultra-small world.
 
-Classification is analytic and exact: each indicator is an integer ratio
-P / Q of closed forms that are polynomials in the growing parameter t, so
-comparing their degrees decides whether it outgrows the logarithm.  The
-degrees are read off exact forward differences of P and Q at t = 2..8.  A
-ratio sequence at doubling steps corroborates every verdict numerically:
-the first 12 doublings (t up to 4096), then one more doubling at a time
-until the trend shows, for at most 128 doublings plus the bit length of the
-family's node count at t = 1.
+Classification is exact: each indicator is an integer ratio P / Q of closed
+forms that are polynomials in the growing parameter t, and it outgrows the
+logarithm exactly when deg P > deg Q.  The degrees are read off exact
+forward differences of P and Q at t = 2..8, whose Newton interpolants must
+give both closed forms at two far points.  That proves the verdict if P and
+Q are polynomials of degree at most 8; it does not prove that they are.
 
 A ratio sequence keeps each indicator as the unreduced integer pair (P, Q)
 of its closed forms, reduced to lowest terms only for output.
@@ -45,16 +43,10 @@ from spidernets.closed_form import (
     distance_sums_at,
     max_degree_at,
 )
-from spidernets.spiders import (
-    SpiderParams,
-    edge_count_at,
-    node_count,
-    node_count_at,
-)
+from spidernets.spiders import SpiderParams, edge_count_at, node_count_at
 
 GROWTH_PROBES = range(2, 9)  # seven samples pin down degrees up to 5
 STEP_COUNT = 12
-MAX_DOUBLINGS = 128
 
 
 class SmallWorldNotion(Enum):
@@ -222,36 +214,39 @@ def geometric_steps() -> list[int]:
     return [2 ** i for i in range(1, STEP_COUNT + 1)]
 
 
-def polynomial_degree(samples) -> int:
-    """Degree of a polynomial with positive lead, from its values at consecutive integers.
+def _newton_form(samples) -> tuple[int, list[int]]:
+    """Degree and Newton coefficients of a polynomial, from its values at t0, t0 + 1, ...
 
-    A polynomial of degree d has constant d-th forward differences, d! times
-    its leading coefficient, and vanishing higher ones, so the degree is the
-    highest order with a nonzero difference.  Raises ConsistencyError unless
-    the last difference (the 6th for seven samples) vanishes and the top
-    nonzero difference is positive.
+    The coefficients are the forward differences at t0, and the polynomial is
+    the sum of coefficient j times C(t - t0, j).  Degree d means constant,
+    nonzero d-th differences (d! times the lead) and vanishing higher ones.
+    Raises ConsistencyError unless the last difference (the 6th for seven
+    samples) vanishes and the top nonzero one is positive.
     """
-    rows = [list(samples)]
-    while len(rows[-1]) > 1:
-        row = rows[-1]
-        rows.append([b - a for a, b in zip(row, row[1:])])
-    if rows[-1][0] != 0:
+    column, row = [], list(samples)
+    while row:
+        column.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    if column[-1] != 0:
         raise ConsistencyError("growth samples are not a polynomial of low enough degree")
-    degree = max((d for d, row in enumerate(rows) if any(row)), default=None)
-    if degree is None or rows[degree][0] <= 0:
+    degree = max((d for d, difference in enumerate(column) if difference), default=None)
+    if degree is None or column[degree] <= 0:
         raise ConsistencyError("growth polynomial must have a positive lead")
-    return degree
+    return degree, column
 
 
-def _shows_trend(ratios: list[float], rising: bool) -> bool:
-    """The last four ratios strictly monotone in the expected direction.
+def polynomial_degree(samples) -> int:
+    """Degree of a polynomial with positive lead, from its values at consecutive integers."""
+    return _newton_form(samples)[0]
 
-    The last ratio must also lie past the first.
-    """
-    if not rising:
-        ratios = [-r for r in ratios]
-    tail = ratios[-4:]
-    return all(a < b for a, b in zip(tail, tail[1:])) and ratios[-1] > ratios[0]
+
+def _newton_value(column: list[int], t: int) -> int:
+    """The polynomial with these Newton coefficients at the probes, at t."""
+    value, binomial, x = 0, 1, t - GROWTH_PROBES[0]
+    for j, coefficient in enumerate(column):
+        value += coefficient * binomial
+        binomial = binomial * (x - j) // (j + 1)  # C(x, j + 1), exactly
+    return value
 
 
 def classify(notion: SmallWorldNotion, direction: GrowthDirection) -> SmallWorldVerdict:
@@ -259,28 +254,29 @@ def classify(notion: SmallWorldNotion, direction: GrowthDirection) -> SmallWorld
 
     The indicator is P / Q for closed forms P and Q that are polynomials in
     the growing parameter t, so it outgrows ln(n) exactly when deg P > deg Q;
-    otherwise it tends to a finite constant and its ratio to ln(n) vanishes.
-    The degrees come from exact forward differences at t = 2..8.  The ratios
-    at t = 2, 4, ..., 2**STEP_COUNT, extended one doubling at a time where
-    they do not yet show it, must show the matching monotone trend; otherwise
-    the formulas and the asymptotics disagree and we fail loudly.  A trend
-    can turn as late as t near the product of the fixed values (DSWA along M
-    turns near M = K * L), so the walk stops after MAX_DOUBLINGS doublings
-    plus the bit length of the node count at t = 1.
+    otherwise it tends to a constant and its ratio to ln(n) vanishes.  The
+    forward differences of (P, Q) at t = 2..8, in ints, give both degrees
+    and both Newton interpolants.  These must give P and Q exactly at T and
+    T + 1, where T = 2**64 * n(1)**2 (n(1) the node count at t = 1) lies past
+    every product of the fixed values and so past any case split that
+    compares t with them; otherwise ConsistencyError.  Nine points pin down a polynomial of degree
+    at most 8, so if P and Q are such polynomials for t >= 2, the verdict is
+    proved, and a term that vanishes at the probes but acts at T or T + 1 is
+    caught.  The check does not prove that they are: a fault that acts only
+    between t = 8 and T, or vanishes at both far points, passes.
     """
-    pairs = [pt.pair for pt in ratio_sequence(notion, direction, GROWTH_PROBES)]
-    diverges = polynomial_degree(p for p, _ in pairs) > polynomial_degree(q for _, q in pairs)
-    horizon = MAX_DOUBLINGS + node_count(direction.params_at(1)).bit_length()
-    ratios = [pt.ratio for pt in ratio_sequence(notion, direction, geometric_steps())]
-    while not _shows_trend(ratios, diverges):
-        if len(ratios) == horizon:
-            trend = "rising" if diverges else "falling"
+    indicator_pair = _INDICATOR_PAIRS[notion]
+    probes = [indicator_pair(*direction.params_at(t)) for t in GROWTH_PROBES]
+    (p_degree, p_column), (q_degree, q_column) = map(_newton_form, zip(*probes))
+    far = 2**64 * node_count_at(*direction.params_at(1)) ** 2
+    for t in (far, far + 1):
+        p, q = indicator_pair(*direction.params_at(t))
+        if (_newton_value(p_column, t), _newton_value(q_column, t)) != (p, q):
             raise ConsistencyError(
-                f"{notion.value} vs {direction.varying}: expected {trend} ratios"
+                f"{notion.value} vs {direction.varying}: the closed forms far out"
+                " are not the polynomials through t = 2..8"
             )
-        step = 2 ** (len(ratios) + 1)
-        ratios += [pt.ratio for pt in ratio_sequence(notion, direction, [step])]
-    return SmallWorldVerdict(notion, diverges)
+    return SmallWorldVerdict(notion, p_degree > q_degree)
 
 
 def verdict_table():

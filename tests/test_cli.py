@@ -555,6 +555,19 @@ def test_values_past_fifty_digits_are_named_by_their_digit_count(
     assert len(text.encode()) <= 200
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["export", "-M", "1", "-K", "1", "-L", "1", "--out"], ["asymptotics", "--all", "--csv-dir"]],
+    ids=["export", "asymptotics"],
+)
+def test_a_long_path_is_echoed_by_its_first_fifty_characters(capsys, tmp_path, argv):
+    path = str(tmp_path / ("d" * 5000))
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 1024
+    assert err.startswith("error: ") and f"{path[:50]!r}... (" in err
+
+
 class TestVerify:
     def test_small_grid_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--Mmax", "1", "--Kmax", "1", "--Lmax", "1")

@@ -1,4 +1,4 @@
-"""tools/mutants.py on three fixed sites of closed_form: killed, equivalent, and out of time."""
+"""tools/mutants.py on fixed sites of closed_form and small_world: killed, equivalent, out of time."""
 
 import ast
 import importlib.util
@@ -10,14 +10,20 @@ _spec = importlib.util.spec_from_file_location("mutants", SCRIPT)
 mutants = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(mutants)
 
-SOURCE = (SCRIPT.parents[1] / "src" / "spidernets" / "closed_form.py").read_text(encoding="utf-8")
+
+def source(module: str) -> str:
+    return (SCRIPT.parents[1] / "src" / "spidernets" / f"{module}.py").read_text(encoding="utf-8")
 
 
-def site(code: str, mutation: str):
-    """The one mutant of closed_form with this mutation on the line that holds code."""
-    lines = SOURCE.splitlines()
+SOURCE = source("closed_form")
+
+
+def site(code: str, mutation: str, module: str = "closed_form"):
+    """The one mutant of module with this mutation on the line that holds code."""
+    text = source(module)
+    lines = text.splitlines()
     (found,) = [
-        m for m in mutants.mutants(SOURCE) if code in lines[m.line - 1] and m.mutation == mutation
+        m for m in mutants.mutants(text) if code in lines[m.line - 1] and m.mutation == mutation
     ]
     return found
 
@@ -58,3 +64,11 @@ def test_a_judge_past_its_timeout_kills():
     result = mutants.score("closed_form", [single_node], [sys.executable, "-c", sleeper], timeout=1)
     assert [row["outcome"] for row in result["sites"]] == ["timeout"]
     assert (result["killed"], result["timeouts"]) == (1, 1)
+
+
+def test_asymptotics_kills_a_flipped_far_point_check():
+    # classify then raises on every cell, since the closed forms are the interpolants
+    check = site("!= (p, q)", "!= -> ==", "small_world")
+    result = mutants.score("small_world", [check])
+    assert result["judge"] == "spidernets asymptotics --all"
+    assert [row["outcome"] for row in result["sites"]] == ["killed"]

@@ -17,6 +17,8 @@ from spidernets.small_world import (
     RatioPoint,
     SmallWorldNotion,
     SmallWorldVerdict,
+    _newton_form,
+    _newton_value,
     classify,
     geometric_steps,
     polynomial_degree,
@@ -328,6 +330,38 @@ class TestClassification:
         )
 
 
+class TestFarPointCheck:
+    """The interpolants through t = 2..8 must give the closed forms at both far points."""
+
+    def test_a_term_from_t_2_40_on(self, monkeypatch):
+        # From M = 2**40 on, the mean distance grows like M / 2 and SWA's ratio diverges.
+        real = _INDICATOR_PAIRS[SWA]
+
+        def wrong(m, k, l):
+            total, pairs = real(m, k, l)
+            return total + m**3 * (m >= 2**40), pairs
+
+        monkeypatch.setitem(_INDICATOR_PAIRS, SWA, wrong)
+        with pytest.raises(ConsistencyError, match="SWA vs M: the closed forms far out"):
+            classify(SWA, GrowthDirection("M", k=1, l=1))
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["P", "Q"])
+    @pytest.mark.parametrize("notion", list(SmallWorldNotion))
+    def test_a_term_zero_at_every_probe(self, monkeypatch, notion, side):
+        # (t - 2)(t - 3)...(t - 8) leaves every probe, and so both degrees, as they were.
+        real = _INDICATOR_PAIRS[notion]
+
+        def wrong(m, k, l):
+            pair = list(real(m, k, l))
+            pair[side] += math.prod(l - t for t in GROWTH_PROBES)
+            return tuple(pair)
+
+        direction = GrowthDirection("L", m=2, k=1)
+        monkeypatch.setitem(_INDICATOR_PAIRS, notion, wrong)
+        with pytest.raises(ConsistencyError, match="closed forms far out"):
+            classify(notion, direction)
+
+
 fixed_values = st.integers(min_value=2, max_value=1000)
 valid_directions = st.one_of(
     st.builds(lambda k, l: GrowthDirection("M", k=k, l=l), fixed_values, fixed_values),
@@ -345,6 +379,20 @@ class TestGrowthOrders:
         coeffs = lower + [lead]
         samples = [sum(c * t ** i for i, c in enumerate(coeffs)) for t in GROWTH_PROBES]
         assert polynomial_degree(samples) == len(coeffs) - 1
+
+    @given(
+        st.lists(st.integers(min_value=-50, max_value=50), min_size=0, max_size=5),
+        st.integers(min_value=1, max_value=50),
+        st.integers(min_value=-(10**40), max_value=10**40),
+    )
+    def test_newton_form_gives_the_polynomial_at_any_t(self, lower, lead, t):
+        coeffs = lower + [lead]
+
+        def poly(x):
+            return sum(c * x ** i for i, c in enumerate(coeffs))
+
+        column = _newton_form([poly(x) for x in GROWTH_PROBES])[1]
+        assert _newton_value(column, t) == poly(t)
 
     @pytest.mark.parametrize(
         "samples",

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Each module's judge: spidernets arguments, run with the mutated copy of src/ first on PYTHONPATH.
-JUDGES = {"closed_form": ["verify"]}
+JUDGES = {"closed_form": ["verify"], "small_world": ["asymptotics", "--all"]}
 TIMEOUT_S = 60
 ADDRESS_SPACE = 2**31  # bytes a judge may map
 
