@@ -464,14 +464,15 @@ def _ratio_rows(values: list) -> str:
 
 
 def _write_ratio_csv(path: str, steps, points) -> None:
-    """One row per point, each pair (P, Q) as p/q in lowest terms.
+    """One row per point (n, pair, ratio, log_n), read as it comes, each pair (P, Q) as p/q.
 
-    Each row's six values, the step, n, p, q, the point's ln(n) and its
-    ratio, are collected for a block of ``_RATIO_BLOCK`` rows, and the
-    block is formatted by one % call; %d and %.6g give the text of str and
-    format(x, ".6g").  Every block is formatted before the file is opened,
-    so a row past the int-to-str digit limit writes no file; the first of
-    its n, p and q that is past the limit is named, as ``_decimal`` names it.
+    Each row's six values, the step, n, p, q in lowest terms, the point's
+    ln(n) and its ratio, are collected for a block of ``_RATIO_BLOCK`` rows,
+    and the block is formatted by one % call; %d and %.6g give the text of
+    str and format(x, ".6g").  Every block is formatted before the file is
+    opened, so a point that fails a check, or a row past the int-to-str
+    digit limit, writes no file; the first of its n, p and q that is past
+    the limit is named, as ``_decimal`` names it.
     """
     blocks, values, gcd = ["step,N,numerator,lnN,ratio\n"], [], math.gcd
     for step, (n, (top, bottom), ratio, log_n) in zip(steps, points):
@@ -480,8 +481,7 @@ def _write_ratio_csv(path: str, steps, points) -> None:
         if len(values) == 6 * _RATIO_BLOCK:
             blocks.append(_ratio_rows(values))
             values = []
-    if values:
-        blocks.append(_ratio_rows(values))
+    blocks.append(_ratio_rows(values))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(blocks)
 
@@ -512,7 +512,7 @@ def cmd_asymptotics(args) -> int:
             steps = _parse_steps(args.steps)
     for notion, direction, verdict, path in cells:
         if path:
-            _write_ratio_csv(path, steps, small_world.ratio_sequence(notion, direction, steps))
+            _write_ratio_csv(path, steps, small_world._ratio_steps(notion, direction, steps))
         label = small_world.verdict_label(verdict)
         print(f"{notion.value} vary {direction.varying} ({direction.describe_fixed()}): {label}")
     return EXIT_OK

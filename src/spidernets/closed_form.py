@@ -8,14 +8,15 @@ of x^d over unordered node pairs at distance d (Wilf, generatingfunctionology):
     A(x) = m k Q(x) + m C(k,2) L(x)^2 + C(m,2) x B(x)^2,
 
 with L = x + ... + x^l, Q = L + sum of (l-d) x^d for d < l, and B = 1 + k L.
-``_pair_classes`` holds its terms as plain integer expressions in (m, k, l):
+Its terms are plain integer expressions in (m, k, l):
 
 * m k Q: two nodes of one leg, its core node included, q - p apart;
 * m C(k,2) L^2: nodes of two legs of one core node, p + q apart;
 * C(m,2) x B^2: two nodes under different core nodes, p + 1 + q apart.
 
-A(1) is the pair count, A'(1) the total distance, the coefficients of A the
-distance frequencies alpha_j and deg A the diameter.  Degree and gamma
+A(1) is the pair count and A'(1) the total distance, from the rows (count,
+P(1), P'(1)) of ``_pair_classes``; the coefficients of A, in ``_alpha_lines``,
+are the distance frequencies alpha_j, and deg A the diameter.  Degree and gamma
 multisets are (value, count) groups and alpha at most 4 linear runs, the
 canonical forms (``graph_core.value_groups``, ``linear_runs``) of the
 oracle's ``Indicators`` record, so the records are equal field by field and
@@ -101,7 +102,8 @@ def max_degree(p: SpiderParams) -> int:
 
 def max_degree_at(m: int, k: int, l: int) -> int:
     """``max_degree`` of the spider (m, k, l), read off the checked pairs without sorting them."""
-    return max(value for value, count in _checked_delta_groups(m, k, l) if count)
+    (core, _), (two, interior), (one, terminals) = _checked_delta_groups(m, k, l)
+    return max(core, interior and two, terminals and one)  # a leg degree where it has nodes
 
 
 def _gamma_groups(p: SpiderParams):
@@ -150,29 +152,29 @@ def _exact(numerator: int, divisor: int) -> int:
 
 
 def _pair_classes(m: int, k: int, l: int):
-    """The terms Q, L^2 and x B^2 of A(x) as rows (count, P(1), P'(1), coefficients).
-
-    A is the sum of count * P over the rows.  The coefficients (c, a, b, a',
-    b') of P are c at x, a + b*j at x^j for j = 2..l+1 and a' + b'*j for
-    j = l+2..2l+1; P has no term past x^(2l+1).
-    """
+    """The terms Q, L^2 and x B^2 of A(x) as rows (count, P(1), P'(1)), summed for A(1), A'(1)."""
     half = _exact(l * (l + 1), 2)  # Q(1) = L'(1)
     legs, cores = _exact(k * (k - 1), 2), _exact(m * (m - 1), 2)  # C(k,2), C(m,2)
-    b, kk = 1 + k * l, k * k  # B(1)
+    b = 1 + k * l  # B(1)
     return (
-        (m * k, half, _exact(l * (l + 1) * (l + 2), 6), (l, l + 1, -1, 0, 0)),
-        (m * legs, l * l, l * l * (l + 1), (0, -1, 1, 2 * l + 1, -1)),
-        (cores, b * b, b * (b + 2 * k * half), (1, 2 * (k - kk), kk, 2 * kk * (l + 1), -kk)),
+        (m * k, half, _exact(l * (l + 1) * (l + 2), 6)),
+        (m * legs, l * l, l * l * (l + 1)),
+        (cores, b * b, b * (b + 2 * k * half)),
     )
 
 
 def _alpha_lines(p: SpiderParams):
     """Distance frequencies as lines (first, last, a, b), alpha_j = a + b*j: A's coefficients.
 
-    Ranges may be empty or reach past n-1, where they hold only zeros.
+    A term is count times a P with coefficients (c, a, b, a', b'): c at x,
+    a + b*j at x^j for j = 2..l+1 and a' + b'*j for j = l+2..2l+1, none past
+    x^(2l+1).  The counts are taken here, so a report builds ``_pair_classes``
+    once.  Ranges may be empty or reach past n-1, where they hold only zeros.
     """
     m, k, l = p
-    (c1, _, _, q), (c2, _, _, s), (c3, _, _, t) = _pair_classes(m, k, l)
+    c1, c2, c3, kk = m * k, m * (k * (k - 1) // 2), m * (m - 1) // 2, k * k
+    q, s = (l, l + 1, -1, 0, 0), (0, -1, 1, 2 * l + 1, -1)
+    t = (1, 2 * (k - kk), kk, 2 * kk * (l + 1), -kk)
     c, a, b, a2, b2 = [c1 * x + c2 * y + c3 * z for x, y, z in zip(q, s, t)]
     end = node_count(p) - 1
     return [(1, 1, c, 0), (2, l + 1, a, b), (l + 2, 2 * l + 1, a2, b2), (2 * l + 2, end, 0, 0)]
@@ -294,7 +296,7 @@ def distance_sums_at(m: int, k: int, l: int) -> tuple[int, int]:
 
     A(1) = 0 is fewer than 2 nodes, a ValueError; else it must be ``pair_count_at``.
     """
-    (c1, p1, d1, _), (c2, p2, d2, _), (c3, p3, d3, _) = _pair_classes(m, k, l)
+    (c1, p1, d1), (c2, p2, d2), (c3, p3, d3) = _pair_classes(m, k, l)
     pairs = c1 * p1 + c2 * p2 + c3 * p3
     if not pairs:
         raise ValueError("total distance needs at least 2 nodes")

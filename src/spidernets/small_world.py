@@ -25,8 +25,8 @@ of its closed forms, reduced to lowest terms only for output.
 (m, k, l), run at every step with every check they make: DSWL's three
 degree checks; for SWA, (A'(1), A(1)) of ``distance_sums_at`` with its four
 divisibility checks and A(1) against ``pair_count_at`` and its expansion;
-none beyond the formulas for DSWA and SWD.  Each step yields one
-``RatioPoint`` with n and ln(n).  ``classify`` reads the same table.
+none beyond the formulas for DSWA and SWD.  ``_ratio_steps`` yields one step
+at a time, for a list or a CSV.  ``classify`` reads the same table.
 """
 
 from __future__ import annotations
@@ -173,19 +173,20 @@ _INDICATOR_PAIRS = {
 }
 
 
-def ratio_sequence(
-    notion: SmallWorldNotion, direction: GrowthDirection, steps
-) -> list[RatioPoint]:
-    """Sample indicator / ln(n) at strictly increasing parameter values.
+def ratio_sequence(notion: SmallWorldNotion, direction: GrowthDirection, steps) -> list[RatioPoint]:
+    """Sample indicator / ln(n) at strictly increasing parameter values: ``_ratio_steps``."""
+    return list(map(RatioPoint._make, _ratio_steps(notion, direction, steps)))
 
-    The steps are checked once: strictly increasing, the first at least 1.
-    ``GrowthDirection`` has checked the fixed slots, so each step is a valid
-    normalized spider, and the notion's closed forms run straight on its
-    ints (m, k, l), every consistency check included.  Each point keeps the
-    pair (P, Q) as it comes and ln(n), taken once, and its ratio is
-    P / Q / ln(n); int true division is correctly rounded, so this equals
-    float(Fraction(P, Q)) / ln(n) bit for bit.  Every spider of a growth
-    direction has n >= 2, so ln(n) > 0.
+
+def _ratio_steps(notion: SmallWorldNotion, direction: GrowthDirection, steps):
+    """Each step's (n, pair, ratio, log_n), the fields of a ``RatioPoint``, as it is asked for.
+
+    The steps are checked at the call: strictly increasing, the first at
+    least 1.  ``GrowthDirection`` has checked the fixed slots, so the
+    notion's closed forms run straight on each step's ints (m, k, l), every
+    check included.  A point keeps the pair (P, Q) as it comes and ln(n),
+    taken once; its ratio P / Q / ln(n) is correctly rounded int true
+    division, float(Fraction(P, Q)) / ln(n) bit for bit; n >= 2, so ln(n) > 0.
     """
     steps = list(steps)
     if not all(map(operator.lt, steps, steps[1:])):
@@ -195,18 +196,19 @@ def ratio_sequence(
     indicator_pair = _INDICATOR_PAIRS[notion]
     log = math.log
     # The varying slot is the one left None; the fixed ones repeat.
-    slots = (
+    slots = [
         steps if fixed is None else itertools.repeat(fixed)
         for fixed in (direction.m, direction.k, direction.l)
-    )
-    make_point = tuple.__new__  # RatioPoint without its Python-level __new__, twice as fast
-    points = []
-    for m, k, l in zip(*slots):
-        n = node_count_at(m, k, l)
-        pair = indicator_pair(m, k, l)
-        log_n = log(n)
-        points.append(make_point(RatioPoint, (n, pair, pair[0] / pair[1] / log_n, log_n)))
-    return points
+    ]
+
+    def points():
+        for m, k, l in zip(*slots):
+            n = node_count_at(m, k, l)
+            pair = indicator_pair(m, k, l)
+            log_n = log(n)
+            yield n, pair, pair[0] / pair[1] / log_n, log_n
+
+    return points()
 
 
 def geometric_steps() -> list[int]:
@@ -233,11 +235,6 @@ def _newton_form(samples) -> tuple[int, list[int]]:
     if degree is None or column[degree] <= 0:
         raise ConsistencyError("growth polynomial must have a positive lead")
     return degree, column
-
-
-def polynomial_degree(samples) -> int:
-    """Degree of a polynomial with positive lead, from its values at consecutive integers."""
-    return _newton_form(samples)[0]
 
 
 def _newton_value(column: list[int], t: int) -> int:

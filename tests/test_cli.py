@@ -803,6 +803,45 @@ def test_a_csv_row_past_the_int_str_limit_in_a_later_block(capsys, tmp_path, int
     assert err.count("\n") == 1 and "a 4401-digit integer, past Python's limit" in err
 
 
+def _degree_sum_wrong_at_1500(real):
+    def wrong(m, k, l):
+        (core, count), interior, terminal = real(m, k, l)
+        return [(core + (m == 1500), count), interior, terminal]
+
+    return wrong
+
+
+def _leg_term_wrong_at_1500(real):
+    def wrong(numerator, divisor):
+        return real(numerator + (numerator == 1500 * 1501 * 1502), divisor)
+
+    return wrong
+
+
+# A check that fails at one step of a streamed sequence fails the command there.
+@pytest.mark.parametrize(
+    "attribute, wrong, cell, match",
+    [
+        ("_delta_groups", _degree_sum_wrong_at_1500, ("DSWL", "M", "K=2,L=3"), "total degree"),
+        ("_exact", _leg_term_wrong_at_1500, ("SWA", "L", "M=2,K=1"), "not an integer"),
+    ],
+    ids=["DSWL", "SWA"],
+)
+def test_a_step_fault_midway_writes_no_csv(
+    capsys, monkeypatch, tmp_path, attribute, wrong, cell, match
+):
+    monkeypatch.setattr(closed_form, attribute, wrong(getattr(closed_form, attribute)))
+    notion, vary, fixed = cell
+    out_path = tmp_path / "cell.csv"
+    code, out, err = run(
+        capsys,
+        "asymptotics", "--notion", notion, "--vary", vary, "--fix", fixed,
+        "--steps", ",".join(map(str, range(2, 2002))), "--out-csv", str(out_path),
+    )
+    assert (code, out, out_path.exists()) == (1, "", False)
+    assert err.count("\n") == 1 and match in err
+
+
 class TestAsymptotics:
     def test_single_cell_verdict(self, capsys):
         code, out, _ = run(
@@ -1004,6 +1043,24 @@ class TestAsymptotics:
             "--steps", f"2,{entry},9", "--out-csv", str(csv_path),
         )
         assert (code, out, err) == (2, "", f"error: --steps entry {entry!r} is not an integer\n")
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ("0,1,2", "parameter value must be >= 1, got 0"),
+            ("1,3,2", "steps must be strictly increasing"),
+            ("10,10,20", "steps must be strictly increasing"),
+        ],
+    )
+    def test_steps_checked_before_the_first_row(self, capsys, tmp_path, steps, message):
+        csv_path = tmp_path / "ratios.csv"
+        code, out, err = run(
+            capsys,
+            "asymptotics", "--notion", "SWD", "--vary", "M", "--fix", "K=1,L=1",
+            "--steps", steps, "--out-csv", str(csv_path),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not csv_path.exists()
 
     @pytest.mark.parametrize("value", ["", "x", "2.5", "1e3"])

@@ -311,6 +311,17 @@ class TestGroupedForms:
         with pytest.raises(ConsistencyError):
             closed_form_report(normalize(3, 2, 2))
 
+    def test_report_builds_the_pair_classes_once(self, monkeypatch):
+        real, calls = closed_form._pair_classes, []
+
+        def counting(m, k, l):
+            calls.append((m, k, l))
+            return real(m, k, l)
+
+        monkeypatch.setattr(closed_form, "_pair_classes", counting)
+        closed_form_report(normalize(3, 2, 2))
+        assert calls == [(3, 2, 2)]
+
     def test_negative_multiplicity_detected(self, monkeypatch):
         real = closed_form._gamma_groups
         monkeypatch.setattr(

@@ -70,5 +70,8 @@ def test_asymptotics_kills_a_flipped_far_point_check():
     # classify then raises on every cell, since the closed forms are the interpolants
     check = site("!= (p, q)", "!= -> ==", "small_world")
     result = mutants.score("small_world", [check])
-    assert result["judge"] == "spidernets asymptotics --all"
+    judges = result["judge"].split("; ")
+    assert judges[0] == "spidernets asymptotics --all"
+    assert [judge.split()[3] for judge in judges[1:]] == ["DSWL", "DSWA", "SWD", "SWA"]
+    assert all(judge.endswith(" --out-csv /dev/stdout") for judge in judges[1:])
     assert [row["outcome"] for row in result["sites"]] == ["killed"]

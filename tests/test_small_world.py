@@ -21,7 +21,6 @@ from spidernets.small_world import (
     _newton_value,
     classify,
     geometric_steps,
-    polynomial_degree,
     ratio_sequence,
     verdict_label,
     verdict_table,
@@ -228,8 +227,8 @@ class TestEveryCheckAtEveryStep:
 
         def wrong_at_1500(m, k, l):
             rows = list(real(m, k, l))
-            count, pairs, distance, coefficients = rows[row]
-            rows[row] = (count, pairs + (k == 1500), distance, coefficients)
+            count, pairs, distance = rows[row]
+            rows[row] = (count, pairs + (k == 1500), distance)
             return rows
 
         monkeypatch.setattr(closed_form, "_pair_classes", wrong_at_1500)
@@ -368,6 +367,11 @@ valid_directions = st.one_of(
     st.builds(lambda m, l: GrowthDirection("K", m=m, l=l), fixed_values, fixed_values),
     st.builds(lambda m, k: GrowthDirection("L", m=m, k=k), fixed_values, fixed_values),
 )
+
+
+def polynomial_degree(samples) -> int:
+    """Degree of a polynomial with positive lead, from its values at consecutive integers."""
+    return _newton_form(samples)[0]
 
 
 class TestGrowthOrders:

@@ -10,10 +10,10 @@ becomes ``*``, a comparison is flipped (``<`` to ``>=``, ``==`` to ``!=``,
 and so on) or an int constant grows by one.  A site is the node's index in
 ``ast.walk`` order, so exactly one node changes, even where several share a
 source position.  The mutated module is written into a copy of ``src/`` and
-the module's judge runs on it in one child process at a time, with a
-timeout and an address-space limit set on that child only.  A mutant is
-killed when the judge's exit code or stdout differs from its run on the
-unmutated copy, or when it runs out of time.  The result goes to
+the commands of the module's judge run on it, each in one child process at
+a time, with a timeout and an address-space limit set on that child only.
+A mutant is killed when any command's exit code or stdout differs from its
+run on the unmutated copy, or when one runs out of time.  The result goes to
 ``MUTANTS.json``: per module, the judge, the counts and every mutant with
 its line and outcome.  Only the standard library is used.
 """
@@ -32,8 +32,25 @@ import tempfile
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# Each module's judge: spidernets arguments, run with the mutated copy of src/ first on PYTHONPATH.
-JUDGES = {"closed_form": ["verify"], "small_world": ["asymptotics", "--all"]}
+# Each module's judge: spidernets commands, as arguments, run one after another with the
+# mutated copy of src/ first on PYTHONPATH.  The short cells write their CSV to stdout, so
+# the judge reaches the ratio steps that --all never runs.
+JUDGES = {
+    "closed_form": [["verify"]],
+    "small_world": [
+        ["asymptotics", "--all"],
+        *(
+            ["asymptotics", "--notion", notion, "--vary", vary, "--fix", fixed,
+             "--steps", "1,2,3,5,8,13,21", "--out-csv", "/dev/stdout"]
+            for notion, vary, fixed in (
+                ("DSWL", "M", "K=2,L=3"),
+                ("DSWA", "K", "M=3,L=2"),
+                ("SWD", "L", "M=2,K=2"),
+                ("SWA", "L", "M=3,K=2"),
+            )
+        ),
+    ],
+}
 TIMEOUT_S = 60
 ADDRESS_SPACE = 2**31  # bytes a judge may map
 
@@ -96,26 +113,32 @@ def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def judge(command: list[str], src: str, timeout: float):
-    """(exit code, stdout) of command with src first on PYTHONPATH, or "timeout"."""
+def judge(commands: list[list[str]], src: str, timeout: float):
+    """[(exit code, stdout)] of the commands with src first on PYTHONPATH, or "timeout"."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    try:
-        done = subprocess.run(
-            command, env=env, capture_output=True, text=True, timeout=timeout,
-            preexec_fn=_limit_address_space,
-        )
-    except subprocess.TimeoutExpired:
-        return "timeout"
-    return done.returncode, done.stdout
+    outcomes = []
+    for command in commands:
+        try:
+            done = subprocess.run(
+                command, env=env, capture_output=True, text=True, timeout=timeout,
+                preexec_fn=_limit_address_space,
+            )
+        except subprocess.TimeoutExpired:
+            return "timeout"
+        outcomes.append((done.returncode, done.stdout))
+    return outcomes
 
 
 def score(module: str, chosen=None, command=None, timeout: float = TIMEOUT_S) -> dict:
     """Judge every mutant of module, or the chosen ones, by command; the MUTANTS.json entry.
 
-    The command defaults to the module's judge in ``JUDGES``.
+    Without a command, the module's judge in ``JUDGES`` judges.
     """
-    label = " ".join(command or ["spidernets", *JUDGES[module]])
-    command = command or [sys.executable, "-m", "spidernets.cli", *JUDGES[module]]
+    if command:
+        commands, label = [command], " ".join(command)
+    else:
+        commands = [[sys.executable, "-m", "spidernets.cli", *args] for args in JUDGES[module]]
+        label = "; ".join(" ".join(["spidernets", *args]) for args in JUDGES[module])
     with tempfile.TemporaryDirectory() as tmp:
         src = os.path.join(tmp, "src")
         shutil.copytree(
@@ -125,14 +148,14 @@ def score(module: str, chosen=None, command=None, timeout: float = TIMEOUT_S) ->
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
         lines = source.splitlines()
-        baseline = judge(command, src, timeout)
-        if baseline == "timeout" or baseline[0] != 0:
+        baseline = judge(commands, src, timeout)
+        if baseline == "timeout" or any(code != 0 for code, _ in baseline):
             raise SystemExit(f"the judge fails on the unmutated {module}: {baseline!r}")
         rows = []
         for mutant in mutants(source) if chosen is None else chosen:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(mutate(source, mutant))
-            outcome = judge(command, src, timeout)
+            outcome = judge(commands, src, timeout)
             if outcome != "timeout":
                 outcome = "survived" if outcome == baseline else "killed"
             code = lines[mutant.line - 1].strip()
