@@ -24,14 +24,14 @@ no array of length n is built.  The checks, each a ConsistencyError:
 
 * degree groups: no negative count, the node total, twice the edge count;
 * gamma groups: no negative count, the node total, the sum identity;
-* A: each exact division on its own numerator, A(1) = ``pair_count_at``,
+* A: each exact division on its own numerator, A(1) = ``pair_count``,
   and in a report sum alpha_j = pair count and sum j alpha_j = A'(1);
 * density and average degree: integer cross-products with the edge count;
 * h-index: its regime against the degree groups.
 
-The forms a small-world indicator uses are functions of the ints (m, k, l),
-named ``..._at``, and each function of a ``SpiderParams`` with the same
-name is a one-line adapter onto one.
+Every form takes the triple p, a ``SpiderParams`` or a plain (m, k, l)
+tuple, and only unpacks it, so a small-world step runs the same function,
+with the same checks, on the ints of its step.
 """
 
 from __future__ import annotations
@@ -39,16 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from spidernets.graph_core import Indicators, h_index_of_groups, linear_runs, value_groups
-from spidernets.spiders import (
-    ConsistencyError,
-    SpiderParams,
-    edge_count,
-    edge_count_at,
-    node_count,
-    node_count_at,
-    pair_count,
-    pair_count_at,
-)
+from spidernets.spiders import ConsistencyError, SpiderParams, edge_count, node_count, pair_count
 
 
 def _check(condition: bool, message: str) -> None:
@@ -71,38 +62,29 @@ def _sums(pairs) -> tuple[int, int]:
     return count_sum, value_sum
 
 
-def _delta_groups(m: int, k: int, l: int):
+def _delta_groups(p: SpiderParams):
     """Degree multiset: core nodes, interior leg nodes, terminal leg nodes."""
+    m, k, l = p
     return [(m - 1 + k, m), (2, k * m * (l - 1)), (1, k * m)]
 
 
-def _checked_delta_groups(m: int, k: int, l: int):
-    """``_delta_groups`` of (m, k, l) after delta's three checks, as raw (degree, count) pairs."""
-    pairs = _delta_groups(m, k, l)
+def _checked_delta_groups(p: SpiderParams):
+    """``_delta_groups`` of p after delta's three checks, as raw (degree, count) pairs."""
+    pairs = _delta_groups(p)
     nodes, degree_sum = _sums(pairs)
-    _check(nodes == node_count_at(m, k, l), "degree groups miss nodes")
-    _check(degree_sum == 2 * edge_count_at(m, k, l), "total degree is not twice the edge count")
+    _check(nodes == node_count(p), "degree groups miss nodes")
+    _check(degree_sum == 2 * edge_count(p), "total degree is not twice the edge count")
     return pairs
 
 
 def delta_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
     """Degree multiset as non-increasing (degree, count) groups, at most 3."""
-    return delta_groups_at(*p)
-
-
-def delta_groups_at(m: int, k: int, l: int) -> tuple[tuple[int, int], ...]:
-    """``delta_groups`` of the spider (m, k, l)."""
-    return value_groups(_checked_delta_groups(m, k, l))
+    return value_groups(_checked_delta_groups(p))
 
 
 def max_degree(p: SpiderParams) -> int:
-    """Largest degree, without materializing the array."""
-    return max_degree_at(*p)
-
-
-def max_degree_at(m: int, k: int, l: int) -> int:
-    """``max_degree`` of the spider (m, k, l), read off the checked pairs without sorting them."""
-    (core, _), (two, interior), (one, terminals) = _checked_delta_groups(m, k, l)
+    """Largest degree, read off the checked pairs without sorting them."""
+    (core, _), (two, interior), (one, terminals) = _checked_delta_groups(p)
     return max(core, interior and two, terminals and one)  # a leg degree where it has nodes
 
 
@@ -135,7 +117,7 @@ def gamma_groups(p: SpiderParams) -> tuple[tuple[int, int], ...]:
     nodes, gamma_sum = _sums(pairs)
     _check(nodes == node_count(p), "gamma groups miss nodes")
     # Summing gamma over nodes counts each degree once plus once per neighbor.
-    degree_square_sum = sum(count * value * value for value, count in _delta_groups(*p))
+    degree_square_sum = sum(count * value * value for value, count in _delta_groups(p))
     _check(
         gamma_sum == 2 * edge_count(p) + degree_square_sum,
         "gamma sum identity failed",
@@ -151,8 +133,9 @@ def _exact(numerator: int, divisor: int) -> int:
     return quotient
 
 
-def _pair_classes(m: int, k: int, l: int):
+def _pair_classes(p: SpiderParams):
     """The terms Q, L^2 and x B^2 of A(x) as rows (count, P(1), P'(1)), summed for A(1), A'(1)."""
+    m, k, l = p
     half = _exact(l * (l + 1), 2)  # Q(1) = L'(1)
     legs, cores = _exact(k * (k - 1), 2), _exact(m * (m - 1), 2)  # C(k,2), C(m,2)
     b = 1 + k * l  # B(1)
@@ -214,16 +197,13 @@ def _run_sums(runs) -> tuple[int, int]:
 
 
 def diameter_closed(p: SpiderParams) -> int:
-    """Largest distance: terminal to terminal across the core in the general case."""
-    return diameter_closed_at(*p)
+    """Largest distance: deg A, the largest degree of a present term.
 
-
-def diameter_closed_at(m: int, k: int, l: int) -> int:
-    """``diameter_closed`` of the spider (m, k, l): deg A, the largest degree of a present term.
-
-    x B(x)^2 (two core nodes) has degree 2l+1, L(x)^2 (two legs at one core
-    node) 2l and Q(x) (one leg) l; with none present, a single node, 0.
+    x B(x)^2 (two core nodes) has degree 2l+1, terminal to terminal across
+    the core, L(x)^2 (two legs at one core node) 2l and Q(x) (one leg) l;
+    with none present, a single node, 0.
     """
+    m, k, l = p
     if m > 1:
         return 2 * l + 1
     if k > 1:
@@ -248,12 +228,7 @@ def density_closed(p: SpiderParams) -> Fraction:
 
 
 def h_index_closed(p: SpiderParams) -> int:
-    """h-index of the degree array, by parameter regime."""
-    return _h_index_checked(p, delta_groups(p))
-
-
-def _h_index_checked(p: SpiderParams, delta) -> int:
-    """h-index by parameter regime, checked against the degree groups delta of p."""
+    """h-index of the degree array, by parameter regime, checked against ``delta_groups``."""
     m, k, l = p
     if k == 0:
         value = m - 1
@@ -264,7 +239,7 @@ def _h_index_checked(p: SpiderParams, delta) -> int:
     else:
         value = 2 if l > 2 else 1
     _check(
-        value == h_index_of_groups(delta),
+        value == h_index_of_groups(delta_groups(p)),
         "h-index regime disagrees with the degree multiset",
     )
     return value
@@ -282,25 +257,20 @@ def average_degree_closed(p: SpiderParams) -> Fraction:
 
 
 def total_distance_closed(p: SpiderParams) -> int:
-    """Exact total distance over unordered pairs."""
-    return total_distance_closed_at(*p)
+    """Exact total distance over unordered pairs: A'(1) of ``distance_sums``."""
+    return distance_sums(p)[0]
 
 
-def total_distance_closed_at(m: int, k: int, l: int) -> int:
-    """``total_distance_closed`` of the spider (m, k, l)."""
-    return distance_sums_at(m, k, l)[0]
+def distance_sums(p: SpiderParams) -> tuple[int, int]:
+    """(A'(1), A(1)), the total distance and the pair count.
 
-
-def distance_sums_at(m: int, k: int, l: int) -> tuple[int, int]:
-    """(A'(1), A(1)), the total distance and the pair count of the spider (m, k, l).
-
-    A(1) = 0 is fewer than 2 nodes, a ValueError; else it must be ``pair_count_at``.
+    A(1) = 0 is fewer than 2 nodes, a ValueError; else it must be ``pair_count``.
     """
-    (c1, p1, d1), (c2, p2, d2), (c3, p3, d3) = _pair_classes(m, k, l)
+    (c1, p1, d1), (c2, p2, d2), (c3, p3, d3) = _pair_classes(p)
     pairs = c1 * p1 + c2 * p2 + c3 * p3
     if not pairs:
         raise ValueError("total distance needs at least 2 nodes")
-    _check(pairs == pair_count_at(m, k, l), "pair classes miss pairs")
+    _check(pairs == pair_count(p), "pair classes miss pairs")
     return c1 * d1 + c2 * d2 + c3 * d3, pairs
 
 
@@ -319,13 +289,12 @@ def closed_form_report(p: SpiderParams) -> Indicators:
         "total distance disagrees with the distance frequencies",
     )
     average_degree_closed(p)  # run for its own check; the record has no such field
-    delta = delta_groups(p)
     return Indicators(
-        delta=delta,
+        delta=delta_groups(p),
         gamma=gamma_groups(p),
         alpha=alpha,
         density=density_closed(p),
         diameter=diameter_closed(p),
-        h_index=_h_index_checked(p, delta),
+        h_index=h_index_closed(p),
         total_distance=total,
     )

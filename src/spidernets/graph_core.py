@@ -23,9 +23,8 @@ indicators, a named tuple shared with ``closed_form``: degree and gamma
 multisets as merged (value, count) groups and alpha as canonical linear
 runs, so two records of the same graph are equal field by field whichever
 side computed them.  It reads the distance histogram only up to the
-diameter and sorts no array of length n.  The tests' references work on
-full arrays: ``bfs_distances`` and ``all_pairs_distances`` (plain BFS),
-``degree_array``, ``gamma_array``, ``alpha_array`` and ``h_index``.
+diameter and sorts no array of length n.  Plain per-source BFS and the full
+sorted arrays are not kept here; the tests hold them as references.
 """
 
 from __future__ import annotations
@@ -34,11 +33,10 @@ import itertools
 import operator
 import sys
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-UNREACHABLE = -1
 # A depth histogram walked up a chain is an int up to 32 lanes and a
 # bytearray that grows in place beyond (``_distance_lanes``).
 _SHORT_BITS = 64 * 31
@@ -115,86 +113,6 @@ def linear_runs(runs) -> tuple[tuple[int, int, int, int], ...]:
         if last > first + 2:
             out[-1] = (out[-1][0], last) + out[-1][2:]
     return tuple(out)
-
-
-def build_graph(n: int, edges) -> Graph:
-    """Build a simple graph from unordered node pairs.
-
-    Duplicate pairs collapse to a single edge.  Raises ValueError for
-    out-of-range node ids or self-loops.
-    """
-    if n < 0:
-        raise ValueError(f"node count must be non-negative, got {n}")
-    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
-        if u == v:
-            raise ValueError(f"self-loop at node {u} is not allowed")
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    return Graph(n, tuple(tuple(sorted(s)) for s in neighbor_sets))
-
-
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Geodesic distances from one node; UNREACHABLE marks disconnected nodes."""
-    dist = [UNREACHABLE] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.adjacency[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
-
-
-def is_connected(g: Graph) -> bool:
-    """True when every node is reachable from node 0 (vacuously for n <= 1)."""
-    if g.n <= 1:
-        return True
-    return UNREACHABLE not in bfs_distances(g, 0)
-
-
-def all_pairs_distances(g: Graph) -> list[list[int]]:
-    """n x n matrix of BFS distances with UNREACHABLE markers."""
-    return [bfs_distances(g, u) for u in range(g.n)]
-
-
-def degree_array(g: Graph) -> tuple[int, ...]:
-    """Node degrees sorted non-increasing."""
-    return tuple(sorted((len(nbrs) for nbrs in g.adjacency), reverse=True))
-
-
-def gamma_array(g: Graph) -> tuple[int, ...]:
-    """Per node, own degree plus the degrees of all neighbors, sorted non-increasing."""
-    degree = list(map(len, g.adjacency))
-    values = [d + sum(map(degree.__getitem__, nbrs)) for d, nbrs in zip(degree, g.adjacency)]
-    return tuple(sorted(values, reverse=True))
-
-
-def alpha_array(g: Graph) -> tuple[int, ...]:
-    """Unordered node pairs at each distance j = 1..n-1, at index j-1.
-
-    Ordered pairs are counted by distance with ``_ordered_pairs`` and
-    halved; they sum to n * n only on a connected graph.  A single node
-    yields ().
-    """
-    n = g.n
-    if n <= 1:
-        return ()
-    counts = _ordered_pairs(g)
-    if sum(counts) < n * n:
-        raise ValueError("distance indicators need a connected graph")
-    return tuple(c // 2 for c in counts[1:n])
-
-
-def _ordered_pairs(g: Graph) -> list[int]:
-    """Ordered pairs at each distance 0..n-1: ``_distance_lanes`` padded with zeros to length n."""
-    counts = _distance_lanes(g)
-    return counts + [0] * (g.n - len(counts))
 
 
 def _distance_lanes(g: Graph) -> list[int]:
@@ -389,45 +307,12 @@ def _lanes(value: int) -> list[int]:
     return list(array("Q", value.to_bytes(8 * -(-value.bit_length() // 64), sys.byteorder)))
 
 
-def density(g: Graph) -> Fraction:
-    """Edges present over the n(n-1)/2 possible, as an exact fraction."""
-    return _density(g.n, 2 * g.num_edges)
-
-
-def _density(n: int, degree_sum: int) -> Fraction:
-    """``density`` of a graph of n nodes whose degrees sum to degree_sum, twice its edges."""
-    if n <= 1:
-        raise ValueError("density needs at least 2 nodes")
-    return Fraction(degree_sum, n * (n - 1))
-
-
-def h_index(values) -> int:
-    """Largest h such that at least h entries are >= h.
-
-    Input must be sorted non-increasing with non-negative entries; the empty
-    array has h-index 0.
-    """
-    values = tuple(values)
-    for a, b in zip(values, values[1:]):
-        if a < b:
-            raise ValueError("h-index input must be sorted non-increasing")
-    if values and values[-1] < 0:
-        raise ValueError("h-index input must be non-negative")
-    h = 0
-    for rank, value in enumerate(values, start=1):
-        if value >= rank:
-            h = rank
-        else:
-            break
-    return h
-
-
 def h_index_of_groups(groups) -> int:
-    """``h_index`` of the array that (value, count) groups stand for, run by run.
+    """The largest h such that at least h entries are >= h, of the array that groups stand for.
 
-    The groups must be in non-increasing value order with non-negative
-    values and counts; a group with count 0 stands for no entries.  Same
-    rule and same errors as ``h_index`` on the expanded array, in time
+    The (value, count) groups must be in non-increasing value order with
+    non-negative values and counts; a group with count 0 stands for no
+    entries, and no entries have h-index 0.  Runs group by group, in time
     linear in the number of groups.
     """
     groups = [(value, count) for value, count in groups if count]
@@ -458,8 +343,9 @@ def all_indicators(g: Graph) -> Indicators:
     groups once sorted.  The density takes 2E from the same degree list.
     """
     n = g.n
+    if n <= 1:
+        raise ValueError("density needs at least 2 nodes")
     degree = list(map(len, g.adjacency))
-    dens = _density(n, sum(degree))
     counts = _distance_lanes(g)
     if sum(counts) < n * n:
         raise ValueError("distance indicators need a connected graph")
@@ -477,7 +363,7 @@ def all_indicators(g: Graph) -> Indicators:
         delta=delta,
         gamma=tuple(sorted(gamma.items(), reverse=True)),
         alpha=linear_runs(runs + [(d, d, alpha[-1], 0), (d + 1, n - 1, 0, 0)]),
-        density=dens,
+        density=Fraction(sum(degree), n * (n - 1)),
         diameter=d,
         h_index=h_index_of_groups(delta),
         total_distance=sum(map(operator.mul, alpha, range(1, d + 1))),

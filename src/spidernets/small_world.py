@@ -21,10 +21,10 @@ Q are polynomials of degree at most 8; it does not prove that they are.
 
 A ratio sequence keeps each indicator as the unreduced integer pair (P, Q)
 of its closed forms, reduced to lowest terms only for output.
-``_INDICATOR_PAIRS`` gives each notion's (P, Q) as closed forms of the ints
-(m, k, l), run at every step with every check they make: DSWL's three
-degree checks; for SWA, (A'(1), A(1)) of ``distance_sums_at`` with its four
-divisibility checks and A(1) against ``pair_count_at`` and its expansion;
+``_INDICATOR_PAIRS`` gives each notion's (P, Q) as closed forms of the
+triple (m, k, l), run at every step with every check they make: DSWL's
+three degree checks; for SWA, (A'(1), A(1)) of ``distance_sums`` with its
+four divisibility checks and A(1) against ``pair_count`` and its expansion;
 none beyond the formulas for DSWA and SWD.  ``_ratio_steps`` yields one step
 at a time, for a list or a CSV.  ``classify`` reads the same table.
 """
@@ -37,13 +37,8 @@ import operator
 from enum import Enum
 from typing import NamedTuple
 
-from spidernets.closed_form import (
-    ConsistencyError,
-    diameter_closed_at,
-    distance_sums_at,
-    max_degree_at,
-)
-from spidernets.spiders import SpiderParams, edge_count_at, node_count_at
+from spidernets.closed_form import ConsistencyError, diameter_closed, distance_sums, max_degree
+from spidernets.spiders import SpiderParams, edge_count, node_count
 
 GROWTH_PROBES = range(2, 9)  # seven samples pin down degrees up to 5
 STEP_COUNT = 12
@@ -166,10 +161,10 @@ class SmallWorldVerdict(NamedTuple):
 
 # Each notion's indicator as an integer ratio P / Q of closed forms of (m, k, l).
 _INDICATOR_PAIRS = {
-    SmallWorldNotion.DSWL: lambda m, k, l: (max_degree_at(m, k, l), 1),
-    SmallWorldNotion.DSWA: lambda m, k, l: (2 * edge_count_at(m, k, l), node_count_at(m, k, l)),
-    SmallWorldNotion.SWD: lambda m, k, l: (diameter_closed_at(m, k, l), 1),
-    SmallWorldNotion.SWA: distance_sums_at,
+    SmallWorldNotion.DSWL: lambda p: (max_degree(p), 1),
+    SmallWorldNotion.DSWA: lambda p: (2 * edge_count(p), node_count(p)),
+    SmallWorldNotion.SWD: lambda p: (diameter_closed(p), 1),
+    SmallWorldNotion.SWA: distance_sums,
 }
 
 
@@ -183,7 +178,7 @@ def _ratio_steps(notion: SmallWorldNotion, direction: GrowthDirection, steps):
 
     The steps are checked at the call: strictly increasing, the first at
     least 1.  ``GrowthDirection`` has checked the fixed slots, so the
-    notion's closed forms run straight on each step's ints (m, k, l), every
+    notion's closed forms run straight on each step's tuple (m, k, l), every
     check included.  A point keeps the pair (P, Q) as it comes and ln(n),
     taken once; its ratio P / Q / ln(n) is correctly rounded int true
     division, float(Fraction(P, Q)) / ln(n) bit for bit; n >= 2, so ln(n) > 0.
@@ -202,9 +197,9 @@ def _ratio_steps(notion: SmallWorldNotion, direction: GrowthDirection, steps):
     ]
 
     def points():
-        for m, k, l in zip(*slots):
-            n = node_count_at(m, k, l)
-            pair = indicator_pair(m, k, l)
+        for p in zip(*slots):
+            n = node_count(p)
+            pair = indicator_pair(p)
             log_n = log(n)
             yield n, pair, pair[0] / pair[1] / log_n, log_n
 
@@ -263,11 +258,11 @@ def classify(notion: SmallWorldNotion, direction: GrowthDirection) -> SmallWorld
     between t = 8 and T, or vanishes at both far points, passes.
     """
     indicator_pair = _INDICATOR_PAIRS[notion]
-    probes = [indicator_pair(*direction.params_at(t)) for t in GROWTH_PROBES]
+    probes = [indicator_pair(direction.params_at(t)) for t in GROWTH_PROBES]
     (p_degree, p_column), (q_degree, q_column) = map(_newton_form, zip(*probes))
-    far = 2**64 * node_count_at(*direction.params_at(1)) ** 2
+    far = 2**64 * node_count(direction.params_at(1)) ** 2
     for t in (far, far + 1):
-        p, q = indicator_pair(*direction.params_at(t))
+        p, q = indicator_pair(direction.params_at(t))
         if (_newton_value(p_column, t), _newton_value(q_column, t)) != (p, q):
             raise ConsistencyError(
                 f"{notion.value} vs {direction.varying}: the closed forms far out"

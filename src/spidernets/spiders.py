@@ -14,16 +14,14 @@ from the core) of leg j of core node c takes id
 Position p = 1 touches the core; position p = l is the leg's terminal node.
 
 ``build_spider`` fills each node's sorted neighbor tuple straight from this
-scheme, with no edge list, neighbor sets or sorting; tests pin it to
-``graph_core.build_graph`` on the scheme's edge list.  ``export_graph``
+scheme, with no edge list, neighbor sets or sorting.  ``export_graph``
 serializes a graph lazily, as chunks of whole lines.  ``export_size``
 sizes an export from (m, k, l) before anything is built, with
 ``decimal_digits``, which counts digits without making a string;
 ``decimal_text`` names an int in an error message by that count past
-``_SHOWN`` digits.  The node,
-edge and pair counts are functions of the three ints (``node_count_at`` and
-its kin); ``node_count(p)`` and the others adapt a ``SpiderParams``, a
-named tuple of (m, k, l) that checks its values however it is made.
+``_SHOWN`` digits.  The node, edge and pair counts take the triple p, a
+``SpiderParams`` (a named tuple of (m, k, l) that checks its values however
+it is made) or a plain (m, k, l) tuple, and only unpack it.
 """
 
 from __future__ import annotations
@@ -92,33 +90,23 @@ def normalize(m: int, k: int, l: int) -> SpiderParams:
 
 
 def node_count(p: SpiderParams) -> int:
-    return node_count_at(*p)
-
-
-def node_count_at(m: int, k: int, l: int) -> int:
+    m, k, l = p
     return m + m * k * l
 
 
 def edge_count(p: SpiderParams) -> int:
-    return edge_count_at(*p)
-
-
-def edge_count_at(m: int, k: int, l: int) -> int:
+    m, k, l = p
     return m * (m - 1) // 2 + m * k * l
 
 
 def pair_count(p: SpiderParams) -> int:
-    """Number of unordered node pairs, n(n-1)/2."""
-    return pair_count_at(*p)
-
-
-def pair_count_at(m: int, k: int, l: int) -> int:
-    """Number of unordered node pairs n(n-1)/2 of the spider (m, k, l).
+    """Number of unordered node pairs, n(n-1)/2.
 
     Also checked against the expanded form
     m(m-1) - mkl + 2 m^2 k l + m^2 k^2 l^2 of n(n-1).
     """
-    n = node_count_at(m, k, l)
+    m, k, l = p
+    n = node_count(p)
     expanded = m * (m - 1) - m * k * l + 2 * m * m * k * l + m * m * k * k * l * l
     if n * (n - 1) != expanded:
         raise ConsistencyError("pair count expansion mismatch")

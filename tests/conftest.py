@@ -2,7 +2,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from spidernets.graph_core import build_graph
+from references import build_graph
 from spidernets.spiders import normalize
 
 

@@ -11,18 +11,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import _expand, _expand_runs
-from spidernets.cli import compare_point, iter_grid
-from spidernets.closed_form import (
-    alpha_runs,
-    delta_groups,
-    density_closed,
-    gamma_groups,
-    h_index_closed,
-    total_distance_closed,
-)
-from spidernets.graph_core import (
+from references import (
     UNREACHABLE,
-    all_indicators,
     all_pairs_distances,
     alpha_array,
     build_graph,
@@ -32,6 +22,16 @@ from spidernets.graph_core import (
     h_index,
     is_connected,
 )
+from spidernets.cli import compare_point, iter_grid
+from spidernets.closed_form import (
+    alpha_runs,
+    delta_groups,
+    density_closed,
+    gamma_groups,
+    h_index_closed,
+    total_distance_closed,
+)
+from spidernets.graph_core import all_indicators
 from spidernets.small_world import (
     CANONICAL_DIRECTIONS,
     SmallWorldNotion,

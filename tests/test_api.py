@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import spidernets
+from spidernets import closed_form, graph_core, small_world, spiders
 
 
 def imported_names():
@@ -37,6 +38,18 @@ def test_all_equals_the_imported_names():
 def test_every_name_resolves():
     for name in spidernets.__all__:
         assert getattr(spidernets, name) is not None, name
+
+
+def test_the_library_holds_no_test_reference_and_one_name_per_closed_form():
+    references = {
+        "UNREACHABLE", "_ordered_pairs", "all_pairs_distances", "alpha_array", "bfs_distances",
+        "build_graph", "degree_array", "density", "gamma_array", "h_index", "is_connected",
+    }
+    assert references.isdisjoint(vars(graph_core))
+    for module in (closed_form, small_world, spiders):
+        names = [name for name, value in vars(module).items() if inspect.isfunction(value)]
+        assert not [name for name in names if name.endswith("_at")], module.__name__
+        assert "_h_index_checked" not in names
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import _expand, _expand_runs, format_array, spider_params
+from references import alpha_array
 from spidernets import cli, closed_form, graph_core, small_world, spiders
 
 
@@ -610,7 +611,7 @@ class TestVerify:
             with mock.patch.object(
                 graph_core, "_core_pairs", wraps=graph_core._core_pairs
             ) as sweep:
-                graph_core.alpha_array(spiders.build_spider(p))
+                alpha_array(spiders.build_spider(p))
             calls = [call.args for call in sweep.call_args_list]
             if p.m <= 2:
                 assert calls == []
@@ -804,9 +805,9 @@ def test_a_csv_row_past_the_int_str_limit_in_a_later_block(capsys, tmp_path, int
 
 
 def _degree_sum_wrong_at_1500(real):
-    def wrong(m, k, l):
-        (core, count), interior, terminal = real(m, k, l)
-        return [(core + (m == 1500), count), interior, terminal]
+    def wrong(p):
+        (core, count), interior, terminal = real(p)
+        return [(core + (p[0] == 1500), count), interior, terminal]
 
     return wrong
 
@@ -897,9 +898,9 @@ class TestAsymptotics:
         real_log = math.log
         calls = {"all": 0, "classify": 0, "log": 0, "classify log": 0}
 
-        def counting_pair(m, k, l):
+        def counting_pair(p):
             calls["all"] += 1
-            return real_pair(m, k, l)
+            return real_pair(p)
 
         def counting_log(x):
             calls["log"] += 1
@@ -948,7 +949,7 @@ class TestAsymptotics:
         for step, pt in zip(steps, points):
             p = direction.params_at(step)
             n = spiders.node_count(p)
-            fraction = Fraction(*small_world._INDICATOR_PAIRS[notion](p.m, p.k, p.l))
+            fraction = Fraction(*small_world._INDICATOR_PAIRS[notion](p))
             ratio = float(fraction) / math.log(n)
             expected.append(
                 f"{step},{n},{cli.format_fraction(fraction)},{math.log(n):.6g},{ratio:.6g}"

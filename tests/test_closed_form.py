@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from conftest import _expand, _expand_runs, spider_params
 from spidernets import cli, closed_form, graph_core
 from spidernets.closed_form import (
@@ -165,12 +166,12 @@ class TestOracleEquivalence:
         for p in self.grid():
             g = build_spider(p)
             oracle = graph_core.all_indicators(g)
-            assert _expand(delta_groups(p)) == graph_core.degree_array(g), p
-            assert _expand(gamma_groups(p)) == graph_core.gamma_array(g), p
-            assert _expand_runs(alpha_runs(p)) == graph_core.alpha_array(g), p
+            assert _expand(delta_groups(p)) == references.degree_array(g), p
+            assert _expand(gamma_groups(p)) == references.gamma_array(g), p
+            assert _expand_runs(alpha_runs(p)) == references.alpha_array(g), p
             assert diameter_closed(p) == oracle.diameter, p
-            assert density_closed(p) == graph_core.density(g), p
-            assert h_index_closed(p) == graph_core.h_index(graph_core.degree_array(g)), p
+            assert density_closed(p) == references.density(g), p
+            assert h_index_closed(p) == references.h_index(references.degree_array(g)), p
             assert total_distance_closed(p) == oracle.total_distance, p
 
     @given(spider_params)
@@ -200,7 +201,7 @@ class TestIdentities:
 
     @given(spider_params)
     def test_h_index_consistent_with_delta(self, p):
-        assert h_index_closed(p) == graph_core.h_index(_expand(delta_groups(p)))
+        assert h_index_closed(p) == references.h_index(_expand(delta_groups(p)))
 
     @given(spider_params)
     def test_report_builds_for_nontrivial_spiders(self, p):
@@ -229,11 +230,11 @@ class TestGroupedForms:
     @given(spider_params)
     def test_expansions_match_the_oracle(self, p):
         g = build_spider(p)
-        assert _expand(delta_groups(p)) == graph_core.degree_array(g)
-        assert _expand(gamma_groups(p)) == graph_core.gamma_array(g)
+        assert _expand(delta_groups(p)) == references.degree_array(g)
+        assert _expand(gamma_groups(p)) == references.gamma_array(g)
         if node_count(p) >= 2:
             runs = alpha_runs(p)
-            alpha = graph_core.alpha_array(g)
+            alpha = references.alpha_array(g)
             assert len(alpha) == node_count(p) - 1
             assert 1 <= len(runs) <= 4
             assert runs[0][0] == 1 and runs[-1][1] == len(alpha)
@@ -263,10 +264,11 @@ class TestGroupedForms:
         # divides the weighted distance sums inline; both must still equal the
         # sorted groups and the distance frequencies' sum, which the oracle
         # grid checks only up to m = 6, k = 4, l = 5.
-        m, k, l = p.m, p.k, p.l
-        assert closed_form.max_degree_at(m, k, l) == closed_form.delta_groups_at(m, k, l)[0][0]
+        # A step passes a plain tuple, not a SpiderParams.
+        mkl = tuple(p)
+        assert max_degree(mkl) == delta_groups(mkl)[0][0]
         if node_count(p) >= 2:
-            assert closed_form.total_distance_closed_at(m, k, l) == closed_form._run_sums(
+            assert total_distance_closed(mkl) == closed_form._run_sums(
                 alpha_runs(p)
             )[1]
 
@@ -314,9 +316,9 @@ class TestGroupedForms:
     def test_report_builds_the_pair_classes_once(self, monkeypatch):
         real, calls = closed_form._pair_classes, []
 
-        def counting(m, k, l):
-            calls.append((m, k, l))
-            return real(m, k, l)
+        def counting(p):
+            calls.append(p)
+            return real(p)
 
         monkeypatch.setattr(closed_form, "_pair_classes", counting)
         closed_form_report(normalize(3, 2, 2))

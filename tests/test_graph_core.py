@@ -9,10 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import _expand, _expand_runs, connected_graphs, graphs
-from spidernets import graph_core
-from spidernets.graph_core import (
+from references import (
     UNREACHABLE,
-    all_indicators,
     all_pairs_distances,
     alpha_array,
     bfs_distances,
@@ -21,10 +19,11 @@ from spidernets.graph_core import (
     density,
     gamma_array,
     h_index,
-    h_index_of_groups,
     is_connected,
-    linear_runs,
+    ordered_pairs,
 )
+from spidernets import graph_core
+from spidernets.graph_core import all_indicators, h_index_of_groups, linear_runs
 from spidernets.closed_form import alpha_runs
 from spidernets.spiders import build_spider, normalize
 
@@ -144,7 +143,7 @@ def assert_sweep_matches_reference(g):
 
     On a split graph it counts the pairs that a path joins.
     """
-    assert graph_core._ordered_pairs(g) == pairs_by_distance(g)
+    assert ordered_pairs(g) == pairs_by_distance(g)
     assert_indicators_match_reference(g)
 
 
@@ -404,6 +403,9 @@ class TestLinearRuns:
         assert linear_runs(finer) == canonical
         assert linear_runs((j, j, v, 0) for j, v in enumerate(array, start=1)) == canonical
         assert _expand_runs(canonical) == array
+        # An empty run, last = first - 1, stands for no entries, also before any other.
+        head = runs[0][0]
+        assert linear_runs([(head, head - 1, 7, 1)] + finer) == canonical
         # Greedy-left and maximal: a run ends only where the next entry leaves its line.
         for (first, last, a, b), (start, _, _, _) in zip(canonical, canonical[1:]):
             assert last > first and a + b * start != array[start - 1]
@@ -541,8 +543,8 @@ class TestInvariants:
 class TestSchemeChoice:
     """Every graph takes one search, which follows from the graph alone: its 2-core sweep.
 
-    No node runs a BFS of its own and no probe row is taken, so
-    ``bfs_distances`` is never called; it stays the tests' reference.
+    No node runs a BFS of its own and no probe row is taken: ``graph_core``
+    has no per-source BFS, and ``bfs_distances`` is the tests' reference.
     """
 
     @pytest.mark.parametrize(
@@ -555,11 +557,7 @@ class TestSchemeChoice:
         # core K_21 of the first spider is swept, and the trees sweep nothing
         p = normalize(*shape)
         g = build_spider(p)
-        with mock.patch.object(
-            graph_core, "bfs_distances", wraps=graph_core.bfs_distances
-        ) as rows:
-            counts, calls = core_sweeps(g)
-        assert rows.call_count == 0
+        counts, calls = core_sweeps(g)
         assert calls == ([(list(range(p.m)), 1)] if p.m >= 3 else [])
         assert tuple(c // 2 for c in counts[1:]) == _expand_runs(alpha_runs(p))
 
@@ -586,11 +584,7 @@ class TestSchemeChoice:
         # no row is run at all, so none twice: one sweep over the cycle, in
         # which node 300 with its tail is a second weight class
         g = cycle_with_tail(600, 400, at=300)
-        with mock.patch.object(
-            graph_core, "bfs_distances", wraps=graph_core.bfs_distances
-        ) as rows:
-            counts, calls = core_sweeps(g)
-        assert rows.call_count == 0
+        counts, calls = core_sweeps(g)
         assert calls == [(list(range(600)), 2)]
         assert counts == pairs_by_distance(g)
 
@@ -607,17 +601,14 @@ class TestSharedRows:
         # a path is all pendant: it is folded end to end and searched not
         # even once, neither by a row nor by a 2-core sweep
         g = path(300)
-        with mock.patch.object(
-            graph_core, "bfs_distances", wraps=graph_core.bfs_distances
-        ) as rows:
-            counts, calls = core_sweeps(g)
-        assert (rows.call_count, calls) == (0, [])
+        counts, calls = core_sweeps(g)
+        assert calls == []
         assert tuple(c // 2 for c in counts[1:]) == tuple(range(299, 0, -1))
 
     @settings(max_examples=300, deadline=None)
     @given(bridged_blocks())
     def test_histograms_equal_the_all_pairs_reference(self, g):
-        assert graph_core._ordered_pairs(g) == pairs_by_distance(g)
+        assert ordered_pairs(g) == pairs_by_distance(g)
 
     @settings(max_examples=25, deadline=None)
     @given(long_chains())
@@ -627,7 +618,7 @@ class TestSharedRows:
     @example(build_spider(normalize(1, 3, 300)))
     @example(cycle_with_tail(5, 300, at=2))
     def test_long_chains_equal_the_all_pairs_reference(self, g):
-        assert graph_core._ordered_pairs(g) == pairs_by_distance(g)
+        assert ordered_pairs(g) == pairs_by_distance(g)
 
     @pytest.mark.parametrize(
         "g, held, want",
@@ -649,7 +640,7 @@ class TestSharedRows:
         with mock.patch.object(
             graph_core, "_core_pairs", wraps=graph_core._core_pairs
         ) as sweep:
-            counts = graph_core._ordered_pairs(g)
+            counts = ordered_pairs(g)
         assert {
             u: lanes(weight[u])
             for _, core, weight in (call.args for call in sweep.call_args_list)
@@ -668,7 +659,7 @@ class TestSharedRows:
         )
         tracemalloc.start()
         try:
-            graph_core._ordered_pairs(g)
+            ordered_pairs(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -680,7 +671,7 @@ class TestSharedRows:
 def core_sweeps(g):
     """The folded count of g and the (2-core, weight class count) of each 2-core sweep it ran."""
     with mock.patch.object(graph_core, "_core_pairs", wraps=graph_core._core_pairs) as sweep:
-        counts = graph_core._ordered_pairs(g)
+        counts = ordered_pairs(g)
     calls = [
         (core, len({weight[u] for u in core})) for _, core, weight in
         (call.args for call in sweep.call_args_list)
@@ -762,7 +753,7 @@ class TestFold:
         with mock.patch.object(graph_core, "_core_pairs", sweeping), mock.patch.object(
             graph_core, "_wide_lanes", recording
         ):
-            counts = graph_core._ordered_pairs(g)
+            counts = ordered_pairs(g)
         assert lengths == [2]  # lane 0 and the one level, for the one weight class
         assert counts == pairs_by_distance(g)
 
@@ -772,7 +763,7 @@ class TestFold:
         g = path(3000)
         tracemalloc.start()
         try:
-            graph_core._ordered_pairs(g)
+            ordered_pairs(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -2,7 +2,6 @@
 
 import ast
 import importlib.util
-import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
@@ -49,19 +48,36 @@ def test_verify_kills_a_wrong_divisor_and_not_the_clip_of_empty_runs():
     # a line that starts past n - 1 stands for no entry, clipped to n - 1 or not
     clip = site("if first <= min(last, n - 1)", "- -> +")
     result = mutants.score("closed_form", [divisor, clip])
-    assert result["judge"] == "spidernets verify"
+    assert result["judge"].split("; ")[0] == "spidernets verify"
     assert [row["outcome"] for row in result["sites"]] == ["killed", "survived"]
     assert (result["mutants"], result["killed"], result["timeouts"]) == (2, 1, 0)
     assert result["survivors"] == [result["sites"][1]]
+
+
+def test_the_single_node_report_kills_the_single_node_diameter():
+    # verify's grid starts at two nodes; the judge's second command reports one
+    single_node = site("    return 0", "0 -> 1")
+    result = mutants.score("closed_form", [single_node])
+    assert result["judge"].split("; ")[1] == "spidernets report --source closed -M 1 -K 0 -L 0"
+    assert [row["outcome"] for row in result["sites"]] == ["killed"]
+
+
+def test_graph_core_is_judged_by_its_tests_on_the_mutated_copy():
+    # without the override, pytest would import the unmutated src/ of pyproject.toml
+    assert list(map(mutants.label, mutants.JUDGES["graph_core"])) == [
+        "spidernets verify",
+        "python -m pytest -qq -x -p no:cacheprovider -o pythonpath=<copy>/src"
+        " tests/test_graph_core.py",
+    ]
 
 
 def test_a_judge_past_its_timeout_kills():
     single_node = site("    return 0", "0 -> 1")
     # the judge sleeps past the timeout only when a single node's diameter is not 0
     sleeper = (
-        "import time, spidernets.closed_form as c; c.diameter_closed_at(1, 0, 0) and time.sleep(30)"
+        "import time, spidernets.closed_form as c; c.diameter_closed((1, 0, 0)) and time.sleep(30)"
     )
-    result = mutants.score("closed_form", [single_node], [sys.executable, "-c", sleeper], timeout=1)
+    result = mutants.score("closed_form", [single_node], ["-c", sleeper], timeout=1)
     assert [row["outcome"] for row in result["sites"]] == ["timeout"]
     assert (result["killed"], result["timeouts"]) == (1, 1)
 

@@ -95,7 +95,7 @@ class TestGrowthDirection:
 
 def numerator(notion, p):
     """The notion's indicator for one spider as a reduced Fraction."""
-    return Fraction(*_INDICATOR_PAIRS[notion](p.m, p.k, p.l))
+    return Fraction(*_INDICATOR_PAIRS[notion](p))
 
 
 class TestNumerator:
@@ -141,9 +141,11 @@ class TestRatioSequences:
         assert ratios[0] < ratios[1] < ratios[2]
 
     def test_first_step_must_be_at_least_one(self):
+        # the message names the first step, not the one after it
         for d in CANONICAL_DIRECTIONS:
-            with pytest.raises(ValueError):
-                ratio_sequence(SWD, d, (0, 1, 2))
+            for steps in ((0, 1, 2), [0, 5]):
+                with pytest.raises(ValueError, match=r"must be >= 1, got 0$"):
+                    ratio_sequence(SWD, d, steps)
 
     def test_steps_must_increase(self):
         d = GrowthDirection("M", k=1, l=1)
@@ -182,9 +184,9 @@ class TestEveryCheckAtEveryStep:
     def test_degree_groups(self, monkeypatch):
         real = closed_form._delta_groups
 
-        def wrong_at_1500(m, k, l):
-            (core, count), interior, terminal = real(m, k, l)
-            return [(core + (m == 1500), count), interior, terminal]
+        def wrong_at_1500(p):
+            (core, count), interior, terminal = real(p)
+            return [(core + (p[0] == 1500), count), interior, terminal]
 
         monkeypatch.setattr(closed_form, "_delta_groups", wrong_at_1500)
         self.assert_caught_at_1500(DSWL, GrowthDirection("M", k=2, l=3), "total degree")
@@ -220,15 +222,15 @@ class TestEveryCheckAtEveryStep:
         monkeypatch.setattr(closed_form, "_exact", wrong_at_1500)
         self.assert_caught_at_1500(SWA, direction, "not an integer")
 
-    # One more pair in any class term of A(1) misses pair_count_at's count.
+    # One more pair in any class term of A(1) misses pair_count's count.
     @pytest.mark.parametrize("row", [0, 1, 2])
     def test_pair_class_pairs(self, monkeypatch, row):
         real = closed_form._pair_classes
 
-        def wrong_at_1500(m, k, l):
-            rows = list(real(m, k, l))
+        def wrong_at_1500(p):
+            rows = list(real(p))
             count, pairs, distance = rows[row]
-            rows[row] = (count, pairs + (k == 1500), distance)
+            rows[row] = (count, pairs + (p[1] == 1500), distance)
             return rows
 
         monkeypatch.setattr(closed_form, "_pair_classes", wrong_at_1500)
@@ -237,9 +239,9 @@ class TestEveryCheckAtEveryStep:
     def test_degree_group_node_total(self, monkeypatch):
         real = closed_form._delta_groups
 
-        def wrong_at_1500(m, k, l):
-            core, (degree, count), terminal = real(m, k, l)
-            return [core, (degree, count + (m == 1500)), terminal]
+        def wrong_at_1500(p):
+            core, (degree, count), terminal = real(p)
+            return [core, (degree, count + (p[0] == 1500)), terminal]
 
         monkeypatch.setattr(closed_form, "_delta_groups", wrong_at_1500)
         self.assert_caught_at_1500(DSWL, GrowthDirection("M", k=2, l=3), "miss nodes")
@@ -247,22 +249,22 @@ class TestEveryCheckAtEveryStep:
     def test_negative_multiplicity(self, monkeypatch):
         real = closed_form._delta_groups
 
-        def wrong_at_1500(m, k, l):
+        def wrong_at_1500(p):
             # (7, 1) and (7, -1) leave the node total and degree sum as they were.
-            return real(m, k, l) + [(7, 1), (7, -1)] * (m == 1500)
+            return real(p) + [(7, 1), (7, -1)] * (p[0] == 1500)
 
         monkeypatch.setattr(closed_form, "_delta_groups", wrong_at_1500)
         self.assert_caught_at_1500(DSWL, GrowthDirection("M", k=2, l=3), "multiplicity is negative")
 
     def test_pair_count_expansion(self, monkeypatch):
-        real = spiders.node_count_at
+        real = spiders.node_count
 
-        def wrong_at_1500(m, k, l):
-            return real(m, k, l) + (l == 1500)
+        def wrong_at_1500(p):
+            return real(p) + (p[2] == 1500)
 
-        # Of the SWA step, only pair_count_at looks the node count up in
+        # Of the SWA step, only pair_count looks the node count up in
         # spiders; the other forms keep their own n, and the expansion differs.
-        monkeypatch.setattr(spiders, "node_count_at", wrong_at_1500)
+        monkeypatch.setattr(spiders, "node_count", wrong_at_1500)
         self.assert_caught_at_1500(SWA, GrowthDirection("L", m=2, k=1), "pair count expansion")
 
     def assert_caught_at_1500(self, notion, direction, match):
@@ -336,8 +338,9 @@ class TestFarPointCheck:
         # From M = 2**40 on, the mean distance grows like M / 2 and SWA's ratio diverges.
         real = _INDICATOR_PAIRS[SWA]
 
-        def wrong(m, k, l):
-            total, pairs = real(m, k, l)
+        def wrong(p):
+            total, pairs = real(p)
+            m = p[0]
             return total + m**3 * (m >= 2**40), pairs
 
         monkeypatch.setitem(_INDICATOR_PAIRS, SWA, wrong)
@@ -350,9 +353,9 @@ class TestFarPointCheck:
         # (t - 2)(t - 3)...(t - 8) leaves every probe, and so both degrees, as they were.
         real = _INDICATOR_PAIRS[notion]
 
-        def wrong(m, k, l):
-            pair = list(real(m, k, l))
-            pair[side] += math.prod(l - t for t in GROWTH_PROBES)
+        def wrong(p):
+            pair = list(real(p))
+            pair[side] += math.prod(p[2] - t for t in GROWTH_PROBES)
             return tuple(pair)
 
         direction = GrowthDirection("L", m=2, k=1)

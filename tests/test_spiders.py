@@ -6,8 +6,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import spider_params
+from references import build_graph, degree_array, is_connected
 from spidernets import cli, spiders
-from spidernets.graph_core import build_graph, degree_array, is_connected
 from spidernets.spiders import (
     ConsistencyError,
     SpiderParams,
@@ -173,7 +173,7 @@ class TestBuildSpider:
             build_spider(normalize(2, 2, 1))
 
     def test_pair_count_mismatch_raises(self, monkeypatch):
-        monkeypatch.setattr(spiders, "node_count_at", lambda m, k, l: 7)
+        monkeypatch.setattr(spiders, "node_count", lambda p: 7)
         with pytest.raises(ConsistencyError, match="pair count"):
             pair_count(normalize(2, 2, 1))
 

@@ -10,12 +10,14 @@ becomes ``*``, a comparison is flipped (``<`` to ``>=``, ``==`` to ``!=``,
 and so on) or an int constant grows by one.  A site is the node's index in
 ``ast.walk`` order, so exactly one node changes, even where several share a
 source position.  The mutated module is written into a copy of ``src/`` and
-the commands of the module's judge run on it, each in one child process at
-a time, with a timeout and an address-space limit set on that child only.
-A mutant is killed when any command's exit code or stdout differs from its
-run on the unmutated copy, or when one runs out of time.  The result goes to
+the commands of the module's judge run on it from the root of the checkout,
+one child process at a time, with a timeout and an address-space limit set
+on that child only.  A mutant is killed as soon as a command's exit code or
+stdout differs from its run on the unmutated copy, or when one runs out of
+time; the commands after it do not run.  The result goes to
 ``MUTANTS.json``: per module, the judge, the counts and every mutant with
-its line and outcome.  Only the standard library is used.
+its line and outcome, a survivor with the reason in ``EQUIVALENT`` when one
+is given there.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -32,15 +34,24 @@ import tempfile
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# Each module's judge: spidernets commands, as arguments, run one after another with the
-# mutated copy of src/ first on PYTHONPATH.  The short cells write their CSV to stdout, so
-# the judge reaches the ratio steps that --all never runs.
+SPIDERNETS = ["-m", "spidernets.cli"]
+# pytest's own pythonpath (pyproject.toml) would put the unmutated src/ first; "{src}" is
+# the mutated copy.  -qq prints no timings, so stdout compares.
+PYTEST = ["-m", "pytest", "-qq", "-x", "-p", "no:cacheprovider", "-o", "pythonpath={src}"]
+# Each module's judge: Python commands, as arguments, run one after another with the
+# mutated copy of src/ first on PYTHONPATH.  The single node is the one diameter case
+# that verify's grid, from two nodes up, never reaches.  The short cells write their CSV
+# to stdout, so the judge reaches the ratio steps that --all never runs.
 JUDGES = {
-    "closed_form": [["verify"]],
+    "closed_form": [
+        [*SPIDERNETS, "verify"],
+        [*SPIDERNETS, "report", "--source", "closed", "-M", "1", "-K", "0", "-L", "0"],
+    ],
+    "graph_core": [[*SPIDERNETS, "verify"], [*PYTEST, "tests/test_graph_core.py"]],
     "small_world": [
-        ["asymptotics", "--all"],
+        [*SPIDERNETS, "asymptotics", "--all"],
         *(
-            ["asymptotics", "--notion", notion, "--vary", vary, "--fix", fixed,
+            [*SPIDERNETS, "asymptotics", "--notion", notion, "--vary", vary, "--fix", fixed,
              "--steps", "1,2,3,5,8,13,21", "--out-csv", "/dev/stdout"]
             for notion, vary, fixed in (
                 ("DSWL", "M", "K=2,L=3"),
@@ -50,6 +61,44 @@ JUDGES = {
             )
         ),
     ],
+}
+# Why a surviving mutant is equivalent, by (module, line of code, mutation): it changes
+# no result of any input, only the path or the cost.
+EQUIVALENT = {
+    ("closed_form", "end = node_count(p) - 1", "- -> +"):
+        "alpha_runs clips every line to j <= n - 1, so a line that ends past it holds only zeros",
+    ("closed_form", "if first <= min(last, n - 1)", "- -> +"):
+        "a line that starts past n - 1 stands for no entry, clipped to n - 1 or not",
+    ("graph_core", "_SHORT_BITS = 64 * 31", "* -> +"):
+        "the threshold only picks an int or a bytearray for the same lanes",
+    ("graph_core", "_SHORT_BITS = 64 * 31", "64 -> 65"):
+        "the threshold only picks an int or a bytearray for the same lanes",
+    ("graph_core", "_SHORT_BITS = 64 * 31", "31 -> 32"):
+        "the threshold only picks an int or a bytearray for the same lanes",
+    ("graph_core", "for j in range(first, min(last, first + 2) + 1):", "2 -> 3"):
+        "a fourth entry placed one by one lies on the line the second and third set",
+    ("graph_core", "weight[u] = 0", "0 -> 1"):
+        "a peeled node that is not a root is never read again",
+    ("graph_core", "weight[u] = 1", "1 -> 2"):
+        "lane 0 of a root is never read: the n pairs at distance 0 are counted as n",
+    ("graph_core", "elif w.bit_length() <= _SHORT_BITS:", "<= -> >"):
+        "the test only picks an int or a bytearray for the same lanes",
+    (
+        "graph_core",
+        'w = bytearray(w.to_bytes(-(-w.bit_length() // 64) * 8, "big")) + _LANE_ONE',
+        "8 -> 9",
+    ): "leading zero bytes leave the value that int.from_bytes reads unchanged",
+    (
+        "graph_core",
+        'w = bytearray(w.to_bytes(-(-w.bit_length() // 64) * 8, "big")) + _LANE_ONE',
+        "// -> *",
+    ): "leading zero bytes leave the value that int.from_bytes reads unchanged",
+    ("graph_core", "unseen = [0] * n", "0 -> 1"):
+        "unseen is read only for 2-core nodes, each of which is set before the sweep",
+    ("graph_core", "if any(count < 0 for _, count in groups):", "0 -> 1"):
+        "groups of count 0 are already dropped, so count < 1 means count < 0",
+    ("graph_core", "total_distance=sum(map(operator.mul, alpha, range(1, d + 1))),", "1 -> 2"):
+        "the d + 1 bound: map stops at the d entries of alpha",
 }
 TIMEOUT_S = 60
 ADDRESS_SPACE = 2**31  # bytes a judge may map
@@ -113,32 +162,42 @@ def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def judge(commands: list[list[str]], src: str, timeout: float):
-    """[(exit code, stdout)] of the commands with src first on PYTHONPATH, or "timeout"."""
+def label(command: list[str]) -> str:
+    """A judge command as it reads in MUTANTS.json."""
+    if command[:2] == SPIDERNETS:
+        return " ".join(["spidernets", *command[2:]])
+    return " ".join(["python", *command]).replace("{src}", "<copy>/src")
+
+
+def judge(commands: list[list[str]], src: str, timeout: float, baseline=()):
+    """[(exit code, stdout)] of the Python commands with src first on PYTHONPATH, or "timeout".
+
+    The list stops at the first command whose outcome differs from the baseline's.
+    """
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     outcomes = []
-    for command in commands:
+    for i, command in enumerate(commands):
         try:
             done = subprocess.run(
-                command, env=env, capture_output=True, text=True, timeout=timeout,
+                [sys.executable, *(arg.replace("{src}", src) for arg in command)],
+                cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout,
                 preexec_fn=_limit_address_space,
             )
         except subprocess.TimeoutExpired:
             return "timeout"
         outcomes.append((done.returncode, done.stdout))
+        if baseline and outcomes[-1] != baseline[i]:
+            break
     return outcomes
 
 
 def score(module: str, chosen=None, command=None, timeout: float = TIMEOUT_S) -> dict:
     """Judge every mutant of module, or the chosen ones, by command; the MUTANTS.json entry.
 
-    Without a command, the module's judge in ``JUDGES`` judges.
+    A command is the arguments of a Python process.  Without one, the
+    module's judge in ``JUDGES`` judges.
     """
-    if command:
-        commands, label = [command], " ".join(command)
-    else:
-        commands = [[sys.executable, "-m", "spidernets.cli", *args] for args in JUDGES[module]]
-        label = "; ".join(" ".join(["spidernets", *args]) for args in JUDGES[module])
+    commands = [command] if command else JUDGES[module]
     with tempfile.TemporaryDirectory() as tmp:
         src = os.path.join(tmp, "src")
         shutil.copytree(
@@ -155,14 +214,17 @@ def score(module: str, chosen=None, command=None, timeout: float = TIMEOUT_S) ->
         for mutant in mutants(source) if chosen is None else chosen:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(mutate(source, mutant))
-            outcome = judge(commands, src, timeout)
+            outcome = judge(commands, src, timeout, baseline)
             if outcome != "timeout":
                 outcome = "survived" if outcome == baseline else "killed"
             code = lines[mutant.line - 1].strip()
             rows.append({**mutant._asdict(), "code": code, "outcome": outcome})
+            reason = EQUIVALENT.get((module, code, mutant.mutation))
+            if outcome == "survived" and reason:
+                rows[-1]["equivalent"] = reason
     killed = sum(row["outcome"] != "survived" for row in rows)
     return {
-        "judge": label,
+        "judge": "; ".join(map(label, commands)),
         "mutants": len(rows),
         "killed": killed,
         "timeouts": sum(row["outcome"] == "timeout" for row in rows),
