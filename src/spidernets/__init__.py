@@ -3,7 +3,6 @@
 from spidernets.closed_form import (
     ConsistencyError,
     alpha_runs,
-    average_degree_closed,
     closed_form_report,
     delta_groups,
     density_closed,
@@ -49,7 +48,6 @@ __all__ = [
     "SpiderParams",
     "all_indicators",
     "alpha_runs",
-    "average_degree_closed",
     "build_spider",
     "classify",
     "closed_form_report",

@@ -547,8 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_int_option("--cap"),
         default=REPORT_CAP_DEFAULT,
         help=(
-            "largest node count allowed for oracle computation, whose BFS work "
-            "may not exceed that of a tree on this many nodes (default %(default)s)"
+            "largest node count for the oracle, whose BFS work may not exceed that of a tree "
+            "on this many nodes; --source closed runs at any cap, 0 too (default %(default)s)"
         ),
     )
     rep.set_defaults(func=cmd_report)
@@ -562,8 +562,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_int_option("--cap"),
         default=VERIFY_CAP_DEFAULT,
         help=(
-            "largest node count in the grid; points whose BFS work exceeds that "
-            "of a tree on this many nodes are dropped too (default %(default)s)"
+            "largest node count in the grid; points whose BFS work exceeds a tree's on this many "
+            "nodes are dropped too; an empty grid (--cap 0) is a usage error (default %(default)s)"
         ),
     )
     ver.set_defaults(func=cmd_verify)

@@ -24,10 +24,11 @@ no array of length n is built.  The checks, each a ConsistencyError:
 
 * degree groups: no negative count, the node total, twice the edge count;
 * gamma groups: no negative count, the node total, the sum identity;
-* A: each exact division on its own numerator, A(1) = ``pair_count``,
-  and in a report sum alpha_j = pair count and sum j alpha_j = A'(1);
-* density and average degree: integer cross-products with the edge count;
-* h-index: its regime against the degree groups.
+* A: each exact division on its own numerator, A(1) = ``pair_count``, and
+  in a report, from one ``pair_count`` and one pass over the runs, sum
+  alpha_j = pair count and sum j alpha_j = A'(1);
+* density: an integer cross-product with the edge count;
+* h-index: its regime against the degree groups, built once per report.
 
 Every form takes the triple p, a ``SpiderParams`` or a plain (m, k, l)
 tuple, and only unpacks it, so a small-world step runs the same function,
@@ -163,6 +164,18 @@ def _alpha_lines(p: SpiderParams):
     return [(1, 1, c, 0), (2, l + 1, a, b), (l + 2, 2 * l + 1, a2, b2), (2 * l + 2, end, 0, 0)]
 
 
+def _alpha_runs(p: SpiderParams, n: int, pairs: int):
+    """The lines clipped to j <= n-1 as runs, and their sum of j*alpha_j; alpha sums to pairs."""
+    runs = linear_runs(
+        (first, min(last, n - 1), a, b)
+        for first, last, a, b in _alpha_lines(p)
+        if first <= min(last, n - 1)
+    )
+    run_pairs, run_total = _run_sums(runs)
+    _check(run_pairs == pairs, "distance frequencies do not sum to all pairs")
+    return runs, run_total
+
+
 def alpha_runs(p: SpiderParams) -> tuple[tuple[int, int, int, int], ...]:
     """Distance frequencies for j = 1..n-1 as at most 4 canonical linear runs.
 
@@ -173,13 +186,7 @@ def alpha_runs(p: SpiderParams) -> tuple[tuple[int, int, int, int], ...]:
     n = node_count(p)
     if n < 2:
         raise ValueError("distance frequencies need at least 2 nodes")
-    runs = linear_runs(
-        (first, min(last, n - 1), a, b)
-        for first, last, a, b in _alpha_lines(p)
-        if first <= min(last, n - 1)
-    )
-    _check(_run_sums(runs)[0] == pair_count(p), "distance frequencies do not sum to all pairs")
-    return runs
+    return _alpha_runs(p, n, pair_count(p))[0]
 
 
 def _run_sums(runs) -> tuple[int, int]:
@@ -227,8 +234,8 @@ def density_closed(p: SpiderParams) -> Fraction:
     return Fraction(top, bottom)
 
 
-def h_index_closed(p: SpiderParams) -> int:
-    """h-index of the degree array, by parameter regime, checked against ``delta_groups``."""
+def _h_index_regime(p: SpiderParams, delta) -> int:
+    """h-index of the degree array by parameter regime, checked against the groups delta."""
     m, k, l = p
     if k == 0:
         value = m - 1
@@ -238,22 +245,13 @@ def h_index_closed(p: SpiderParams) -> int:
         value = 1 if l == 1 else 2
     else:
         value = 2 if l > 2 else 1
-    _check(
-        value == h_index_of_groups(delta_groups(p)),
-        "h-index regime disagrees with the degree multiset",
-    )
+    _check(value == h_index_of_groups(delta), "h-index regime disagrees with the degree multiset")
     return value
 
 
-def average_degree_closed(p: SpiderParams) -> Fraction:
-    """Mean degree (m + 2kl - 1) / (1 + kl), exact."""
-    m, k, l = p
-    top, bottom = m + 2 * k * l - 1, 1 + k * l
-    _check(
-        top * node_count(p) == 2 * edge_count(p) * bottom,
-        "average degree disagrees with edge count",
-    )
-    return Fraction(top, bottom)
+def h_index_closed(p: SpiderParams) -> int:
+    """h-index of the degree array, by parameter regime, checked against ``delta_groups``."""
+    return _h_index_regime(p, delta_groups(p))
 
 
 def total_distance_closed(p: SpiderParams) -> int:
@@ -261,16 +259,19 @@ def total_distance_closed(p: SpiderParams) -> int:
     return distance_sums(p)[0]
 
 
-def distance_sums(p: SpiderParams) -> tuple[int, int]:
+def distance_sums(p: SpiderParams, pair_total: int | None = None) -> tuple[int, int]:
     """(A'(1), A(1)), the total distance and the pair count.
 
-    A(1) = 0 is fewer than 2 nodes, a ValueError; else it must be ``pair_count``.
+    A(1) = 0 is fewer than 2 nodes, a ValueError; else it must be pair_total,
+    a report's one ``pair_count``, or by default ``pair_count`` itself.
     """
     (c1, p1, d1), (c2, p2, d2), (c3, p3, d3) = _pair_classes(p)
     pairs = c1 * p1 + c2 * p2 + c3 * p3
     if not pairs:
         raise ValueError("total distance needs at least 2 nodes")
-    _check(pairs == pair_count(p), "pair classes miss pairs")
+    if pair_total is None:
+        pair_total = pair_count(p)
+    _check(pairs == pair_total, "pair classes miss pairs")
     return c1 * d1 + c2 * d2 + c3 * d3, pairs
 
 
@@ -280,21 +281,20 @@ def closed_form_report(p: SpiderParams) -> Indicators:
     The record is in the canonical form of ``graph_core.all_indicators``, so
     it equals the oracle's record of ``build_spider(p)`` field by field.
     """
-    if node_count(p) < 2:
+    n = node_count(p)
+    if n < 2:
         raise ValueError("indicator report needs at least 2 nodes")
-    alpha = alpha_runs(p)
-    total = total_distance_closed(p)
-    _check(
-        total == _run_sums(alpha)[1],
-        "total distance disagrees with the distance frequencies",
-    )
-    average_degree_closed(p)  # run for its own check; the record has no such field
+    pairs = pair_count(p)
+    alpha, run_total = _alpha_runs(p, n, pairs)
+    total = distance_sums(p, pairs)[0]
+    _check(run_total == total, "total distance disagrees with the distance frequencies")
+    delta = delta_groups(p)
     return Indicators(
-        delta=delta_groups(p),
+        delta=delta,
         gamma=gamma_groups(p),
         alpha=alpha,
         density=density_closed(p),
         diameter=diameter_closed(p),
-        h_index=h_index_closed(p),
+        h_index=_h_index_regime(p, delta),
         total_distance=total,
     )

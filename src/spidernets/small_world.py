@@ -16,8 +16,9 @@ Classification is exact: each indicator is an integer ratio P / Q of closed
 forms that are polynomials in the growing parameter t, and it outgrows the
 logarithm exactly when deg P > deg Q.  The degrees are read off exact
 forward differences of P and Q at t = 2..8, whose Newton interpolants must
-give both closed forms at two far points.  That proves the verdict if P and
-Q are polynomials of degree at most 8; it does not prove that they are.
+give both closed forms at two far points.  Their 6th difference must vanish,
+so that proves the verdict if P and Q are polynomials of degree at most 5;
+it does not prove that they are.
 
 A ratio sequence keeps each indicator as the unreduced integer pair (P, Q)
 of its closed forms, reduced to lowest terms only for output.
@@ -251,11 +252,12 @@ def classify(notion: SmallWorldNotion, direction: GrowthDirection) -> SmallWorld
     and both Newton interpolants.  These must give P and Q exactly at T and
     T + 1, where T = 2**64 * n(1)**2 (n(1) the node count at t = 1) lies past
     every product of the fixed values and so past any case split that
-    compares t with them; otherwise ConsistencyError.  Nine points pin down a polynomial of degree
-    at most 8, so if P and Q are such polynomials for t >= 2, the verdict is
-    proved, and a term that vanishes at the probes but acts at T or T + 1 is
-    caught.  The check does not prove that they are: a fault that acts only
-    between t = 8 and T, or vanishes at both far points, passes.
+    compares t with them; otherwise ConsistencyError.  The seven probes, whose
+    6th difference must vanish, pin down a polynomial of degree at most 5, so
+    if P and Q are such polynomials for t >= 2, the verdict is proved, and a
+    term that vanishes at the probes but acts at T or T + 1 is caught.  The
+    check does not prove that they are: a fault that acts only between t = 8
+    and T, or vanishes at both far points, passes.
     """
     indicator_pair = _INDICATOR_PAIRS[notion]
     probes = [indicator_pair(direction.params_at(t)) for t in GROWTH_PROBES]

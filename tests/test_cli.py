@@ -122,6 +122,25 @@ class TestReport:
         assert code == 0
         assert "alpha: 5 6 4 0 0" in out
 
+    def test_zero_cap_bounds_only_the_oracle(self, capsys):
+        argv = ("report", "-M", "2", "-K", "1", "-L", "1")
+        closed = run(capsys, *argv, "--source", "closed")
+        assert closed[0] == 0
+        assert run(capsys, *argv, "--source", "closed", "--cap", "0") == closed
+        assert run(capsys, *argv, "--cap", "0") == (
+            4, "", "error: oracle computation needs 4 nodes, above the cap 0\n"
+        )
+
+    def test_two_node_report_matches_on_every_row(self, capsys):
+        code, out, err = run(capsys, "report", "-M", "2", "-K", "0", "-L", "0")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[4:]
+        assert [row.split(":")[0] for row in rows] == [
+            "delta", "gamma", "alpha", "density", "diameter", "h-index",
+            "neighboring-index", "mean-distance",
+        ]
+        assert all(row.endswith("  [MATCH]") for row in rows)
+
     def test_negative_cap_rejected(self, capsys):
         code, _, err = run(capsys, "report", "-M", "2", "-K", "2", "-L", "1", "--cap", "-1")
         assert code == 2
@@ -581,7 +600,7 @@ class TestVerify:
         assert "MISMATCH" not in out
 
     @pytest.mark.parametrize(
-        "options", [("--Mmax", "0"), ("--cap", "-1"), ("--cap", "1")]
+        "options", [("--Mmax", "0"), ("--cap", "-1"), ("--cap", "0"), ("--cap", "1")]
     )
     def test_empty_or_negative_grid_rejected(self, capsys, options):
         code, out, err = run(capsys, "verify", *options)

@@ -10,7 +10,6 @@ from spidernets import cli, closed_form, graph_core
 from spidernets.closed_form import (
     ConsistencyError,
     alpha_runs,
-    average_degree_closed,
     closed_form_report,
     delta_groups,
     density_closed,
@@ -136,9 +135,10 @@ class TestScalars:
         assert h_index_closed(normalize(m, k, l)) == want
 
     def test_average_degree(self):
-        assert average_degree_closed(normalize(4, 0, 0)) == 3
-        assert average_degree_closed(normalize(2, 2, 1)) == Fraction(5, 3)
-        assert average_degree_closed(normalize(1, 1, 3)) == Fraction(3, 2)
+        # The mean of the degree groups, (m + 2kl - 1) / (1 + kl).
+        for m, k, l, want in ((4, 0, 0, 3), (2, 2, 1, Fraction(5, 3)), (1, 1, 3, Fraction(3, 2))):
+            p = normalize(m, k, l)
+            assert Fraction(sum(d * c for d, c in delta_groups(p)), node_count(p)) == want
 
     def test_total_distance(self):
         assert total_distance_closed(normalize(3, 1, 2)) == 93
@@ -299,8 +299,15 @@ class TestGroupedForms:
 
     # (1, 0) breaks the sum over all pairs; (-5, 2) keeps it on j = 2..3
     # and breaks the distance-weighted sum instead.
-    @pytest.mark.parametrize("da,db", [(1, 0), (-5, 2)])
-    def test_corrupted_run_detected(self, monkeypatch, da, db):
+    @pytest.mark.parametrize(
+        "da,db,message",
+        [
+            (1, 0, "distance frequencies do not sum to all pairs"),
+            (-5, 2, "total distance disagrees with the distance frequencies"),
+        ],
+        ids=["1-0", "-5-2"],
+    )
+    def test_corrupted_run_detected(self, monkeypatch, da, db, message):
         real = closed_form._alpha_lines
 
         def shifted(p):
@@ -310,7 +317,7 @@ class TestGroupedForms:
             return lines
 
         monkeypatch.setattr(closed_form, "_alpha_lines", shifted)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match=f"^{message}$"):
             closed_form_report(normalize(3, 2, 2))
 
     def test_report_builds_the_pair_classes_once(self, monkeypatch):
@@ -324,6 +331,23 @@ class TestGroupedForms:
         closed_form_report(normalize(3, 2, 2))
         assert calls == [(3, 2, 2)]
 
+    def test_report_computes_each_checked_term_once(self, monkeypatch):
+        names = ("_checked_delta_groups", "_delta_groups", "_run_sums", "pair_count")
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in names:
+            monkeypatch.setattr(closed_form, name, counting(name, getattr(closed_form, name)))
+        closed_form_report(normalize(3, 2, 2))
+        # _delta_groups runs once for delta and once for gamma's sum identity.
+        assert calls == dict(zip(names, (1, 2, 1, 1)))
+
     def test_negative_multiplicity_detected(self, monkeypatch):
         real = closed_form._gamma_groups
         monkeypatch.setattr(
@@ -334,7 +358,7 @@ class TestGroupedForms:
 
 
 class TestEdgeCountCrossProducts:
-    """The density and average-degree checks compare integer cross-products, exact at any size."""
+    """The density check compares integer cross-products, exact at any size."""
 
     @given(
         st.builds(
@@ -348,14 +372,10 @@ class TestEdgeCountCrossProducts:
         n, twice_edges = node_count(p), 2 * edge_count(p)
         if n >= 2:
             assert density_closed(p) == Fraction(twice_edges, n * (n - 1))
-        assert average_degree_closed(p) == Fraction(twice_edges, n)
 
     @pytest.mark.parametrize(
         "check, message",
-        [
-            (density_closed, "density formula disagrees with edge count"),
-            (average_degree_closed, "average degree disagrees with edge count"),
-        ],
+        [(density_closed, "density formula disagrees with edge count")],
     )
     @pytest.mark.parametrize("shape", [(2, 0, 0), (1, 1, 1), (3, 2, 2), (5, 4, 3)])
     def test_one_edge_too_many_is_detected(self, monkeypatch, check, message, shape):

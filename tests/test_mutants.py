@@ -71,6 +71,14 @@ def test_graph_core_is_judged_by_its_tests_on_the_mutated_copy():
     ]
 
 
+def test_closed_form_is_judged_last_by_its_tests():
+    # the public forms that the report no longer calls are reached only by the tests
+    assert mutants.label(mutants.JUDGES["closed_form"][-1]) == (
+        "python -m pytest -qq -x -p no:cacheprovider -o pythonpath=<copy>/src"
+        " tests/test_closed_form.py"
+    )
+
+
 def test_a_judge_past_its_timeout_kills():
     single_node = site("    return 0", "0 -> 1")
     # the judge sleeps past the timeout only when a single node's diameter is not 0

@@ -40,12 +40,15 @@ SPIDERNETS = ["-m", "spidernets.cli"]
 PYTEST = ["-m", "pytest", "-qq", "-x", "-p", "no:cacheprovider", "-o", "pythonpath={src}"]
 # Each module's judge: Python commands, as arguments, run one after another with the
 # mutated copy of src/ first on PYTHONPATH.  The single node is the one diameter case
-# that verify's grid, from two nodes up, never reaches.  The short cells write their CSV
-# to stdout, so the judge reaches the ratio steps that --all never runs.
+# that verify's grid, from two nodes up, never reaches.  closed_form's tests reach the
+# public forms that no command calls on its own (alpha_runs, total_distance_closed,
+# distance_sums without a pair count).  The short cells write their CSV to stdout, so
+# the judge reaches the ratio steps that --all never runs.
 JUDGES = {
     "closed_form": [
         [*SPIDERNETS, "verify"],
         [*SPIDERNETS, "report", "--source", "closed", "-M", "1", "-K", "0", "-L", "0"],
+        [*PYTEST, "tests/test_closed_form.py"],
     ],
     "graph_core": [[*SPIDERNETS, "verify"], [*PYTEST, "tests/test_graph_core.py"]],
     "small_world": [
