@@ -25,10 +25,10 @@ no array of length n is built.  The checks, each a ConsistencyError:
 * degree groups: no negative count, the node total, twice the edge count;
 * gamma groups: no negative count, the node total, the sum identity;
 * A: each exact division on its own numerator, A(1) = ``pair_count``, and
-  in a report, from one ``pair_count`` and one pass over the runs, sum
-  alpha_j = pair count and sum j alpha_j = A'(1);
+  in a report, from that A(1) and one pass over the runs, sum alpha_j = A(1)
+  and sum j alpha_j = A'(1);
 * density: an integer cross-product with the edge count;
-* h-index: its regime against the degree groups, built once per report.
+* h-index: its regime against the report's own degree groups ``delta``.
 
 Every form takes the triple p, a ``SpiderParams`` or a plain (m, k, l)
 tuple, and only unpacks it, so a small-world step runs the same function,
@@ -259,19 +259,16 @@ def total_distance_closed(p: SpiderParams) -> int:
     return distance_sums(p)[0]
 
 
-def distance_sums(p: SpiderParams, pair_total: int | None = None) -> tuple[int, int]:
+def distance_sums(p: SpiderParams) -> tuple[int, int]:
     """(A'(1), A(1)), the total distance and the pair count.
 
-    A(1) = 0 is fewer than 2 nodes, a ValueError; else it must be pair_total,
-    a report's one ``pair_count``, or by default ``pair_count`` itself.
+    A(1) = 0 is fewer than 2 nodes, a ValueError; else it must be ``pair_count``.
     """
     (c1, p1, d1), (c2, p2, d2), (c3, p3, d3) = _pair_classes(p)
     pairs = c1 * p1 + c2 * p2 + c3 * p3
     if not pairs:
         raise ValueError("total distance needs at least 2 nodes")
-    if pair_total is None:
-        pair_total = pair_count(p)
-    _check(pairs == pair_total, "pair classes miss pairs")
+    _check(pairs == pair_count(p), "pair classes miss pairs")
     return c1 * d1 + c2 * d2 + c3 * d3, pairs
 
 
@@ -284,9 +281,8 @@ def closed_form_report(p: SpiderParams) -> Indicators:
     n = node_count(p)
     if n < 2:
         raise ValueError("indicator report needs at least 2 nodes")
-    pairs = pair_count(p)
+    total, pairs = distance_sums(p)
     alpha, run_total = _alpha_runs(p, n, pairs)
-    total = distance_sums(p, pairs)[0]
     _check(run_total == total, "total distance disagrees with the distance frequencies")
     delta = delta_groups(p)
     return Indicators(

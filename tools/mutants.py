@@ -41,9 +41,9 @@ PYTEST = ["-m", "pytest", "-qq", "-x", "-p", "no:cacheprovider", "-o", "pythonpa
 # Each module's judge: Python commands, as arguments, run one after another with the
 # mutated copy of src/ first on PYTHONPATH.  The single node is the one diameter case
 # that verify's grid, from two nodes up, never reaches.  closed_form's tests reach the
-# public forms that no command calls on its own (alpha_runs, total_distance_closed,
-# distance_sums without a pair count).  The short cells write their CSV to stdout, so
-# the judge reaches the ratio steps that --all never runs.
+# public forms that no command calls on its own (alpha_runs, total_distance_closed).
+# The short cells write their CSV to stdout, so the judge reaches the ratio steps that
+# --all never runs.
 JUDGES = {
     "closed_form": [
         [*SPIDERNETS, "verify"],
