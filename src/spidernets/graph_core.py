@@ -92,26 +92,28 @@ def linear_runs(runs) -> tuple[tuple[int, int, int, int], ...]:
     j = first..last, none when last < first; the runs follow each other
     without gaps.  Each output run reaches as far as the entries stay on one
     line, and a run of one entry, only ever the last, has b = 0, so every
-    split of an array into linear runs gives the same output.  Only the
-    first three entries of an input run are placed one by one: the output
-    run that holds the second and third lies on the input run's line, so
-    the rest extend it.
+    split of an array into linear runs gives the same output.  Each input
+    run is merged in one step: if its first entry lies on the last output
+    line, the line extends over the run when the slopes match or the run
+    has one entry, else it ends at that entry and the rest starts anew.
     """
     out: list[tuple[int, int, int, int]] = []
     for first, last, a, b in runs:
-        for j in range(first, min(last, first + 2) + 1):
-            value = a + b * j
-            if out:
-                start, end, a0, b0 = out[-1]
-                if start == end:  # any two entries lie on one line
-                    b0 = value - a0
-                    a0 -= b0 * start
-                if a0 + b0 * j == value:
-                    out[-1] = (start, j, a0, b0)
+        if last < first:
+            continue
+        if out:
+            start, end, a0, b0 = out[-1]
+            value = a + b * first
+            if start == end:  # any two entries lie on one line
+                b0 = value - a0
+                a0 -= b0 * start
+            if a0 + b0 * first == value:
+                if b0 == b or last == first:
+                    out[-1] = (start, last, a0, b0)
                     continue
-            out.append((j, j, value, 0))
-        if last > first + 2:
-            out[-1] = (out[-1][0], last) + out[-1][2:]
+                out[-1] = (start, first, a0, b0)
+                first += 1
+        out.append((first, last, a, b) if last > first else (first, first, a + b * first, 0))
     return tuple(out)
 
 

@@ -6,6 +6,8 @@ Each works on full arrays or plain per-source BFS, the slow and obvious way:
 ``is_connected``, the sorted ``degree_array``, ``gamma_array`` and
 ``alpha_array``, ``density`` and ``h_index``.  ``ordered_pairs`` pads the
 oracle's own distance lanes to length n, for the tests that pin them.
+``linear_runs_by_entry`` gives ``graph_core.linear_runs`` placing entries
+one at a time.
 """
 
 from __future__ import annotations
@@ -124,3 +126,28 @@ def h_index(values) -> int:
         else:
             break
     return h
+
+
+def linear_runs_by_entry(runs) -> tuple[tuple[int, int, int, int], ...]:
+    """``graph_core.linear_runs``, with each input run's entries placed one by one.
+
+    Only the first three entries of an input run are placed: the output run
+    that holds the second and third lies on the input run's line, so the
+    rest extend it.
+    """
+    out: list[tuple[int, int, int, int]] = []
+    for first, last, a, b in runs:
+        for j in range(first, min(last, first + 2) + 1):
+            value = a + b * j
+            if out:
+                start, end, a0, b0 = out[-1]
+                if start == end:  # any two entries lie on one line
+                    b0 = value - a0
+                    a0 -= b0 * start
+                if a0 + b0 * j == value:
+                    out[-1] = (start, j, a0, b0)
+                    continue
+            out.append((j, j, value, 0))
+        if last > first + 2:
+            out[-1] = (out[-1][0], last) + out[-1][2:]
+    return tuple(out)

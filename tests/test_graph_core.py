@@ -20,6 +20,7 @@ from references import (
     gamma_array,
     h_index,
     is_connected,
+    linear_runs_by_entry,
     ordered_pairs,
 )
 from spidernets import graph_core
@@ -390,12 +391,42 @@ def linear_splits(draw):
     return runs, finer
 
 
+@st.composite
+def gapless_runs(draw):
+    """Runs (first, last, a, b) that follow each other without gaps, from any first.
+
+    An empty run (last = first - 1) may stand anywhere, a run may hold up to
+    10**30 entries and slopes may be negative; the lines come from a small
+    set as often as not, so neighbouring runs often share one.
+    """
+    lines = st.one_of(
+        st.sampled_from([(0, 0), (3, 0), (9, -1), (-4, 2), (5, 1)]),
+        st.tuples(st.integers(min_value=-9, max_value=9), st.integers(min_value=-3, max_value=3)),
+    )
+    sizes = st.one_of(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=10**30))
+    runs, first = [], draw(st.integers(min_value=-5, max_value=5))
+    for size in draw(st.lists(sizes, max_size=8)):
+        runs.append((first, first + size - 1) + draw(lines))
+        first += size
+    return runs
+
+
 class TestLinearRuns:
     @given(linear_splits())
     @example((
         [(1, 1, 5, 0), (2, 3, 8, -1), (4, 5, 0, 0)],
         [(1, 1, 5, 0), (2, 2, 8, -1), (3, 3, 8, -1), (4, 5, 0, 0)],
     ))
+    # One example per case of the merge: a lone entry, then a run on its line;
+    @example(([(1, 1, 5, 0), (2, 4, 3, 2)], [(1, 1, 5, 0), (2, 2, 3, 2), (3, 4, 3, 2)]))
+    # a lone entry, then a run off its line;
+    @example(([(1, 1, 5, 0), (2, 4, 8, -1)], [(1, 1, 5, 0), (2, 3, 8, -1), (4, 4, 8, -1)]))
+    # a one-entry run on the last line;
+    @example(([(1, 3, 0, 2), (4, 4, 8, 0)], [(1, 2, 0, 2), (3, 3, 0, 2), (4, 4, 8, 0)]))
+    # a run whose first entry is on the last line, with another slope;
+    @example(([(1, 3, 0, 2), (4, 6, 16, -2)], [(1, 3, 0, 2), (4, 4, 16, -2), (5, 6, 16, -2)]))
+    # a run whose first entry is off the last line.
+    @example(([(1, 3, 0, 2), (4, 6, 0, 0)], [(1, 3, 0, 2), (4, 5, 0, 0), (6, 6, 0, 0)]))
     def test_any_split_gives_the_canonical_runs(self, splits):
         runs, finer = splits
         array = _expand_runs(runs)
@@ -411,6 +442,12 @@ class TestLinearRuns:
             assert last > first and a + b * start != array[start - 1]
         first, last, _, b = canonical[-1]
         assert last == len(array) and (last > first or b == 0)
+
+    @given(gapless_runs())
+    @example([(1, 0, 7, 1)])
+    @example([(1, 3, 0, 2), (4, 3, 7, 1), (4, 4, 8, -5), (5, 10**30, 0, 2)])
+    def test_equals_placing_entries_one_by_one(self, runs):
+        assert linear_runs(runs) == linear_runs_by_entry(runs)
 
 
 class TestInvariants:

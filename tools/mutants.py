@@ -78,8 +78,6 @@ EQUIVALENT = {
         "the threshold only picks an int or a bytearray for the same lanes",
     ("graph_core", "_SHORT_BITS = 64 * 31", "31 -> 32"):
         "the threshold only picks an int or a bytearray for the same lanes",
-    ("graph_core", "for j in range(first, min(last, first + 2) + 1):", "2 -> 3"):
-        "a fourth entry placed one by one lies on the line the second and third set",
     ("graph_core", "weight[u] = 0", "0 -> 1"):
         "a peeled node that is not a root is never read again",
     ("graph_core", "weight[u] = 1", "1 -> 2"):
