@@ -9,7 +9,6 @@ from spidernets.closed_form import (
     diameter_closed,
     gamma_groups,
     h_index_closed,
-    total_distance_closed,
 )
 from spidernets.graph_core import (
     Graph,
@@ -19,11 +18,10 @@ from spidernets.graph_core import (
 )
 from spidernets.small_world import (
     GrowthDirection,
-    RatioPoint,
     SmallWorldNotion,
     SmallWorldVerdict,
     classify,
-    ratio_sequence,
+    ratio_steps,
     verdict_table,
 )
 from spidernets.spiders import (
@@ -42,7 +40,6 @@ __all__ = [
     "Graph",
     "GrowthDirection",
     "Indicators",
-    "RatioPoint",
     "SmallWorldNotion",
     "SmallWorldVerdict",
     "SpiderParams",
@@ -63,7 +60,6 @@ __all__ = [
     "node_count",
     "normalize",
     "pair_count",
-    "ratio_sequence",
-    "total_distance_closed",
+    "ratio_steps",
     "verdict_table",
 ]

@@ -96,10 +96,10 @@ def _int_option(name: str):
 
 
 def _shown(text: str, form=repr) -> str:
-    """form(text); past ``spiders._SHOWN`` characters, form of the first ones and the length."""
-    if len(text) <= spiders._SHOWN:
+    """form(text); past ``spiders.SHOWN`` characters, form of the first ones and the length."""
+    if len(text) <= spiders.SHOWN:
         return form(text)
-    return f"{form(text[: spiders._SHOWN])}... ({len(text)} characters)"
+    return f"{form(text[: spiders.SHOWN])}... ({len(text)} characters)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,11 +129,11 @@ def _equal_chunks(value: int, count: int) -> list[str]:
     """count entries of value, each followed by a space, as chunks.
 
     Every full chunk holds as many whole entries as fit in
-    ``spiders._CHUNK`` characters (one, when an entry is longer) and is one
+    ``spiders.CHUNK`` characters (one, when an entry is longer) and is one
     object repeated; one shorter chunk holds the rest.
     """
     unit = str(value) + " "
-    per = max(1, spiders._CHUNK // len(unit))
+    per = max(1, spiders.CHUNK // len(unit))
     full, rest = divmod(count, per)
     chunks = [unit * per] * full if full else []
     if rest:
@@ -151,7 +151,7 @@ def _row(chunks: list[str]) -> list[str]:
 def format_runs(groups) -> list[str]:
     """Each value of the (value, count) groups count times, space-separated, in group order.
 
-    As chunks that join to the row text, each at most ``spiders._CHUNK``
+    As chunks that join to the row text, each at most ``spiders.CHUNK``
     characters or one entry.
     """
     return _row([chunk for value, count in groups for chunk in _equal_chunks(value, count)])
@@ -160,7 +160,7 @@ def format_runs(groups) -> list[str]:
 def format_linear_runs(runs) -> list[str]:
     """The entries a + b*j of linear runs (first, last, a, b) at j = first..last, space-separated.
 
-    As chunks that join to the row text, each at most ``spiders._CHUNK``
+    As chunks that join to the row text, each at most ``spiders.CHUNK``
     characters or one entry.  A run with b = 0 is chunked as equal entries;
     any other is joined from ranges of as many entries as its widest one
     allows, so no Python code runs per entry.
@@ -171,7 +171,7 @@ def format_linear_runs(runs) -> list[str]:
             chunks += _equal_chunks(a, last - first + 1)
             continue
         width = spiders.decimal_digits(max(a + b * first, a + b * last)) + 1
-        per = max(1, spiders._CHUNK // width)
+        per = max(1, spiders.CHUNK // width)
         for j in range(first, last + 1, per):
             end = min(j + per, last + 1)
             chunks.append(" ".join(map(str, range(a + b * j, a + b * end, b))) + " ")
@@ -253,18 +253,19 @@ def _rows(record: graph_core.Indicators, pairs: int) -> dict[str, list[str]]:
     """The report rows of an indicator record, as chunks, for a graph with this many node pairs.
 
     Groups and runs are canonical (``value_groups``, ``linear_runs``) and
-    each row a function of the fields it renders, so two records give a row
-    the same text exactly when ``_row_keys`` gives it equal keys.
+    each row renders its key of ``_row_keys``, so two records give a row the
+    same text exactly when they give it equal keys.
     """
+    delta, gamma, alpha, density, diameter, h_index, gamma_sum, total = _row_keys(record)
     return {
-        "delta": format_runs(record.delta),
-        "gamma": format_runs(record.gamma),
-        "alpha": format_linear_runs(record.alpha),
-        "density": [format_fraction(record.density)],
-        "diameter": [str(record.diameter)],
-        "h-index": [str(record.h_index)],
-        "neighboring-index": [str(sum(v * c for v, c in record.gamma))],
-        "mean-distance": [format_fraction(Fraction(record.total_distance, pairs))],
+        "delta": format_runs(delta),
+        "gamma": format_runs(gamma),
+        "alpha": format_linear_runs(alpha),
+        "density": [format_fraction(density)],
+        "diameter": [str(diameter)],
+        "h-index": [str(h_index)],
+        "neighboring-index": [str(gamma_sum)],
+        "mean-distance": [format_fraction(Fraction(total, pairs))],
     }
 
 
@@ -512,7 +513,7 @@ def cmd_asymptotics(args) -> int:
             steps = _parse_steps(args.steps)
     for notion, direction, verdict, path in cells:
         if path:
-            _write_ratio_csv(path, steps, small_world._ratio_steps(notion, direction, steps))
+            _write_ratio_csv(path, steps, small_world.ratio_steps(notion, direction, steps))
         label = small_world.verdict_label(verdict)
         print(f"{notion.value} vary {direction.varying} ({direction.describe_fixed()}): {label}")
     return EXIT_OK

@@ -254,11 +254,6 @@ def h_index_closed(p: SpiderParams) -> int:
     return _h_index_regime(p, delta_groups(p))
 
 
-def total_distance_closed(p: SpiderParams) -> int:
-    """Exact total distance over unordered pairs: A'(1) of ``distance_sums``."""
-    return distance_sums(p)[0]
-
-
 def distance_sums(p: SpiderParams) -> tuple[int, int]:
     """(A'(1), A(1)), the total distance and the pair count.
 

@@ -26,8 +26,8 @@ of its closed forms, reduced to lowest terms only for output.
 triple (m, k, l), run at every step with every check they make: DSWL's
 three degree checks; for SWA, (A'(1), A(1)) of ``distance_sums`` with its
 four divisibility checks and A(1) against ``pair_count`` and its expansion;
-none beyond the formulas for DSWA and SWD.  ``_ratio_steps`` yields one step
-at a time, for a list or a CSV.  ``classify`` reads the same table.
+none beyond the formulas for DSWA and SWD.  ``ratio_steps``, the one walk
+along a growth direction, yields one step at a time to ``classify`` or a CSV.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from spidernets.closed_form import ConsistencyError, diameter_closed, distance_sums, max_degree
-from spidernets.spiders import SpiderParams, edge_count, node_count
+from spidernets.spiders import edge_count, node_count
 
 GROWTH_PROBES = range(2, 9)  # seven samples pin down degrees up to 5
 STEP_COUNT = 12
@@ -94,20 +94,6 @@ class GrowthDirection(_GrowthFields):
         """Through ``__new__``, so ``_replace`` checks too; the inherited ``_make`` skips it."""
         return cls(*iterable)
 
-    def params_at(self, value: int) -> SpiderParams:
-        """Substitute a concrete value into the varying slot.
-
-        Every slot is then at least 1, so the parameters are already in
-        normalized form.
-        """
-        if value < 1:
-            raise ValueError(f"parameter value must be >= 1, got {value}")
-        if self.varying == "M":
-            return SpiderParams(value, self.k, self.l)
-        if self.varying == "K":
-            return SpiderParams(self.m, value, self.l)
-        return SpiderParams(self.m, self.k, value)
-
     def describe_fixed(self) -> str:
         parts = [
             f"{name}={value}"
@@ -122,21 +108,6 @@ CANONICAL_DIRECTIONS = (
     GrowthDirection("K", m=2, l=1),
     GrowthDirection("L", m=2, k=1),
 )
-
-
-class RatioPoint(NamedTuple):
-    """One sample along a growth direction: the exact indicator and its ratio to ln(n).
-
-    ``pair`` is the indicator as the unreduced integer ratio (P, Q) of its
-    closed forms, and ``log_n`` is math.log(n), the float that ``ratio`` =
-    P / Q / ``log_n`` divides by.  A named tuple, so it is immutable and
-    cheap to make once per step.
-    """
-
-    n: int
-    pair: tuple[int, int]
-    ratio: float
-    log_n: float
 
 
 class SmallWorldVerdict(NamedTuple):
@@ -169,20 +140,17 @@ _INDICATOR_PAIRS = {
 }
 
 
-def ratio_sequence(notion: SmallWorldNotion, direction: GrowthDirection, steps) -> list[RatioPoint]:
-    """Sample indicator / ln(n) at strictly increasing parameter values: ``_ratio_steps``."""
-    return list(map(RatioPoint._make, _ratio_steps(notion, direction, steps)))
-
-
-def _ratio_steps(notion: SmallWorldNotion, direction: GrowthDirection, steps):
-    """Each step's (n, pair, ratio, log_n), the fields of a ``RatioPoint``, as it is asked for.
+def ratio_steps(notion: SmallWorldNotion, direction: GrowthDirection, steps):
+    """Each step's tuple (n, pair, ratio, log_n), as it is asked for.
 
     The steps are checked at the call: strictly increasing, the first at
     least 1.  ``GrowthDirection`` has checked the fixed slots, so the
     notion's closed forms run straight on each step's tuple (m, k, l), every
-    check included.  A point keeps the pair (P, Q) as it comes and ln(n),
+    check included.  A step keeps the pair (P, Q) as it comes and ln(n),
     taken once; its ratio P / Q / ln(n) is correctly rounded int true
-    division, float(Fraction(P, Q)) / ln(n) bit for bit; n >= 2, so ln(n) > 0.
+    division, float(Fraction(P, Q)) / ln(n) bit for bit, so inf where P / Q
+    is past the largest float, as at ``classify``'s far points; n >= 2, so
+    ln(n) > 0.
     """
     steps = list(steps)
     if not all(map(operator.lt, steps, steps[1:])):
@@ -202,7 +170,11 @@ def _ratio_steps(notion: SmallWorldNotion, direction: GrowthDirection, steps):
             n = node_count(p)
             pair = indicator_pair(p)
             log_n = log(n)
-            yield n, pair, pair[0] / pair[1] / log_n, log_n
+            try:
+                ratio = pair[0] / pair[1] / log_n
+            except OverflowError:  # Python raises where the float rounds to inf
+                ratio = math.inf
+            yield n, pair, ratio, log_n
 
     return points()
 
@@ -257,15 +229,16 @@ def classify(notion: SmallWorldNotion, direction: GrowthDirection) -> SmallWorld
     if P and Q are such polynomials for t >= 2, the verdict is proved, and a
     term that vanishes at the probes but acts at T or T + 1 is caught.  The
     check does not prove that they are: a fault that acts only between t = 8
-    and T, or vanishes at both far points, passes.
+    and T, or vanishes at both far points, passes.  ``ratio_steps`` gives
+    n(1) and the probes (steps 1..8) and P and Q far out (steps T, T + 1).
     """
-    indicator_pair = _INDICATOR_PAIRS[notion]
-    probes = [indicator_pair(direction.params_at(t)) for t in GROWTH_PROBES]
+    walk = ratio_steps(notion, direction, range(1, GROWTH_PROBES.stop))
+    far = 2**64 * next(walk)[0] ** 2
+    probes = [pair for _, pair, _, _ in walk]
     (p_degree, p_column), (q_degree, q_column) = map(_newton_form, zip(*probes))
-    far = 2**64 * node_count(direction.params_at(1)) ** 2
-    for t in (far, far + 1):
-        p, q = indicator_pair(direction.params_at(t))
-        if (_newton_value(p_column, t), _newton_value(q_column, t)) != (p, q):
+    far_points = (far, far + 1)
+    for t, (_, pair, _, _) in zip(far_points, ratio_steps(notion, direction, far_points)):
+        if (_newton_value(p_column, t), _newton_value(q_column, t)) != pair:
             raise ConsistencyError(
                 f"{notion.value} vs {direction.varying}: the closed forms far out"
                 " are not the polynomials through t = 2..8"

@@ -19,7 +19,7 @@ serializes a graph lazily, as chunks of whole lines.  ``export_size``
 sizes an export from (m, k, l) before anything is built, with
 ``decimal_digits``, which counts digits without making a string;
 ``decimal_text`` names an int in an error message by that count past
-``_SHOWN`` digits.  The node, edge and pair counts take the triple p, a
+``SHOWN`` digits.  The node, edge and pair counts take the triple p, a
 ``SpiderParams`` (a named tuple of (m, k, l) that checks its values however
 it is made) or a plain (m, k, l) tuple, and only unpack it.
 """
@@ -34,9 +34,9 @@ from spidernets.graph_core import Graph
 EXPORT_FORMATS = ("edge-list", "dot", "adjacency-csv")
 # Characters in one chunk of an export or of a report row (cli): both are
 # made and written as such chunks, never as one string.
-_CHUNK = 2**16
+CHUNK = 2**16
 # Digits of an int, or characters of an argument, that an error message shows.
-_SHOWN = 50
+SHOWN = 50
 
 
 class ConsistencyError(RuntimeError):
@@ -155,7 +155,7 @@ def export_graph(g: Graph, fmt: str, roles=None):
     Formats: "edge-list" ("u v" per line with u < v, sorted), "dot"
     (undirected block, node role attributes when roles are given), and
     "adjacency-csv" (n rows of comma-separated 0/1, no header).  Each chunk
-    is whole lines, as many as fit in _CHUNK characters at the longest
+    is whole lines, as many as fit in CHUNK characters at the longest
     line's length, or one line when that is longer; joined, the chunks are
     the file.  An unknown format is rejected before the first chunk.
     """
@@ -177,7 +177,7 @@ def export_graph(g: Graph, fmt: str, roles=None):
         longest = 2 * g.n
     else:
         raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
-    return _chunks(lines, max(1, _CHUNK // max(1, longest)))
+    return _chunks(lines, max(1, CHUNK // max(1, longest)))
 
 
 def _adjacency_rows(g: Graph):
@@ -212,12 +212,12 @@ def decimal_digits(value: int) -> int:
 
 
 def decimal_text(value: int) -> str:
-    """An int for an error message: its digits up to ``_SHOWN`` of them, else "a N-digit integer".
+    """An int for an error message: its digits up to ``SHOWN`` of them, else "a N-digit integer".
 
     So a message stays one short line, also past Python's int-to-str digit limit.
     """
     digits = decimal_digits(abs(value))
-    if digits <= _SHOWN:
+    if digits <= SHOWN:
         return str(value)
     return f"a {digits}-digit {'negative ' if value < 0 else ''}integer"
 

@@ -27,9 +27,9 @@ from spidernets.closed_form import (
     alpha_runs,
     delta_groups,
     density_closed,
+    distance_sums,
     gamma_groups,
     h_index_closed,
-    total_distance_closed,
 )
 from spidernets.graph_core import all_indicators
 from spidernets.small_world import (
@@ -37,7 +37,7 @@ from spidernets.small_world import (
     SmallWorldNotion,
     classify,
     geometric_steps,
-    ratio_sequence,
+    ratio_steps,
     verdict_table,
 )
 from spidernets.spiders import build_spider, edge_count, node_count, normalize, pair_count
@@ -108,7 +108,7 @@ def test_criterion_3_identity_suite():
             alpha = _expand_runs(alpha_runs(p))
             assert sum(alpha) == n * (n - 1) // 2 == pair_count(p)
             assert sum(_expand(delta_groups(p))) == 2 * edge_count(p)
-            assert total_distance_closed(p) == sum(
+            assert distance_sums(p)[0] == sum(
                 j * a for j, a in enumerate(alpha, start=1)
             )
             assert density_closed(p) == Fraction(2 * edge_count(p), n * (n - 1))
@@ -117,7 +117,7 @@ def test_criterion_3_identity_suite():
 def test_criterion_4_total_distance_three_ways():
     with criterion(4, "total distance of spider(3,1,2) is 93 three ways"):
         p = normalize(3, 1, 2)
-        from_formula = total_distance_closed(p)
+        from_formula = distance_sums(p)[0]
         from_alpha = sum(j * a for j, a in enumerate(_expand_runs(alpha_runs(p)), start=1))
         from_oracle = all_indicators(build_spider(p)).total_distance
         assert from_formula == from_alpha == from_oracle == 93
@@ -171,7 +171,7 @@ def test_criterion_6_small_world_verdicts():
             for direction in CANONICAL_DIRECTIONS:
                 steps = geometric_steps()
                 assert len(steps) == 12
-                ratios = [pt.ratio for pt in ratio_sequence(notion, direction, steps)]
+                ratios = [ratio for _, _, ratio, _ in ratio_steps(notion, direction, steps)]
                 tail = ratios[-6:]
                 if classify(notion, direction).diverges:
                     assert all(a < b for a, b in zip(tail, tail[1:]))

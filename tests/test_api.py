@@ -50,6 +50,39 @@ def test_the_library_holds_no_test_reference_and_one_name_per_closed_form():
         names = [name for name, value in vars(module).items() if inspect.isfunction(value)]
         assert not [name for name in names if name.endswith("_at")], module.__name__
         assert "_h_index_checked" not in names
+    # one walk along a growth direction, ratio_steps, and one total distance, distance_sums
+    gone = {"total_distance_closed", "ratio_sequence", "RatioPoint"}
+    assert gone.isdisjoint(vars(closed_form)) and gone.isdisjoint(vars(small_world))
+    assert gone.isdisjoint(vars(spidernets))
+    assert not hasattr(small_world.GrowthDirection, "params_at")
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # cli and spiders share CHUNK and SHOWN, and the CSV walks ratio_steps, by public names
+    src = Path(spidernets.__file__).parent
+    reach_ins = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "spidernets":
+                modules.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spidernets."):
+                reach_ins += [
+                    f"{path.stem}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+        reach_ins += [
+            f"{path.stem}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ]
+    assert reach_ins == []
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

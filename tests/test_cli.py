@@ -321,7 +321,7 @@ def test_row_chunks_join_to_the_row_and_stay_bounded(groups, runs):
         (cli.format_linear_runs(runs), _expand_runs(runs)),
     ]:
         assert "".join(chunks) == format_array(values)
-        bound = max(spiders._CHUNK, max((len(str(v)) for v in values), default=0) + 1)
+        bound = max(spiders.CHUNK, max((len(str(v)) for v in values), default=0) + 1)
         assert all(len(chunk) <= bound for chunk in chunks)
 
 
@@ -338,15 +338,15 @@ def no_int_str_limit():
 
 
 def test_entries_longer_than_a_chunk_are_one_chunk_each(no_int_str_limit):
-    value = 10**spiders._CHUNK
+    value = 10**spiders.CHUNK
     chunks = cli.format_runs([(value, 3)]) + cli.format_linear_runs([(1, 3, value, 1)])
-    digits = spiders._CHUNK + 1
+    digits = spiders.CHUNK + 1
     assert [len(chunk) for chunk in chunks] == [digits + 1, digits + 1, digits] * 2
 
 
 def test_repeated_entries_share_one_chunk_object():
     chunks = cli.format_runs([(7, 100_000)])
-    per = spiders._CHUNK // 2
+    per = spiders.CHUNK // 2
     assert len(chunks) == 100_000 // per + 1
     assert chunks[0] == "7 " * per and len({id(chunk) for chunk in chunks[:-1]}) == 1
     assert chunks[-1] == "7 " * (100_000 % per - 1) + "7"
@@ -786,14 +786,14 @@ def _ratio_points(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
         common, top, bottom = draw(_BIG), draw(st.integers(0, 10**300)), draw(_BIG)
         pair, ratio, log_n = (common * top, common * bottom), draw(st.floats()), draw(st.floats())
-        points.append(small_world.RatioPoint(draw(_BIG), pair, ratio, log_n))
+        points.append((draw(_BIG), pair, ratio, log_n))
     return draw(st.lists(_BIG, min_size=len(points), max_size=len(points))), points
 
 
 @settings(max_examples=300, deadline=None)
 @given(_ratio_points(), st.integers(min_value=1, max_value=5))
-@example(([1, 2], [small_world.RatioPoint(2, (6, 4), -0.0, 5e-324)] * 2), 1)
-@example(([7], [small_world.RatioPoint(3, (0, 9), math.inf, math.nan)]), 4096)
+@example(([1, 2], [(2, (6, 4), -0.0, 5e-324)] * 2), 1)
+@example(([7], [(3, (0, 9), math.inf, math.nan)]), 4096)
 def test_ratio_csv_equals_the_per_row_text(tmp_path_factory, rows, block):
     steps, points = rows
     path = tmp_path_factory.getbasetemp() / "ratio-property.csv"
@@ -805,7 +805,7 @@ def test_ratio_csv_equals_the_per_row_text(tmp_path_factory, rows, block):
 def test_ratio_csv_of_more_rows_than_a_block(tmp_path):
     steps = list(range(1, 2 * cli._RATIO_BLOCK + 2))
     direction = small_world.GrowthDirection("L", m=3, k=2)
-    points = small_world.ratio_sequence(small_world.SmallWorldNotion.SWA, direction, steps)
+    points = list(small_world.ratio_steps(small_world.SmallWorldNotion.SWA, direction, steps))
     cli._write_ratio_csv(str(tmp_path / "cell.csv"), steps, points)
     assert (tmp_path / "cell.csv").read_text() == _per_row_ratio_csv(steps, points)
 
@@ -911,6 +911,21 @@ class TestAsymptotics:
         assert (code, err) == (0, "")
         assert csv_path.read_text().splitlines()[1] == "1,2,1/1,0.693147,1.4427"
 
+    def test_csv_row_past_the_largest_float(self, capsys, tmp_path):
+        # P / Q = 1 + 10**400 has no float: the row keeps n and P / Q exact, and the ratio inf
+        csv_path = tmp_path / "dswl.csv"
+        step = 10**400
+        code, _, err = run(
+            capsys,
+            "asymptotics", "--notion", "DSWL", "--vary", "K", "--fix", "M=2,L=1",
+            "--steps", f"1,{step}", "--out-csv", str(csv_path),
+        )
+        assert (code, err) == (0, "")
+        n = 2 + 2 * step
+        assert csv_path.read_text().splitlines()[2] == (
+            f"{step},{n},{1 + step}/1,{math.log(n):.6g},inf"
+        )
+
     def test_csv_computes_each_numerator_once(self, capsys, monkeypatch, tmp_path):
         notion = small_world.SmallWorldNotion.SWA
         real_pair, real_classify = small_world._INDICATOR_PAIRS[notion], small_world.classify
@@ -963,18 +978,18 @@ class TestAsymptotics:
             "--steps", ",".join(map(str, steps)), "--out-csv", str(csv_path),
         )
         assert code == 0
-        points = small_world.ratio_sequence(notion, direction, steps)
+        points = small_world.ratio_steps(notion, direction, steps)
         expected, denominators = ["step,N,numerator,lnN,ratio"], set()
-        for step, pt in zip(steps, points):
-            p = direction.params_at(step)
+        for step, (n_step, pair, ratio_step, _) in zip(steps, points):
+            p = tuple(fixed.get(name, step) for name in "MKL")
             n = spiders.node_count(p)
             fraction = Fraction(*small_world._INDICATOR_PAIRS[notion](p))
             ratio = float(fraction) / math.log(n)
             expected.append(
                 f"{step},{n},{cli.format_fraction(fraction)},{math.log(n):.6g},{ratio:.6g}"
             )
-            assert (pt.n, pt.ratio) == (n, ratio)
-            assert Fraction(*pt.pair) == fraction
+            assert (n_step, ratio_step) == (n, ratio)
+            assert Fraction(*pair) == fraction
             denominators.add(fraction.denominator)
         assert csv_path.read_text().split("\n") == expected + [""]
         if notion in (small_world.SmallWorldNotion.DSWA, small_world.SmallWorldNotion.SWA):

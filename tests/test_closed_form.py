@@ -14,10 +14,10 @@ from spidernets.closed_form import (
     delta_groups,
     density_closed,
     diameter_closed,
+    distance_sums,
     gamma_groups,
     h_index_closed,
     max_degree,
-    total_distance_closed,
 )
 from spidernets.spiders import build_spider, edge_count, node_count, normalize, pair_count
 
@@ -141,9 +141,9 @@ class TestScalars:
             assert Fraction(sum(d * c for d, c in delta_groups(p)), node_count(p)) == want
 
     def test_total_distance(self):
-        assert total_distance_closed(normalize(3, 1, 2)) == 93
-        assert total_distance_closed(normalize(6, 0, 0)) == 15
-        assert total_distance_closed(normalize(1, 1, 4)) == 20
+        assert distance_sums(normalize(3, 1, 2))[0] == 93
+        assert distance_sums(normalize(6, 0, 0))[0] == 15
+        assert distance_sums(normalize(1, 1, 4))[0] == 20
 
     def test_mean_distance(self):
         for shape, want in (((3, 1, 2), Fraction(93, 36)), ((5, 0, 0), 1)):
@@ -172,7 +172,7 @@ class TestOracleEquivalence:
             assert diameter_closed(p) == oracle.diameter, p
             assert density_closed(p) == references.density(g), p
             assert h_index_closed(p) == references.h_index(references.degree_array(g)), p
-            assert total_distance_closed(p) == oracle.total_distance, p
+            assert distance_sums(p)[0] == oracle.total_distance, p
 
     @given(spider_params)
     def test_report_equals_oracle_record(self, p):
@@ -189,7 +189,7 @@ class TestIdentities:
         if node_count(p) >= 2:
             alpha = _expand_runs(alpha_runs(p))
             assert sum(alpha) == pair_count(p)
-            assert total_distance_closed(p) == sum(
+            assert distance_sums(p)[0] == sum(
                 j * a for j, a in enumerate(alpha, start=1)
             )
 
@@ -249,7 +249,7 @@ class TestGroupedForms:
             alpha = _expand_runs(runs)
             sums = (sum(alpha), sum(j * a for j, a in enumerate(alpha, start=1)))
             assert closed_form._run_sums(runs) == sums
-            assert sums == (pair_count(p), total_distance_closed(p))
+            assert sums == (pair_count(p), distance_sums(p)[0])
 
     @given(
         st.builds(
@@ -268,9 +268,7 @@ class TestGroupedForms:
         mkl = tuple(p)
         assert max_degree(mkl) == delta_groups(mkl)[0][0]
         if node_count(p) >= 2:
-            assert total_distance_closed(mkl) == closed_form._run_sums(
-                alpha_runs(p)
-            )[1]
+            assert distance_sums(mkl)[0] == closed_form._run_sums(alpha_runs(p))[1]
 
     def test_alpha_runs_stay_few_on_long_arrays(self):
         runs = alpha_runs(normalize(3, 16666, 2))
@@ -469,7 +467,7 @@ class TestDistancePolynomial:
         alpha = _expand_runs(alpha_runs(p))
         assert A == [0] + list(alpha[: len(A) - 1]) and not any(alpha[len(A) - 1:])
         assert sum(A) == pair_count(p)
-        assert sum(j * a for j, a in enumerate(A)) == total_distance_closed(p)
+        assert sum(j * a for j, a in enumerate(A)) == distance_sums(p)[0]
         assert len(A) - 1 == diameter_closed(p)
 
     def test_default_grid(self):
@@ -491,4 +489,4 @@ class TestDistancePolynomial:
     def test_total_distance_equals_the_six_numerator_form(self, m, k, l):
         p = normalize(m, k, l)
         if node_count(p) >= 2:
-            assert total_distance_closed(p) == six_numerator_total_distance(*p)
+            assert distance_sums(p)[0] == six_numerator_total_distance(*p)

@@ -92,7 +92,7 @@ def test_a_judge_past_its_timeout_kills():
 
 def test_asymptotics_kills_a_flipped_far_point_check():
     # classify then raises on every cell, since the closed forms are the interpolants
-    check = site("!= (p, q)", "!= -> ==", "small_world")
+    check = site(") != pair:", "!= -> ==", "small_world")
     result = mutants.score("small_world", [check])
     judges = result["judge"].split("; ")
     assert judges[0] == "spidernets asymptotics --all"

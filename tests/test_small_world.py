@@ -14,14 +14,13 @@ from spidernets.small_world import (
     CANONICAL_DIRECTIONS,
     GROWTH_PROBES,
     GrowthDirection,
-    RatioPoint,
     SmallWorldNotion,
     SmallWorldVerdict,
     _newton_form,
     _newton_value,
     classify,
     geometric_steps,
-    ratio_sequence,
+    ratio_steps,
     verdict_label,
     verdict_table,
 )
@@ -50,19 +49,6 @@ EXPECTED_TABLE = {
 
 
 class TestGrowthDirection:
-    def test_params_at_substitutes(self):
-        d = GrowthDirection("K", m=2, l=3)
-        assert d.params_at(5) == normalize(2, 5, 3)
-
-    def test_params_at_every_slot(self):
-        assert GrowthDirection("M", k=2, l=3).params_at(1) == normalize(1, 2, 3)
-        assert GrowthDirection("L", m=4, k=1).params_at(7) == normalize(4, 1, 7)
-
-    def test_params_at_rejects_value_below_one(self):
-        for d in CANONICAL_DIRECTIONS:
-            with pytest.raises(ValueError):
-                d.params_at(0)
-
     def test_fixed_core_too_small(self):
         with pytest.raises(ValueError):
             GrowthDirection("K", m=1, l=1)
@@ -124,56 +110,79 @@ class TestNumerator:
                     assert numerator(SWA, p) == Fraction(oracle.total_distance, pair_count(p))
 
 
+def ratios(notion, direction, steps):
+    return [ratio for _, _, ratio, _ in ratio_steps(notion, direction, steps)]
+
+
 class TestRatioSequences:
+    @pytest.mark.parametrize(
+        "direction, steps, triples",
+        [
+            (GrowthDirection("M", k=2, l=3), [1, 4], [(1, 2, 3), (4, 2, 3)]),
+            (GrowthDirection("K", m=2, l=3), [1, 5], [(2, 1, 3), (2, 5, 3)]),
+            (GrowthDirection("L", m=4, k=1), [1, 7], [(4, 1, 1), (4, 1, 7)]),
+        ],
+        ids=["M", "K", "L"],
+    )
+    def test_each_slot_receives_the_step(self, direction, steps, triples):
+        # the step fills the varying slot: n is the node count of that triple
+        for notion in SmallWorldNotion:
+            points = list(ratio_steps(notion, direction, steps))
+            assert [n for n, _, _, _ in points] == list(map(node_count, triples))
+            assert [pair for _, pair, _, _ in points] == list(map(_INDICATOR_PAIRS[notion], triples))
+
     def test_largest_degree_grows_with_core(self):
         d = GrowthDirection("M", k=1, l=1)
-        ratios = [pt.ratio for pt in ratio_sequence(DSWL, d, (10, 100, 1000))]
-        assert ratios[0] < ratios[1] < ratios[2]
+        found = ratios(DSWL, d, (10, 100, 1000))
+        assert found[0] < found[1] < found[2]
 
     def test_diameter_ratio_shrinks_with_core(self):
         d = GrowthDirection("M", k=1, l=1)
-        ratios = [pt.ratio for pt in ratio_sequence(SWD, d, (10, 100, 1000))]
-        assert ratios[0] > ratios[1] > ratios[2]
+        found = ratios(SWD, d, (10, 100, 1000))
+        assert found[0] > found[1] > found[2]
 
     def test_mean_distance_ratio_grows_with_leg_length(self):
         d = GrowthDirection("L", m=2, k=1)
-        ratios = [pt.ratio for pt in ratio_sequence(SWA, d, (10, 100, 1000))]
-        assert ratios[0] < ratios[1] < ratios[2]
+        found = ratios(SWA, d, (10, 100, 1000))
+        assert found[0] < found[1] < found[2]
 
     def test_first_step_must_be_at_least_one(self):
-        # the message names the first step, not the one after it
+        # at the call, before the first step; the message names the first step
         for d in CANONICAL_DIRECTIONS:
-            for steps in ((0, 1, 2), [0, 5]):
-                with pytest.raises(ValueError, match=r"must be >= 1, got 0$"):
-                    ratio_sequence(SWD, d, steps)
+            for steps, first in (((0, 1, 2), 0), ([0, 5], 0), (iter([-3]), -3)):
+                with pytest.raises(ValueError, match=rf"must be >= 1, got {first}$"):
+                    ratio_steps(SWD, d, steps)
 
     def test_steps_must_increase(self):
+        # at the call, before the first step
         d = GrowthDirection("M", k=1, l=1)
-        with pytest.raises(ValueError):
-            ratio_sequence(DSWL, d, (10, 10, 20))
+        for steps in ((10, 10, 20), [1, 3, 2], iter([5, 4])):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ratio_steps(DSWL, d, steps)
 
     def test_node_counts_recorded(self):
         d = GrowthDirection("K", m=2, l=1)
-        points = ratio_sequence(SWD, d, (2, 4, 8))
-        assert [pt.n for pt in points] == [6, 10, 18]
+        points = ratio_steps(SWD, d, (2, 4, 8))
+        assert [n for n, _, _, _ in points] == [6, 10, 18]
 
     @pytest.mark.parametrize("notion", list(SmallWorldNotion))
     @pytest.mark.parametrize("direction", CANONICAL_DIRECTIONS)
     def test_each_point_carries_its_log(self, notion, direction):
-        assert RatioPoint._fields == ("n", "pair", "ratio", "log_n")
         steps = [*range(1, 40), *geometric_steps()[5:], 2**64, 3**50]
-        for pt in ratio_sequence(notion, direction, steps):
-            assert pt.log_n == math.log(pt.n)
-            assert pt.ratio == pt.pair[0] / pt.pair[1] / pt.log_n
+        for point in ratio_steps(notion, direction, steps):
+            assert type(point) is tuple and len(point) == 4
+            n, (p, q), ratio, log_n = point
+            assert log_n == math.log(n)
+            assert ratio == p / q / log_n
 
     def test_geometric_steps_doubling(self):
         assert geometric_steps() == [2 ** i for i in range(1, 13)]
 
     def test_diameter_ratio_quantified_convergence(self):
         for d in (GrowthDirection("M", k=1, l=1), GrowthDirection("K", m=2, l=1)):
-            ratios = [pt.ratio for pt in ratio_sequence(SWD, d, geometric_steps())]
-            assert ratios[-1] < 0.5
-            assert ratios[-1] < ratios[0] / 2
+            found = ratios(SWD, d, geometric_steps())
+            assert found[-1] < 0.5
+            assert found[-1] < found[0] / 2
 
 
 class TestEveryCheckAtEveryStep:
@@ -269,8 +278,9 @@ class TestEveryCheckAtEveryStep:
 
     def assert_caught_at_1500(self, notion, direction, match):
         with pytest.raises(ConsistencyError, match=match):
-            ratio_sequence(notion, direction, self.STEPS)
-        assert len(ratio_sequence(notion, direction, [t for t in self.STEPS if t != 1500])) == 1999
+            list(ratio_steps(notion, direction, self.STEPS))
+        rest = [t for t in self.STEPS if t != 1500]
+        assert len(list(ratio_steps(notion, direction, rest))) == 1999
 
 
 class TestClassification:
@@ -283,8 +293,8 @@ class TestClassification:
         assert verdict.notion is notion
         if not verdict.diverges:
             # A finite ratio tends to 0: the indicator stays bounded while ln(n) grows.
-            near, far = ratio_sequence(notion, direction, [2**12, 2**64])
-            assert far.ratio < near.ratio / 2
+            near, far = ratios(notion, direction, [2**12, 2**64])
+            assert far < near / 2
 
     def test_verdict_is_its_notion_and_divergence(self):
         assert list(SmallWorldVerdict._fields) == ["notion", "diverges"]

@@ -250,9 +250,9 @@ class TestExport:
         text = "".join(chunks)
         longest = max(map(len, text.splitlines(keepends=True)), default=0)
         assert all(chunk.endswith("\n") for chunk in chunks)
-        assert all(len(chunk) <= max(spiders._CHUNK, longest) for chunk in chunks)
+        assert all(len(chunk) <= max(spiders.CHUNK, longest) for chunk in chunks)
         # lines are batched, not written one by one
-        assert len(chunks) <= 1 + 4 * len(text) // spiders._CHUNK
+        assert len(chunks) <= 1 + 4 * len(text) // spiders.CHUNK
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

@@ -41,7 +41,7 @@ PYTEST = ["-m", "pytest", "-qq", "-x", "-p", "no:cacheprovider", "-o", "pythonpa
 # Each module's judge: Python commands, as arguments, run one after another with the
 # mutated copy of src/ first on PYTHONPATH.  The single node is the one diameter case
 # that verify's grid, from two nodes up, never reaches.  closed_form's tests reach the
-# public forms that no command calls on its own (alpha_runs, total_distance_closed).
+# public forms that no command calls on its own (alpha_runs).
 # The short cells write their CSV to stdout, so the judge reaches the ratio steps that
 # --all never runs.
 JUDGES = {
@@ -67,11 +67,19 @@ JUDGES = {
 }
 # Why a surviving mutant is equivalent, by (module, line of code, mutation): it changes
 # no result of any input, only the path or the cost.
+_FAR = (
+    "the far points stay past n(1)**2, so past every product of the fixed values; the"
+    " closed forms are the interpolants at any two such points, so the verdict is the same"
+)
 EQUIVALENT = {
     ("closed_form", "end = node_count(p) - 1", "- -> +"):
         "alpha_runs clips every line to j <= n - 1, so a line that ends past it holds only zeros",
     ("closed_form", "if first <= min(last, n - 1)", "- -> +"):
         "a line that starts past n - 1 stands for no entry, clipped to n - 1 or not",
+    ("small_world", "far = 2**64 * next(walk)[0] ** 2", "* -> +"): _FAR,
+    ("small_world", "far = 2**64 * next(walk)[0] ** 2", "2 -> 3"): _FAR,
+    ("small_world", "far = 2**64 * next(walk)[0] ** 2", "64 -> 65"): _FAR,
+    ("small_world", "far_points = (far, far + 1)", "1 -> 2"): _FAR,
     ("graph_core", "_SHORT_BITS = 64 * 31", "* -> +"):
         "the threshold only picks an int or a bytearray for the same lanes",
     ("graph_core", "_SHORT_BITS = 64 * 31", "64 -> 65"):
