@@ -49,6 +49,13 @@ EXPECTED_TABLE = {
 
 
 class TestGrowthDirection:
+    def test_params_at_rejects_value_below_one(self):
+        # a value enters the varying slot only through ratio_steps
+        for d in CANONICAL_DIRECTIONS:
+            for notion in SmallWorldNotion:
+                with pytest.raises(ValueError, match="must be >= 1, got 0$"):
+                    ratio_steps(notion, d, [0])
+
     def test_fixed_core_too_small(self):
         with pytest.raises(ValueError):
             GrowthDirection("K", m=1, l=1)
