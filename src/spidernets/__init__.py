@@ -28,7 +28,6 @@ from spidernets.spiders import (
     SpiderParams,
     build_spider,
     edge_count,
-    export_graph,
     export_spider,
     node_count,
     normalize,
@@ -52,7 +51,6 @@ __all__ = [
     "density_closed",
     "diameter_closed",
     "edge_count",
-    "export_graph",
     "export_spider",
     "gamma_groups",
     "h_index_closed",

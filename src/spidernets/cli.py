@@ -240,7 +240,7 @@ def cmd_export(args) -> int:
             file=sys.stderr,
         )
         return EXIT_RESOURCE
-    chunks = spiders.export_spider(p, args.format)  # builds the graph before any file is opened
+    chunks = spiders.export_spider(p, args.format)  # only adjacency-csv builds a graph, here
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)

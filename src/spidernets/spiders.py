@@ -14,8 +14,9 @@ from the core) of leg j of core node c takes id
 Position p = 1 touches the core; position p = l is the leg's terminal node.
 
 ``build_spider`` fills each node's sorted neighbor tuple straight from this
-scheme, with no edge list, neighbor sets or sorting.  ``export_graph``
-serializes a graph lazily, as chunks of whole lines.  ``export_size``
+scheme, with no edge list, neighbor sets or sorting.  ``export_spider``
+writes a spider lazily, as chunks of whole lines; its edge lists and dot
+files come from the same scheme with no graph built.  ``export_size``
 sizes an export from (m, k, l) before anything is built, with
 ``decimal_digits``, which counts digits without making a string;
 ``decimal_text`` names an int in an error message by that count past
@@ -27,6 +28,7 @@ it is made) or a plain (m, k, l) tuple, and only unpack it.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import NamedTuple
 
 from spidernets.graph_core import Graph
@@ -149,37 +151,6 @@ def build_spider(p: SpiderParams) -> Graph:
     return g
 
 
-def export_graph(g: Graph, fmt: str, roles=None):
-    """Serialize a graph deterministically, as an iterator of text chunks.
-
-    Formats: "edge-list" ("u v" per line with u < v, sorted), "dot"
-    (undirected block, node role attributes when roles are given), and
-    "adjacency-csv" (n rows of comma-separated 0/1, no header).  Each chunk
-    is whole lines, as many as fit in CHUNK characters at the longest
-    line's length, or one line when that is longer; joined, the chunks are
-    the file.  An unknown format is rejected before the first chunk.
-    """
-    width = decimal_digits(max(g.n - 1, 0))
-    if fmt == "edge-list":
-        lines = (f"{u} {v}\n" for u in range(g.n) for v in g.adjacency[u] if u < v)
-        longest = 2 * width + 2
-    elif fmt == "dot":
-        if roles is None:
-            nodes, role_width = (f"  {u};\n" for u in range(g.n)), 0
-        else:
-            nodes = (f'  {u} [role="{roles[u]}"];\n' for u in range(g.n))
-            role_width = max(map(len, roles), default=0)
-        edges = (f"  {u} -- {v};\n" for u in range(g.n) for v in g.adjacency[u] if u < v)
-        lines = itertools.chain(["graph spider {\n"], nodes, edges, ["}\n"])
-        longest = 2 * width + 14 + role_width  # '  u [role="r"];\n' or "  u -- v;\n"
-    elif fmt == "adjacency-csv":
-        lines = _adjacency_rows(g)
-        longest = 2 * g.n
-    else:
-        raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
-    return _chunks(lines, max(1, CHUNK // max(1, longest)))
-
-
 def _adjacency_rows(g: Graph):
     """The 0/1 adjacency matrix of g, one comma-separated row per node, each ending in a newline."""
     zeros = ["0"] * g.n
@@ -244,11 +215,39 @@ def export_size(p: SpiderParams, fmt: str) -> int:
 
 
 def export_spider(p: SpiderParams, fmt: str):
-    """Build a spider now and serialize it lazily, as ``export_graph``'s chunks, with roles for dot.
+    """Serialize a spider deterministically, as an iterator of text chunks.
 
-    By the id scheme the m core nodes come first, then each leg's l nodes
-    outward from the core, the last of them its terminal.
+    Formats: "edge-list" ("u v" per line with u < v, sorted), "dot"
+    (undirected block, each node with its role) and "adjacency-csv" (n rows
+    of comma-separated 0/1, no header, read off ``build_spider``, built now).
+    Each chunk is whole lines, as many as fit in CHUNK characters at the
+    longest line's length, or one line when that is longer; joined, the
+    chunks are the file.  An unknown format is rejected before the first chunk.
     """
+    if fmt not in EXPORT_FORMATS:
+        raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
     m, k, l = p
-    roles = ["core"] * m + (["leg"] * (l - 1) + ["terminal"]) * (m * k) if fmt == "dot" else None
-    return export_graph(build_spider(p), fmt, roles)
+    n = node_count(p)
+    if fmt == "adjacency-csv":
+        return _chunks(_adjacency_rows(build_spider(p)), max(1, CHUNK // (2 * n)))
+    # No graph: core node c joins the core ids above c, then the first node of each of its
+    # legs; a leg node joins the next id unless it is its leg's terminal, every l-th leg node.
+    firsts = range(m, n, l or 1)  # k per core node
+    above = (itertools.chain(range(c + 1, m), firsts[c * k:(c + 1) * k]) for c in range(m))
+    successors = map(operator.mod, range(1, n - m + 1), itertools.repeat(l))  # 0 at a terminal
+    edges = itertools.chain(
+        itertools.chain.from_iterable(map(zip, map(itertools.repeat, range(m)), above)),
+        itertools.compress(zip(range(m, n), itertools.count(m + 1)), successors),
+    )
+    width = decimal_digits(n - 1)  # of the largest id: it sets how many lines a chunk holds
+    if fmt == "edge-list":
+        return _chunks((f"{u} {v}\n" for u, v in edges), max(1, CHUNK // (2 * width + 2)))
+    lines = itertools.chain(
+        ["graph spider {\n"],
+        (f'  {u} [role="core"];\n' for u in range(m)),
+        (f'  {u} [role="{"leg" if (u - m + 1) % l else "terminal"}"];\n' for u in range(m, n)),
+        (f"  {u} -- {v};\n" for u, v in edges),
+        ["}\n"],
+    )
+    longest = 2 * width + 14 + (8 if k else 4)  # '  u [role="terminal"];\n' or "  u -- v;\n"
+    return _chunks(lines, max(1, CHUNK // longest))

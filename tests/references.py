@@ -7,15 +7,18 @@ Each works on full arrays or plain per-source BFS, the slow and obvious way:
 ``alpha_array``, ``density`` and ``h_index``.  ``ordered_pairs`` pads the
 oracle's own distance lanes to length n, for the tests that pin them.
 ``linear_runs_by_entry`` gives ``graph_core.linear_runs`` placing entries
-one at a time.
+one at a time.  ``export_graph`` serializes any graph, with the node roles
+of ``spider_roles`` for a dot file, as one string.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from fractions import Fraction
 
 from spidernets.graph_core import Graph, _distance_lanes
+from spidernets.spiders import EXPORT_FORMATS
 
 UNREACHABLE = -1
 
@@ -151,3 +154,39 @@ def linear_runs_by_entry(runs) -> tuple[tuple[int, int, int, int], ...]:
         if last > first + 2:
             out[-1] = (out[-1][0], last) + out[-1][2:]
     return tuple(out)
+
+
+def spider_roles(p) -> list[str]:
+    """Each node's role by the id scheme: the m core nodes, then each leg's l nodes outward."""
+    m, k, l = p
+    return ["core"] * m + (["leg"] * (l - 1) + ["terminal"]) * (m * k)
+
+
+def export_graph(g: Graph, fmt: str, roles) -> str:
+    """The export of g as one string: each edge from its adjacency tuples, each role from roles.
+
+    Formats: "edge-list" ("u v" per line with u < v, sorted), "dot"
+    (undirected block, node role attributes) and "adjacency-csv" (n rows of
+    comma-separated 0/1, no header).
+    """
+    if fmt == "edge-list":
+        lines = (f"{u} {v}\n" for u in range(g.n) for v in g.adjacency[u] if u < v)
+    elif fmt == "dot":
+        nodes = (f'  {u} [role="{roles[u]}"];\n' for u in range(g.n))
+        edges = (f"  {u} -- {v};\n" for u in range(g.n) for v in g.adjacency[u] if u < v)
+        lines = itertools.chain(["graph spider {\n"], nodes, edges, ["}\n"])
+    elif fmt == "adjacency-csv":
+        lines = adjacency_rows(g)
+    else:
+        raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
+    return "".join(lines)
+
+
+def adjacency_rows(g: Graph):
+    """The 0/1 adjacency matrix of g, one comma-separated row per node, each ending in a newline."""
+    zeros = ["0"] * g.n
+    for nbrs in g.adjacency:
+        cells = zeros.copy()
+        for v in nbrs:
+            cells[v] = "1"
+        yield ",".join(cells) + "\n"

@@ -60,9 +60,11 @@ class TestGenerate:
             raise MemoryError
 
         monkeypatch.setattr(spiders, "build_spider", exhausted)
-        out_path = tmp_path / "h.edges"
+        out_path = tmp_path / "h.csv"
+        # only an adjacency CSV builds a graph; edge lists and dot files are made without one
         code, out, err = run(
-            capsys, "export", "-M", "2", "-K", "2", "-L", "1", "--out", str(out_path)
+            capsys, "export", "-M", "2", "-K", "2", "-L", "1", "--format", "adjacency-csv",
+            "--out", str(out_path),
         )
         assert (code, out, out_path.exists()) == (4, "", False)
         assert err.startswith("error:") and err.count("\n") == 1

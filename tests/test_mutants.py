@@ -79,6 +79,16 @@ def test_closed_form_is_judged_last_by_its_tests():
     )
 
 
+def test_spiders_is_judged_by_its_exports_then_its_tests():
+    judges = list(map(mutants.label, mutants.JUDGES["spiders"]))
+    assert judges[0] == "spidernets export -M 3 -K 2 -L 4 --format edge-list"
+    assert len(judges) == 14 and judges[-2] == "spidernets report -M 3 -K 2 -L 4"
+    assert judges[-1] == (
+        "python -m pytest -qq -x -p no:cacheprovider -o pythonpath=<copy>/src"
+        " tests/test_spiders.py"
+    )
+
+
 def test_a_judge_past_its_timeout_kills():
     single_node = site("    return 0", "0 -> 1")
     # the judge sleeps past the timeout only when a single node's diameter is not 0

@@ -1,12 +1,14 @@
 import copy
 import pickle
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import spider_params
-from references import build_graph, degree_array, is_connected
+from references import build_graph, degree_array, export_graph, is_connected, spider_roles
 from spidernets import cli, spiders
 from spidernets.spiders import (
     ConsistencyError,
@@ -14,7 +16,6 @@ from spidernets.spiders import (
     build_spider,
     decimal_digits,
     edge_count,
-    export_graph,
     export_size,
     export_spider,
     node_count,
@@ -24,6 +25,8 @@ from spidernets.spiders import (
 
 
 DEFAULT_GRID = cli.iter_grid(8, 5, 6, 2000)
+# The stars and paths, up to 20,000 nodes, on which the export size bound is checked.
+SIZE_SHAPES = [(1, 0, 0), (1, 10, 1), (1, 100, 1), (100, 0, 0), (1, 1, 3999), (1, 19999, 1)]
 
 
 def export_text(p, fmt):
@@ -228,7 +231,38 @@ class TestExport:
             for u in range(g.n):
                 nbrs = set(g.adjacency[u])
                 rows.append(",".join("1" if v in nbrs else "0" for v in range(g.n)))
-            assert "".join(export_graph(g, "adjacency-csv")) == "".join(row + "\n" for row in rows)
+            assert export_text(p, "adjacency-csv") == "".join(row + "\n" for row in rows)
+
+    @pytest.mark.parametrize("fmt", spiders.EXPORT_FORMATS)
+    def test_equals_the_reference(self, fmt):
+        shapes = SIZE_SHAPES + [(1, 1, 1999), (1, 2999, 1)]
+        for p in DEFAULT_GRID + [normalize(*shape) for shape in shapes]:
+            if fmt == "adjacency-csv" and node_count(p) > 3000:
+                continue  # n * n characters
+            assert export_text(p, fmt) == export_graph(build_spider(p), fmt, spider_roles(p))
+
+    @given(spider_params)
+    def test_equals_the_reference_on_random_params(self, p):
+        for fmt in spiders.EXPORT_FORMATS:
+            assert export_text(p, fmt) == export_graph(build_spider(p), fmt, spider_roles(p))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 200000), (100, 10, 200)])
+    def test_edge_list_and_dot_need_no_graph_and_little_memory(self, shape, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an edge list or dot file builds no graph")
+
+        monkeypatch.setattr(spiders, "build_spider", refuse)
+        monkeypatch.setattr(spiders, "Graph", refuse)
+        p = normalize(*shape)
+        for fmt in ("edge-list", "dot"):
+            tracemalloc.start()
+            try:
+                size = sum(map(len, export_spider(p, fmt)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert size > 10**6
+            assert peak < 2 * 10**6  # the whole export takes several MB
 
     def test_dot_roles(self):
         text = export_text(normalize(1, 1, 3), "dot")
@@ -255,8 +289,8 @@ class TestExport:
         assert len(chunks) <= 1 + 4 * len(text) // spiders.CHUNK
 
     def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            export_graph(build_spider(normalize(1, 1, 1)), "graphml")
+        with pytest.raises(ValueError, match="unknown export format 'graphml'"):
+            export_spider(normalize(1, 1, 1), "graphml")
 
     def test_deterministic(self):
         p = normalize(3, 2, 2)
@@ -269,10 +303,23 @@ class TestExport:
 
     @pytest.mark.parametrize("fmt", ["edge-list", "dot"])
     def test_size_bounds_the_export_within_twice(self, fmt):
-        shapes = [(1, 0, 0), (1, 10, 1), (1, 100, 1), (100, 0, 0), (1, 1, 3999), (1, 19999, 1)]
-        for p in DEFAULT_GRID + [normalize(*shape) for shape in shapes]:
-            true = len(export_text(p, fmt))
-            assert true <= export_size(p, fmt) <= 2 * true
+        for p in DEFAULT_GRID + [normalize(*shape) for shape in SIZE_SHAPES]:
+            text = export_text(p, fmt)
+            assert len(text) <= export_size(p, fmt) <= 2 * len(text)
+            # the bound is the export with every id as wide as the largest, every role "terminal"
+            width = len(str(node_count(p) - 1))
+            widest = re.sub(r"\d+", lambda digits: digits[0].zfill(width), text)
+            assert export_size(p, fmt) == len(re.sub(r'role="\w+"', 'role="terminal"', widest))
+
+    @pytest.mark.parametrize(
+        "shape,fmt",
+        [((10**40000, 0, 0), "edge-list"), ((10**40000, 0, 0), "dot"),
+         ((1, 1, 40000), "adjacency-csv")],
+    )
+    def test_a_line_past_the_chunk_size_gets_a_chunk_of_its_own(self, shape, fmt):
+        # ids of 40,000 digits, or CSV rows of 80,002 characters, may reach past CHUNK
+        first = next(iter(export_spider(normalize(*shape), fmt)))
+        assert first.endswith("\n") and first.count("\n") == 1
 
     @given(st.integers(min_value=0, max_value=10**4000))
     @example(0)
@@ -281,6 +328,17 @@ class TestExport:
     @example(10**4000 - 1)
     def test_decimal_digits_count_like_str(self, value):
         assert decimal_digits(value) == len(str(value))
+
+    def test_decimal_digits_corrects_an_estimate_one_too_high(self):
+        # Below 10**7 bits the estimate of a true bit length is never too high (checked exactly
+        # against log10(2) to 50 digits); overstating it by 3 bits (0.9 digits) makes it so.
+        class Overstated(int):
+            def bit_length(self):
+                return super().bit_length() + 3
+
+        values = list(range(2000)) + [10**j + d for j in range(4, 60) for d in (-1, 0, 1)]
+        assert [decimal_digits(Overstated(v)) for v in values] == [len(str(v)) for v in values]
+        assert decimal_digits(Overstated(9)) == 1  # estimated as 2
 
     @given(st.integers(min_value=-(10**80), max_value=10**80))
     @example(10**50 - 1)

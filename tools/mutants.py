@@ -43,7 +43,8 @@ PYTEST = ["-m", "pytest", "-qq", "-x", "-p", "no:cacheprovider", "-o", "pythonpa
 # that verify's grid, from two nodes up, never reaches.  closed_form's tests reach the
 # public forms that no command calls on its own (alpha_runs).
 # The short cells write their CSV to stdout, so the judge reaches the ratio steps that
-# --all never runs.
+# --all never runs.  spiders' exports cover a spider with legs longer than 1, a star, a
+# complete graph and the single node in every format.
 JUDGES = {
     "closed_form": [
         [*SPIDERNETS, "verify"],
@@ -64,6 +65,15 @@ JUDGES = {
             )
         ),
     ],
+    "spiders": [
+        *(
+            [*SPIDERNETS, "export", "-M", m, "-K", k, "-L", l, "--format", fmt]
+            for m, k, l in (("3", "2", "4"), ("1", "1", "1"), ("4", "0", "0"), ("1", "0", "0"))
+            for fmt in ("edge-list", "dot", "adjacency-csv")
+        ),
+        [*SPIDERNETS, "report", "-M", "3", "-K", "2", "-L", "4"],
+        [*PYTEST, "tests/test_spiders.py"],
+    ],
 }
 # Why a surviving mutant is equivalent, by (module, line of code, mutation): it changes
 # no result of any input, only the path or the cost.
@@ -71,6 +81,9 @@ _FAR = (
     "the far points stay past n(1)**2, so past every product of the fixed values; the"
     " closed forms are the interpolants at any two such points, so the verdict is the same"
 )
+_PACKING = "only the lines per chunk of an export change; joined, the chunks are the same file"
+_SHORTER = "zip and compress stop at their shortest input, which this range outlasts"
+_NO_LEGS = "l = 0 only with k = 0, and then the range is empty at any step"
 EQUIVALENT = {
     ("closed_form", "end = node_count(p) - 1", "- -> +"):
         "alpha_runs clips every line to j <= n - 1, so a line that ends past it holds only zeros",
@@ -108,6 +121,62 @@ EQUIVALENT = {
         "groups of count 0 are already dropped, so count < 1 means count < 0",
     ("graph_core", "total_distance=sum(map(operator.mul, alpha, range(1, d + 1))),", "1 -> 2"):
         "the d + 1 bound: map stops at the d entries of alpha",
+    ("spiders", "CHUNK = 2**16", "16 -> 17"): _PACKING,
+    (
+        "spiders",
+        "core[:c] + core[c + 1:] + tuple(range(m + c * span, m + (c + 1) * span, l or 1))",
+        "1 -> 2",
+    ): _NO_LEGS,
+    ("spiders", "firsts = range(m, n, l or 1)  # k per core node", "1 -> 2"): _NO_LEGS,
+    **{
+        ("spiders", "legs = list(zip(range(m - 1, end - 1), range(m + 1, end + 1)))", mutation):
+            _SHORTER
+        for mutation in ("- -> +", "1 -> 2")
+    },
+    **{
+        (
+            "spiders",
+            "successors = map(operator.mod, range(1, n - m + 1), itertools.repeat(l))"
+            "  # 0 at a terminal",
+            mutation,
+        ): _SHORTER
+        for mutation in ("- -> +", "1 -> 2")
+    },
+    (
+        "spiders",
+        "digits = int((value.bit_length() - 1) * 0.3010299956639812) + 1  # log10(2)",
+        "1 -> 2",
+    ): "the estimate stays within one digit of the count, and the two corrections fix either side",
+    ("spiders", "return f\"a {digits}-digit {'negative ' if value < 0 else ''}integer\"", "0 -> 1"):
+        "only values of more than SHOWN digits reach this test, and none of them is 0",
+    (
+        "spiders",
+        "return _chunks(_adjacency_rows(build_spider(p)), max(1, CHUNK // (2 * n)))",
+        "2 -> 3",
+    ): _PACKING,
+    **{
+        (
+            "spiders",
+            "width = decimal_digits(n - 1)"
+            "  # of the largest id: it sets how many lines a chunk holds",
+            mutation,
+        ): _PACKING
+        for mutation in ("- -> +", "1 -> 2")
+    },
+    (
+        "spiders",
+        'return _chunks((f"{u} {v}\\n" for u, v in edges), max(1, CHUNK // (2 * width + 2)))',
+        "2 -> 3",
+    ): _PACKING,
+    **{
+        (
+            "spiders",
+            "longest = 2 * width + 14 + (8 if k else 4)"
+            "  # '  u [role=\"terminal\"];\\n' or \"  u -- v;\\n\"",
+            mutation,
+        ): _PACKING
+        for mutation in ("* -> +", "2 -> 3", "14 -> 15", "8 -> 9", "4 -> 5")
+    },
 }
 TIMEOUT_S = 60
 ADDRESS_SPACE = 2**31  # bytes a judge may map
