@@ -2,10 +2,8 @@
 
 from spidernets.closed_form import (
     ConsistencyError,
-    alpha_runs,
     closed_form_report,
     delta_groups,
-    density_closed,
     diameter_closed,
     gamma_groups,
     h_index_closed,
@@ -43,12 +41,10 @@ __all__ = [
     "SmallWorldVerdict",
     "SpiderParams",
     "all_indicators",
-    "alpha_runs",
     "build_spider",
     "classify",
     "closed_form_report",
     "delta_groups",
-    "density_closed",
     "diameter_closed",
     "edge_count",
     "export_spider",

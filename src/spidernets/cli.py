@@ -322,11 +322,11 @@ def cmd_report(args) -> int:
     if spiders.node_count(p) < 2:
         _print_counts(p)
         print("single node: distance indicators are undefined")
-        gamma = closed_form.gamma_groups(p)
-        _write_row("delta", format_runs(closed_form.delta_groups(p)))
+        gamma, delta = closed_form.gamma_groups(p), closed_form.delta_groups(p)
+        _write_row("delta", format_runs(delta))
         _write_row("gamma", format_runs(gamma))
         print(f"diameter: {closed_form.diameter_closed(p)}")
-        print(f"h-index: {closed_form.h_index_closed(p)}")
+        print(f"h-index: {closed_form.h_index_closed(p, delta)}")
         print(f"neighboring-index: {sum(v * c for v, c in gamma)}")
         return EXIT_OK
     records, pairs = [], spiders.pair_count(p)

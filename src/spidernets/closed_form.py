@@ -27,8 +27,8 @@ no array of length n is built.  The checks, each a ConsistencyError:
 * A: each exact division on its own numerator, A(1) = ``pair_count``, and
   in a report, from that A(1) and one pass over the runs, sum alpha_j = A(1)
   and sum j alpha_j = A'(1);
-* density: an integer cross-product with the edge count;
-* h-index: its regime against the report's own degree groups ``delta``.
+* density, a report field like alpha: an integer cross-product with the edge count;
+* h-index: its regime against the degree groups ``delta`` that the caller holds.
 
 Every form takes the triple p, a ``SpiderParams`` or a plain (m, k, l)
 tuple, and only unpacks it, so a small-world step runs the same function,
@@ -147,7 +147,7 @@ def _pair_classes(p: SpiderParams):
     )
 
 
-def _alpha_lines(p: SpiderParams):
+def _alpha_lines(p: SpiderParams, n: int):
     """Distance frequencies as lines (first, last, a, b), alpha_j = a + b*j: A's coefficients.
 
     A term is count times a P with coefficients (c, a, b, a', b'): c at x,
@@ -160,33 +160,7 @@ def _alpha_lines(p: SpiderParams):
     q, s = (l, l + 1, -1, 0, 0), (0, -1, 1, 2 * l + 1, -1)
     t = (1, 2 * (k - kk), kk, 2 * kk * (l + 1), -kk)
     c, a, b, a2, b2 = [c1 * x + c2 * y + c3 * z for x, y, z in zip(q, s, t)]
-    end = node_count(p) - 1
-    return [(1, 1, c, 0), (2, l + 1, a, b), (l + 2, 2 * l + 1, a2, b2), (2 * l + 2, end, 0, 0)]
-
-
-def _alpha_runs(p: SpiderParams, n: int, pairs: int):
-    """The lines clipped to j <= n-1 as runs, and their sum of j*alpha_j; alpha sums to pairs."""
-    runs = linear_runs(
-        (first, min(last, n - 1), a, b)
-        for first, last, a, b in _alpha_lines(p)
-        if first <= min(last, n - 1)
-    )
-    run_pairs, run_total = _run_sums(runs)
-    _check(run_pairs == pairs, "distance frequencies do not sum to all pairs")
-    return runs, run_total
-
-
-def alpha_runs(p: SpiderParams) -> tuple[tuple[int, int, int, int], ...]:
-    """Distance frequencies for j = 1..n-1 as at most 4 canonical linear runs.
-
-    A run (first, last, a, b) stands for alpha_j = a + b*j at
-    j = first..last; the runs are ``linear_runs`` of the lines, clipped to
-    j <= n-1, so they follow each other without gaps and end at n-1.
-    """
-    n = node_count(p)
-    if n < 2:
-        raise ValueError("distance frequencies need at least 2 nodes")
-    return _alpha_runs(p, n, pair_count(p))[0]
+    return [(1, 1, c, 0), (2, l + 1, a, b), (l + 2, 2 * l + 1, a2, b2), (2 * l + 2, n - 1, 0, 0)]
 
 
 def _run_sums(runs) -> tuple[int, int]:
@@ -220,11 +194,8 @@ def diameter_closed(p: SpiderParams) -> int:
     return 0
 
 
-def density_closed(p: SpiderParams) -> Fraction:
-    """Exact density from the parameters, cross-checked against edge counts."""
-    n = node_count(p)
-    if n < 2:
-        raise ValueError("density needs at least 2 nodes")
+def _density(p: SpiderParams, n: int) -> Fraction:
+    """Exact density of the n nodes of p, cross-checked against the edge count."""
     m, k, l = p
     top, bottom = 2 * k * l + m - 1, m * (1 + k * l) ** 2 - (1 + k * l)
     _check(
@@ -234,8 +205,8 @@ def density_closed(p: SpiderParams) -> Fraction:
     return Fraction(top, bottom)
 
 
-def _h_index_regime(p: SpiderParams, delta) -> int:
-    """h-index of the degree array by parameter regime, checked against the groups delta."""
+def h_index_closed(p: SpiderParams, delta) -> int:
+    """h-index of the degree array by parameter regime, checked against p's degree groups delta."""
     m, k, l = p
     if k == 0:
         value = m - 1
@@ -247,11 +218,6 @@ def _h_index_regime(p: SpiderParams, delta) -> int:
         value = 2 if l > 2 else 1
     _check(value == h_index_of_groups(delta), "h-index regime disagrees with the degree multiset")
     return value
-
-
-def h_index_closed(p: SpiderParams) -> int:
-    """h-index of the degree array, by parameter regime, checked against ``delta_groups``."""
-    return _h_index_regime(p, delta_groups(p))
 
 
 def distance_sums(p: SpiderParams) -> tuple[int, int]:
@@ -271,21 +237,30 @@ def closed_form_report(p: SpiderParams) -> Indicators:
     """Evaluate every closed form, verify they agree with each other, and return the record.
 
     The record is in the canonical form of ``graph_core.all_indicators``, so
-    it equals the oracle's record of ``build_spider(p)`` field by field.
+    it equals the oracle's record of ``build_spider(p)`` field by field.  Its
+    alpha is at most 4 runs (first, last, a, b), each alpha_j = a + b*j at
+    j = first..last: ``linear_runs`` of the lines clipped to j <= n-1, so
+    they follow each other without gaps and end at n-1.
     """
     n = node_count(p)
     if n < 2:
         raise ValueError("indicator report needs at least 2 nodes")
     total, pairs = distance_sums(p)
-    alpha, run_total = _alpha_runs(p, n, pairs)
+    alpha = linear_runs(
+        (first, min(last, n - 1), a, b)
+        for first, last, a, b in _alpha_lines(p, n)
+        if first <= min(last, n - 1)
+    )
+    run_pairs, run_total = _run_sums(alpha)
+    _check(run_pairs == pairs, "distance frequencies do not sum to all pairs")
     _check(run_total == total, "total distance disagrees with the distance frequencies")
     delta = delta_groups(p)
     return Indicators(
         delta=delta,
         gamma=gamma_groups(p),
         alpha=alpha,
-        density=density_closed(p),
+        density=_density(p, n),
         diameter=diameter_closed(p),
-        h_index=_h_index_regime(p, delta),
+        h_index=h_index_closed(p, delta),
         total_distance=total,
     )

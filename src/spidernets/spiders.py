@@ -249,5 +249,5 @@ def export_spider(p: SpiderParams, fmt: str):
         (f"  {u} -- {v};\n" for u, v in edges),
         ["}\n"],
     )
-    longest = 2 * width + 14 + (8 if k else 4)  # '  u [role="terminal"];\n' or "  u -- v;\n"
+    longest = max(width + (22 if k else 18), 2 * width + 8)  # '  u [role="terminal"];\n' or an edge
     return _chunks(lines, max(1, CHUNK // longest))

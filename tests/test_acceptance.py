@@ -24,9 +24,8 @@ from references import (
 )
 from spidernets.cli import compare_point, iter_grid
 from spidernets.closed_form import (
-    alpha_runs,
+    closed_form_report,
     delta_groups,
-    density_closed,
     distance_sums,
     gamma_groups,
     h_index_closed,
@@ -63,7 +62,7 @@ def sweep_grid():
 def test_criterion_1_golden_arrays():
     with criterion(1, "golden arrays reproduce exactly"):
         start = time.perf_counter()
-        assert _expand_runs(alpha_runs(normalize(2, 2, 1))) == (5, 6, 4, 0, 0)
+        assert _expand_runs(closed_form_report(normalize(2, 2, 1)).alpha) == (5, 6, 4, 0, 0)
 
         assert _expand(delta_groups(normalize(1, 4, 1))) == (4, 1, 1, 1, 1)
         assert _expand(delta_groups(normalize(1, 1, 5))) == (2, 2, 2, 2, 1, 1)
@@ -79,12 +78,12 @@ def test_criterion_1_golden_arrays():
         assert _expand(gamma_groups(normalize(2, 1, 4))) == (6,) * 6 + (5, 5, 3, 3)
         assert _expand(gamma_groups(normalize(2, 1, 1))) == (5, 5, 3, 3)
 
-        assert _expand_runs(alpha_runs(normalize(5, 0, 0))) == (10, 0, 0, 0)
-        assert _expand_runs(alpha_runs(normalize(1, 4, 1))) == (4, 6, 0, 0)
-        assert _expand_runs(alpha_runs(normalize(1, 3, 2))) == (6, 6, 6, 3, 0, 0)
-        assert _expand_runs(alpha_runs(normalize(1, 1, 2))) == (2, 1)
-        assert _expand_runs(alpha_runs(normalize(1, 1, 4))) == (4, 3, 2, 1)
-        assert _expand_runs(alpha_runs(normalize(2, 1, 2))) == (5, 4, 3, 2, 1)
+        assert _expand_runs(closed_form_report(normalize(5, 0, 0)).alpha) == (10, 0, 0, 0)
+        assert _expand_runs(closed_form_report(normalize(1, 4, 1)).alpha) == (4, 6, 0, 0)
+        assert _expand_runs(closed_form_report(normalize(1, 3, 2)).alpha) == (6, 6, 6, 3, 0, 0)
+        assert _expand_runs(closed_form_report(normalize(1, 1, 2)).alpha) == (2, 1)
+        assert _expand_runs(closed_form_report(normalize(1, 1, 4)).alpha) == (4, 3, 2, 1)
+        assert _expand_runs(closed_form_report(normalize(2, 1, 2)).alpha) == (5, 4, 3, 2, 1)
 
         assert time.perf_counter() - start < 1.0
 
@@ -104,21 +103,22 @@ def test_criterion_2_oracle_equivalence_sweep():
 def test_criterion_3_identity_suite():
     with criterion(3, "sum identities hold exactly on the full grid"):
         for p in sweep_grid():
-            n = node_count(p)
-            alpha = _expand_runs(alpha_runs(p))
+            n, report = node_count(p), closed_form_report(p)
+            alpha = _expand_runs(report.alpha)
             assert sum(alpha) == n * (n - 1) // 2 == pair_count(p)
             assert sum(_expand(delta_groups(p))) == 2 * edge_count(p)
             assert distance_sums(p)[0] == sum(
                 j * a for j, a in enumerate(alpha, start=1)
             )
-            assert density_closed(p) == Fraction(2 * edge_count(p), n * (n - 1))
+            assert report.density == Fraction(2 * edge_count(p), n * (n - 1))
 
 
 def test_criterion_4_total_distance_three_ways():
     with criterion(4, "total distance of spider(3,1,2) is 93 three ways"):
         p = normalize(3, 1, 2)
         from_formula = distance_sums(p)[0]
-        from_alpha = sum(j * a for j, a in enumerate(_expand_runs(alpha_runs(p)), start=1))
+        alpha = _expand_runs(closed_form_report(p).alpha)
+        from_alpha = sum(j * a for j, a in enumerate(alpha, start=1))
         from_oracle = all_indicators(build_spider(p)).total_distance
         assert from_formula == from_alpha == from_oracle == 93
 
@@ -136,7 +136,7 @@ def test_criterion_5_h_index_table():
     with criterion(5, "h-index regimes match the oracle degree arrays"):
         for p in sweep_grid():
             want = expected_h(p)
-            assert h_index_closed(p) == want
+            assert h_index_closed(p, delta_groups(p)) == want
             assert h_index(degree_array(build_spider(p))) == want
 
 
@@ -201,7 +201,7 @@ def test_criterion_7_degenerate_and_boundary():
             p = normalize(m, 0, 0)
             g = build_spider(p)
             assert degree_array(g) == (m - 1,) * m
-            assert density(g) == density_closed(p) == 1
+            assert density(g) == closed_form_report(p).density == 1
             assert all_indicators(g).diameter == 1
             assert alpha_array(g) == (m * (m - 1) // 2,) + (0,) * (m - 2)
 
@@ -211,7 +211,9 @@ def test_criterion_7_degenerate_and_boundary():
             two_core = normalize(2, 1, leg)
             assert node_count(one_core) == node_count(two_core) == 2 * leg + 2
             assert _expand(delta_groups(one_core)) == _expand(delta_groups(two_core))
-            assert _expand_runs(alpha_runs(one_core)) == _expand_runs(alpha_runs(two_core))
+            assert _expand_runs(closed_form_report(one_core).alpha) == _expand_runs(
+                closed_form_report(two_core).alpha
+            )
             # isomorphic graphs force equal gamma arrays; each encoding's
             # closed form matches its own pattern, and the patterns coincide
             g1, g2 = build_spider(one_core), build_spider(two_core)

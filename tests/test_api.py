@@ -50,8 +50,12 @@ def test_the_library_holds_no_test_reference_and_one_name_per_closed_form():
         names = [name for name, value in vars(module).items() if inspect.isfunction(value)]
         assert not [name for name in names if name.endswith("_at")], module.__name__
         assert "_h_index_checked" not in names
-    # one walk along a growth direction, ratio_steps, and one total distance, distance_sums
-    gone = {"total_distance_closed", "ratio_sequence", "RatioPoint"}
+    # one walk along a growth direction, ratio_steps, one total distance, distance_sums, one
+    # alpha and density, fields of closed_form_report, and one h-index form, h_index_closed
+    gone = {
+        "total_distance_closed", "ratio_sequence", "RatioPoint",
+        "alpha_runs", "density_closed", "_alpha_runs", "_h_index_regime",
+    }
     assert gone.isdisjoint(vars(closed_form)) and gone.isdisjoint(vars(small_world))
     assert gone.isdisjoint(vars(spidernets))
     assert not hasattr(small_world.GrowthDirection, "params_at")
@@ -83,6 +87,30 @@ def test_no_module_reads_a_private_name_of_another():
             and not node.attr.startswith("__")
         ]
     assert reach_ins == []
+
+
+def test_every_public_closed_form_is_read_by_another_module():
+    # a public form that only the tests call is a second way to the same quantity
+    src = Path(spidernets.__file__).parent
+    defined = {
+        name for name, value in vars(closed_form).items()
+        if inspect.isfunction(value) and value.__module__ == closed_form.__name__
+        and not name.startswith("_")
+    }
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        if path.stem in ("__init__", "closed_form"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "spidernets.closed_form":
+                read.update(alias.name for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "closed_form"
+            ):
+                read.add(node.attr)
+    assert sorted(defined - read) == []
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

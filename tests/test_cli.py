@@ -194,7 +194,7 @@ class TestReport:
     def test_long_leg_alpha_row(self, capsys):
         code, out, _ = run(capsys, "report", "-M", "2", "-K", "1", "-L", "20000", "--source", "closed")
         assert code == 0
-        alpha = _expand_runs(closed_form.alpha_runs(spiders.normalize(2, 1, 20000)))
+        alpha = _expand_runs(closed_form.closed_form_report(spiders.normalize(2, 1, 20000)).alpha)
         assert f"\nalpha: {format_array(alpha)}\n" in out
 
     @pytest.mark.parametrize("source", ["closed", "both"])
@@ -675,10 +675,10 @@ class TestVerify:
     def test_corrupted_alpha_lines_detected(self, capsys, monkeypatch):
         real = closed_form._alpha_lines
 
-        def bent(p):
+        def bent(p, n):
             # +1, -2, +1 at j = 1, 2, 3 keeps the sums of alpha_j and j * alpha_j.
-            alpha = [a + b * j for first, last, a, b in real(p) for j in range(first, last + 1)]
-            alpha = alpha[: spiders.node_count(p) - 1]
+            alpha = [a + b * j for first, last, a, b in real(p, n) for j in range(first, last + 1)]
+            alpha = alpha[: n - 1]
             if len(alpha) >= 3 and alpha[1] >= 2:
                 alpha[0:3] = alpha[0] + 1, alpha[1] - 2, alpha[2] + 1
             return [(j, j, value, 0) for j, value in enumerate(alpha, start=1)]

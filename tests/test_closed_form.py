@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 import references
 from conftest import _expand, _expand_runs, spider_params
-from spidernets import cli, closed_form, graph_core
+from spidernets import cli, closed_form, graph_core, spiders
 from spidernets.closed_form import (
     ConsistencyError,
-    alpha_runs,
     closed_form_report,
     delta_groups,
-    density_closed,
     diameter_closed,
     distance_sums,
     gamma_groups,
@@ -85,7 +83,7 @@ class TestAlphaGolden:
         ],
     )
     def test_arrays(self, m, k, l, want):
-        assert _expand_runs(alpha_runs(normalize(m, k, l))) == want
+        assert _expand_runs(closed_form_report(normalize(m, k, l)).alpha) == want
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError):
@@ -109,13 +107,13 @@ class TestScalars:
         assert diameter_closed(normalize(m, k, l)) == want
 
     def test_density(self):
-        assert density_closed(normalize(4, 0, 0)) == 1
-        assert density_closed(normalize(2, 2, 1)) == Fraction(1, 3)
-        assert density_closed(normalize(1, 1, 4)) == Fraction(2, 5)
+        assert closed_form_report(normalize(4, 0, 0)).density == 1
+        assert closed_form_report(normalize(2, 2, 1)).density == Fraction(1, 3)
+        assert closed_form_report(normalize(1, 1, 4)).density == Fraction(2, 5)
 
     def test_density_single_node_rejected(self):
         with pytest.raises(ValueError):
-            density_closed(normalize(1, 0, 0))
+            closed_form_report(normalize(1, 0, 0)).density
 
     @pytest.mark.parametrize(
         "m,k,l,want",
@@ -132,7 +130,8 @@ class TestScalars:
         ],
     )
     def test_h_index_regimes(self, m, k, l, want):
-        assert h_index_closed(normalize(m, k, l)) == want
+        p = normalize(m, k, l)
+        assert h_index_closed(p, delta_groups(p)) == want
 
     def test_average_degree(self):
         # The mean of the degree groups, (m + 2kl - 1) / (1 + kl).
@@ -165,13 +164,14 @@ class TestOracleEquivalence:
     def test_every_indicator_matches_brute_force(self):
         for p in self.grid():
             g = build_spider(p)
-            oracle = graph_core.all_indicators(g)
-            assert _expand(delta_groups(p)) == references.degree_array(g), p
+            oracle, report = graph_core.all_indicators(g), closed_form_report(p)
+            delta = delta_groups(p)
+            assert _expand(delta) == references.degree_array(g), p
             assert _expand(gamma_groups(p)) == references.gamma_array(g), p
-            assert _expand_runs(alpha_runs(p)) == references.alpha_array(g), p
+            assert _expand_runs(report.alpha) == references.alpha_array(g), p
             assert diameter_closed(p) == oracle.diameter, p
-            assert density_closed(p) == references.density(g), p
-            assert h_index_closed(p) == references.h_index(references.degree_array(g)), p
+            assert report.density == references.density(g), p
+            assert h_index_closed(p, delta) == references.h_index(references.degree_array(g)), p
             assert distance_sums(p)[0] == oracle.total_distance, p
 
     @given(spider_params)
@@ -187,7 +187,7 @@ class TestIdentities:
     def test_sum_rules(self, p):
         assert sum(_expand(delta_groups(p))) == 2 * edge_count(p)
         if node_count(p) >= 2:
-            alpha = _expand_runs(alpha_runs(p))
+            alpha = _expand_runs(closed_form_report(p).alpha)
             assert sum(alpha) == pair_count(p)
             assert distance_sums(p)[0] == sum(
                 j * a for j, a in enumerate(alpha, start=1)
@@ -197,11 +197,12 @@ class TestIdentities:
     def test_density_equals_edge_ratio(self, p):
         n = node_count(p)
         if n >= 2:
-            assert density_closed(p) == Fraction(2 * edge_count(p), n * (n - 1))
+            assert closed_form_report(p).density == Fraction(2 * edge_count(p), n * (n - 1))
 
     @given(spider_params)
     def test_h_index_consistent_with_delta(self, p):
-        assert h_index_closed(p) == references.h_index(_expand(delta_groups(p)))
+        delta = delta_groups(p)
+        assert h_index_closed(p, delta) == references.h_index(_expand(delta))
 
     @given(spider_params)
     def test_report_builds_for_nontrivial_spiders(self, p):
@@ -212,7 +213,7 @@ class TestIdentities:
             report = closed_form_report(p)
             assert sum(c for _, c in report.delta) == node_count(p)
             assert sum(c for _, c in report.gamma) == node_count(p)
-            assert report.alpha == alpha_runs(p)
+            assert 1 <= len(report.alpha) <= 4
             assert len(_expand_runs(report.alpha)) == node_count(p) - 1
             assert report.delta == delta_groups(p)
             assert report.gamma == gamma_groups(p)
@@ -233,7 +234,7 @@ class TestGroupedForms:
         assert _expand(delta_groups(p)) == references.degree_array(g)
         assert _expand(gamma_groups(p)) == references.gamma_array(g)
         if node_count(p) >= 2:
-            runs = alpha_runs(p)
+            runs = closed_form_report(p).alpha
             alpha = references.alpha_array(g)
             assert len(alpha) == node_count(p) - 1
             assert 1 <= len(runs) <= 4
@@ -245,7 +246,7 @@ class TestGroupedForms:
     @given(spider_params)
     def test_run_sums_are_pairs_and_total_distance(self, p):
         if node_count(p) >= 2:
-            runs = alpha_runs(p)
+            runs = closed_form_report(p).alpha
             alpha = _expand_runs(runs)
             sums = (sum(alpha), sum(j * a for j, a in enumerate(alpha, start=1)))
             assert closed_form._run_sums(runs) == sums
@@ -268,21 +269,21 @@ class TestGroupedForms:
         mkl = tuple(p)
         assert max_degree(mkl) == delta_groups(mkl)[0][0]
         if node_count(p) >= 2:
-            assert distance_sums(mkl)[0] == closed_form._run_sums(alpha_runs(p))[1]
+            assert distance_sums(mkl)[0] == closed_form._run_sums(closed_form_report(p).alpha)[1]
 
     def test_alpha_runs_stay_few_on_long_arrays(self):
-        runs = alpha_runs(normalize(3, 16666, 2))
+        runs = closed_form_report(normalize(3, 16666, 2)).alpha
         # Greedy runs pair j = 1, 2 and j = 3, 4; the run from j = 5 takes the
         # first zero, at j = 6, as well.
         assert len(runs) == 4 and runs[-1] == (7, 3 * 16666 * 2 + 2, 0, 0)
         # Legs of 10^12 nodes: a per-entry loop would not finish.  Two legs
         # joined by one core edge are a path, whose alpha_j = n - j is one run.
         l = 10**12
-        assert alpha_runs(normalize(2, 1, l)) == ((1, 2 * l + 1, 2 * l + 2, -1),)
+        assert closed_form_report(normalize(2, 1, l)).alpha == ((1, 2 * l + 1, 2 * l + 2, -1),)
 
     def test_single_node_runs_rejected(self):
         with pytest.raises(ValueError):
-            alpha_runs(normalize(1, 0, 0))
+            closed_form_report(normalize(1, 0, 0)).alpha
 
     def test_corrupted_group_detected(self, monkeypatch):
         real = closed_form._delta_groups
@@ -308,13 +309,41 @@ class TestGroupedForms:
     def test_corrupted_run_detected(self, monkeypatch, da, db, message):
         real = closed_form._alpha_lines
 
-        def shifted(p):
-            lines = real(p)
+        def shifted(p, n):
+            lines = real(p, n)
             first, last, a, b = lines[1]
             lines[1] = (first, last, a + da, b + db)
             return lines
 
         monkeypatch.setattr(closed_form, "_alpha_lines", shifted)
+        with pytest.raises(ConsistencyError, match=f"^{message}$"):
+            closed_form_report(normalize(3, 2, 2))
+
+    # Each corruption breaks one check of the report and none that runs before it.
+    @pytest.mark.parametrize(
+        "name, corrupt, message",
+        [
+            ("_exact", lambda real, num, div: real(num + (div == 6), div),
+             "a pair-class term is not an integer"),
+            ("_pair_classes", lambda real, p: [(c, s + 1, d) for c, s, d in real(p)],
+             "pair classes miss pairs"),
+            ("_delta_groups", lambda real, p: real(p) + [(7, 1), (7, -1)],
+             "a multiplicity is negative"),
+            ("_delta_groups", lambda real, p: real(p) + [(2, 1)], "degree groups miss nodes"),
+            ("_delta_groups", lambda real, p: [(v + 1, c) for v, c in real(p)],
+             "total degree is not twice the edge count"),
+            ("_gamma_groups", lambda real, p: real(p) + [(7, 1)], "gamma groups miss nodes"),
+            ("_gamma_groups", lambda real, p: [(v + 1, c) for v, c in real(p)],
+             "gamma sum identity failed"),
+            ("h_index_of_groups", lambda real, groups: real(groups) + 1,
+             "h-index regime disagrees with the degree multiset"),
+        ],
+        ids=["exact", "pairs", "negative", "delta-nodes", "degree-sum", "gamma-nodes",
+             "gamma-sum", "h-index"],
+    )
+    def test_each_check_fails_alone_with_its_own_message(self, monkeypatch, name, corrupt, message):
+        real = getattr(closed_form, name)
+        monkeypatch.setattr(closed_form, name, lambda *args: corrupt(real, *args))
         with pytest.raises(ConsistencyError, match=f"^{message}$"):
             closed_form_report(normalize(3, 2, 2))
 
@@ -330,7 +359,7 @@ class TestGroupedForms:
         assert calls == [(3, 2, 2)]
 
     def test_report_computes_each_checked_term_once(self, monkeypatch):
-        names = ("_checked_delta_groups", "_delta_groups", "_run_sums", "pair_count")
+        names = ("_checked_delta_groups", "_delta_groups", "_run_sums", "pair_count", "node_count")
         calls = dict.fromkeys(names, 0)
 
         def counting(name, real):
@@ -342,9 +371,12 @@ class TestGroupedForms:
 
         for name in names:
             monkeypatch.setattr(closed_form, name, counting(name, getattr(closed_form, name)))
+        # pair_count reads the node count in spiders: count it there with the same counter
+        monkeypatch.setattr(spiders, "node_count", closed_form.node_count)
         closed_form_report(normalize(3, 2, 2))
-        # _delta_groups runs once for delta and once for gamma's sum identity.
-        assert calls == dict(zip(names, (1, 2, 1, 1)))
+        # _delta_groups runs once for delta and once for gamma's sum identity; node_count once
+        # for n and once each in pair_count, delta's node total and gamma's.
+        assert calls == dict(zip(names, (1, 2, 1, 1, 4)))
 
     def test_negative_multiplicity_detected(self, monkeypatch):
         real = closed_form._gamma_groups
@@ -369,28 +401,32 @@ class TestEdgeCountCrossProducts:
     def test_equal_to_the_edge_ratios_at_huge_sizes(self, p):
         n, twice_edges = node_count(p), 2 * edge_count(p)
         if n >= 2:
-            assert density_closed(p) == Fraction(twice_edges, n * (n - 1))
+            assert closed_form._density(p, n) == Fraction(twice_edges, n * (n - 1))
 
     @pytest.mark.parametrize(
         "check, message",
-        [(density_closed, "density formula disagrees with edge count")],
+        [(closed_form._density, "density formula disagrees with edge count")],
+        # the test ids stay as they were
+        ids=["density_closed-density formula disagrees with edge count"],
     )
     @pytest.mark.parametrize("shape", [(2, 0, 0), (1, 1, 1), (3, 2, 2), (5, 4, 3)])
     def test_one_edge_too_many_is_detected(self, monkeypatch, check, message, shape):
+        # a report would stop at the degree check first, so the density check runs alone
         real = closed_form.edge_count
         monkeypatch.setattr(closed_form, "edge_count", lambda p: real(p) + 1)
+        p = normalize(*shape)
         with pytest.raises(ConsistencyError, match=f"^{message}$"):
-            check(normalize(*shape))
+            check(p, node_count(p))
 
 
 class TestDensityTrend:
     @pytest.mark.parametrize("m,k", [(2, 1), (3, 2), (4, 3)])
     def test_density_strictly_decreasing_in_leg_length(self, m, k):
-        values = [density_closed(normalize(m, k, l)) for l in range(1, 51)]
+        values = [closed_form_report(normalize(m, k, l)).density for l in range(1, 51)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_density_vanishes_for_long_legs(self):
-        assert density_closed(normalize(3, 2, 50)) < Fraction(1, 100)
+        assert closed_form_report(normalize(3, 2, 50)).density < Fraction(1, 100)
 
 
 def _plus(*polys):
@@ -464,7 +500,7 @@ class TestDistancePolynomial:
         if node_count(p) < 2:
             assert A == [0] and p == (1, 0, 0) and diameter_closed(p) == 0
             return
-        alpha = _expand_runs(alpha_runs(p))
+        alpha = _expand_runs(closed_form_report(p).alpha)
         assert A == [0] + list(alpha[: len(A) - 1]) and not any(alpha[len(A) - 1:])
         assert sum(A) == pair_count(p)
         assert sum(j * a for j, a in enumerate(A)) == distance_sums(p)[0]

@@ -25,7 +25,7 @@ from references import (
 )
 from spidernets import graph_core
 from spidernets.graph_core import all_indicators, h_index_of_groups, linear_runs
-from spidernets.closed_form import alpha_runs
+from spidernets.closed_form import closed_form_report
 from spidernets.spiders import build_spider, normalize
 
 
@@ -596,14 +596,14 @@ class TestSchemeChoice:
         g = build_spider(p)
         counts, calls = core_sweeps(g)
         assert calls == ([(list(range(p.m)), 1)] if p.m >= 3 else [])
-        assert tuple(c // 2 for c in counts[1:]) == _expand_runs(alpha_runs(p))
+        assert tuple(c // 2 for c in counts[1:]) == _expand_runs(closed_form_report(p).alpha)
 
     def test_sweep_picked_on_a_complete_core(self):
         p = normalize(998, 0, 0)
         counts, calls = core_sweeps(build_spider(p))
         assert calls == [(list(range(998)), 1)]
         assert counts == [998, 998 * 997] + [0] * 996
-        assert tuple(c // 2 for c in counts[1:]) == _expand_runs(alpha_runs(p))
+        assert tuple(c // 2 for c in counts[1:]) == _expand_runs(closed_form_report(p).alpha)
 
     def test_probe_bounds_the_diameter_by_twice_the_depth_of_node_0(self):
         # node 0 carries the tail, so its depth is 498; the diameter, 749, is
@@ -742,7 +742,7 @@ class TestFold:
             assert g == path(3000)
         counts, calls = core_sweeps(g)
         assert calls == []
-        assert tuple(c // 2 for c in counts[1:]) == _expand_runs(alpha_runs(p))
+        assert tuple(c // 2 for c in counts[1:]) == _expand_runs(closed_form_report(p).alpha)
 
     @pytest.mark.parametrize(
         "g, core, classes",

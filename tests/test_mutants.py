@@ -72,7 +72,7 @@ def test_graph_core_is_judged_by_its_tests_on_the_mutated_copy():
 
 
 def test_closed_form_is_judged_last_by_its_tests():
-    # the public forms that the report no longer calls are reached only by the tests
+    # max_degree, which only the small-world steps call, is reached only by the tests
     assert mutants.label(mutants.JUDGES["closed_form"][-1]) == (
         "python -m pytest -qq -x -p no:cacheprovider -o pythonpath=<copy>/src"
         " tests/test_closed_form.py"

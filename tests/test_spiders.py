@@ -288,6 +288,22 @@ class TestExport:
         # lines are batched, not written one by one
         assert len(chunks) <= 1 + 4 * len(text) // spiders.CHUNK
 
+    @pytest.mark.parametrize("shape", [(1000, 3, 3), (300, 0, 0), (3, 2, 4), (1, 0, 0)])
+    def test_dot_chunks_hold_as_many_lines_as_the_longest_line_allows(self, shape):
+        chunks = list(export_spider(normalize(*shape), "dot"))
+        lines = "".join(chunks).splitlines(keepends=True)
+        per = spiders.CHUNK // max(map(len, lines))
+        assert len(chunks) == -(-len(lines) // per)
+
+    @pytest.mark.parametrize("shape", [(10**14, 0, 0), (10**14, 1, 2)])
+    def test_dot_chunks_are_sized_by_the_edge_line_where_it_is_longest(self, shape):
+        # from 15-digit ids on an edge line, two of them, outgrows a node line; the first
+        # chunk holds only node lines, and the last edge joins the two largest ids
+        p = normalize(*shape)
+        n = node_count(p)
+        first = next(iter(export_spider(p, "dot")))
+        assert first.count("\n") == spiders.CHUNK // len(f"  {n - 2} -- {n - 1};\n")
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unknown export format 'graphml'"):
             export_spider(normalize(1, 1, 1), "graphml")
