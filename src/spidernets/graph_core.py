@@ -6,7 +6,7 @@ distance indicators all come from one distance histogram per graph, counted
 in two parts.  The nodes of degree at most 1 are peeled until only the
 2-core is left, and each pendant tree is folded into its 2-core node as a
 depth histogram, one 64-bit lane per depth.  A leaf is only counted by its
-parent and a walk up a chain appends one lane per node; where a node has
+parent and a walk up a chain only counts its steps; where a node has
 several children, big-int products of their histograms count the pairs
 between their subtrees; and the pairs of a node and its ancestors come from
 one suffix sum over the roots' lanes.  The pairs between the trees of two
@@ -37,9 +37,6 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-# A depth histogram walked up a chain is an int up to 32 lanes and a
-# bytearray that grows in place beyond (``_distance_lanes``).
-_SHORT_BITS = 64 * 31
 _LANE_ONE = (1).to_bytes(8, "big")
 
 
@@ -130,10 +127,10 @@ def _distance_lanes(g: Graph) -> list[int]:
     - A leaf only adds 1 to its parent's count of leaf children.
     - A node u whose only child was just folded, and which has one
       neighbor left, is not queued: the walk goes on up to it at once, with
-      its W the child's one lane deeper plus its own lane 0.  So a chain
-      costs O(1) per node.  W is an int up to 32 lanes and beyond that a
-      bytearray of big-endian lanes with lane 0 last, so the new lane is
-      appended in place and ``int.from_bytes(..., "big")`` gives the int.
+      its W the child's one lane deeper plus its own lane 0.  The walk only
+      counts its steps, and where it stops W is laid once, the start's W
+      shifted one lane per step over a lane of 1 per step.  So a chain costs
+      O(1) per node.
     - Any other W_u, shifted one lane deeper, joins ``weight[p]``, the lanes
       of p's children folded so far (lane 0 empty).  If that is C != 0, the
       big-int product C * (W_u << 64) convolves the lanes (Kronecker
@@ -167,26 +164,13 @@ def _distance_lanes(g: Graph) -> list[int]:
             weight[u] = 0
             cross += pairs
         else:  # a leaf, or an isolated node
+            w = 1
+        steps = 0
+        while True:  # W_u is w walked up steps chain nodes
             peeled[u] = True
-            if not degree[u]:
+            if not degree[u]:  # only reached with steps == 0: a walk goes on to degree 1
                 roots.append(u)
-                weight[u] = 1
-                continue
-            for p in adjacency[u]:
-                if not peeled[p]:
-                    break
-            degree[p] -= 1
-            if degree[p] != 1 or weight[p] or leaves[p]:
-                leaves[p] += 1
-                if degree[p] == 1:
-                    queue.append(p)
-                continue
-            u, w = p, 1 << 64 | 1  # u is p's only child: walk on
-        while True:  # w is W_u
-            peeled[u] = True
-            if not degree[u]:
-                roots.append(u)
-                weight[u] = w if w.__class__ is int else int.from_bytes(w, "big")
+                weight[u] = w
                 break
             for p in adjacency[u]:
                 if not peeled[p]:
@@ -194,21 +178,17 @@ def _distance_lanes(g: Graph) -> list[int]:
             degree[p] -= 1
             c = weight[p]
             if not c and degree[p] == 1 and not leaves[p]:  # u is p's only child: walk on
-                if w.__class__ is not int:
-                    w += _LANE_ONE
-                elif w.bit_length() <= _SHORT_BITS:
-                    w = w << 64 | 1
-                else:
-                    w = bytearray(w.to_bytes(-(-w.bit_length() // 64) * 8, "big")) + _LANE_ONE
+                steps += 1
                 u = p
                 continue
-            if w.__class__ is not int:
-                w = int.from_bytes(w, "big")
-            w <<= 64
-            if c:
-                cross += c * w
-                w += c
-            weight[p] = w
+            if w == 1 and not steps:
+                leaves[p] += 1
+            else:
+                w = (w << 64 * steps | int.from_bytes(_LANE_ONE * steps, "big")) << 64
+                if c:
+                    cross += c * w
+                    w += c
+                weight[p] = w
             if degree[p] == 1:
                 queue.append(p)
             break

@@ -642,6 +642,20 @@ class TestVerify:
                 assert len({weight[u] for u in core}) == 1
         assert any(p.m <= 2 for p in points) and any(p.m >= 3 for p in points)
 
+    def test_default_grid_reaches_every_case_split(self):
+        # the closed forms split on m in {1, >= 2}, k in {0, 1, >= 2} and l in {1, 2, >= 3},
+        # and k = 0 folds l to 0: 13 cells with n >= 2.  A form of degree 3 in l is pinned
+        # down by its 4 values l = 3..6 in each cell that grows in l.
+        cells = {}
+        for p in cli.iter_grid(8, 5, 6, 2000):
+            cells.setdefault((min(p.m, 2), min(p.k, 2), min(p.l, 3)), []).append(p)
+        want = [(2, 0, 0)] + [(m, k, l) for m in (1, 2) for k in (1, 2) for l in (1, 2, 3)]
+        assert sorted(cells) == sorted(want)
+        assert [len(cells[cell]) for cell in ((2, 2, 3), (1, 1, 3), (1, 1, 1))] == [112, 4, 1]
+        for (_, _, l), points in cells.items():
+            if l == 3:
+                assert sorted({p.l for p in points}) == [3, 4, 5, 6]
+
     def test_wider_grid_matches_oracle(self):
         points = cli.iter_grid(12, 6, 8, 2000)
         assert len(points) == 587

@@ -94,10 +94,10 @@ def bridged_blocks(draw, max_blocks=6):
 def long_chains(draw):
     """Paths, caterpillars, brooms, spiders and cycles with tails; chains of up to 300 nodes.
 
-    A depth histogram walked up a chain turns from an int into a bytearray
-    past 32 lanes and back into an int where the walk stops, so these cross
-    the switch both ways.  The node ids are shuffled, so the peel order
-    does not follow the build order.
+    A walk up a chain counts its steps and lays the depth histogram once
+    where it stops: at a root, at a node with several children or at the
+    2-core, from a leaf or from a folded node.  The node ids are shuffled,
+    so the peel order does not follow the build order.
     """
     kind = draw(st.sampled_from(["path", "caterpillar", "broom", "spider", "cycle"]))
     if kind == "path":

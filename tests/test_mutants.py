@@ -106,6 +106,46 @@ def test_asymptotics_kills_a_flipped_far_point_check():
     result = mutants.score("small_world", [check])
     judges = result["judge"].split("; ")
     assert judges[0] == "spidernets asymptotics --all"
-    assert [judge.split()[3] for judge in judges[1:]] == ["DSWL", "DSWA", "SWD", "SWA"]
-    assert all(judge.endswith(" --out-csv /dev/stdout") for judge in judges[1:])
+    assert [judge.split()[3] for judge in judges[1:5]] == ["DSWL", "DSWA", "SWD", "SWA"]
+    assert all(judge.endswith(" --out-csv /dev/stdout") for judge in judges[1:5])
+    assert judges[5:] == [
+        "python -m pytest -qq -x -p no:cacheprovider -o pythonpath=<copy>/src"
+        " tests/test_small_world.py"
+    ]
     assert [row["outcome"] for row in result["sites"]] == ["killed"]
+
+
+def test_a_line_is_keyed_by_its_function_and_its_code_without_comment():
+    text = (
+        "x = 1  # a\n"
+        "def f():\n"
+        "    s = '#' + 'b'  # c\n"
+        "    def g():\n"
+        "        return s  # d\n"
+        "    return g\n"
+    )
+    assert mutants.contexts(text) == [
+        ("<module>", "x = 1"),
+        ("f", "def f():"),
+        ("f", "s = '#' + 'b'"),
+        ("g", "def g():"),
+        ("g", "return s"),
+        ("f", "return g"),
+    ]
+    # identical lines of two functions get a key each
+    spiders = source("spiders")
+    width = [
+        function for function, code in mutants.contexts(spiders)
+        if code == "width = decimal_digits(n - 1)"
+    ]
+    assert width == ["export_size", "export_spider"]
+
+
+def test_every_equivalent_key_names_a_live_mutant():
+    # a key that names no mutant argues for nothing: its line moved, changed or went
+    live = set()
+    for module in {key[0] for key in mutants.EQUIVALENT}:
+        text = source(module)
+        context = mutants.contexts(text)
+        live |= {(module, *context[m.line - 1], m.mutation) for m in mutants.mutants(text)}
+    assert sorted(set(mutants.EQUIVALENT) - live) == []

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
 import json
 import os
 import resource
@@ -31,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -43,8 +45,10 @@ PYTEST = ["-m", "pytest", "-qq", "-x", "-p", "no:cacheprovider", "-o", "pythonpa
 # that verify's grid, from two nodes up, never reaches.  closed_form's tests reach what no
 # command does: max_degree, which only the small-world steps call, and each check's failure.
 # The short cells write their CSV to stdout, so the judge reaches the ratio steps that
-# --all never runs.  spiders' exports cover a spider with legs longer than 1, a star, a
-# complete graph and the single node in every format.
+# --all never runs, and small_world's tests reach what no command does: the step checks,
+# the default steps and a sample set too short for its degree.  spiders' exports cover a
+# spider with legs longer than 1, a star, a complete graph and the single node in every
+# format.
 JUDGES = {
     "closed_form": [
         [*SPIDERNETS, "verify"],
@@ -64,6 +68,7 @@ JUDGES = {
                 ("SWA", "L", "M=3,K=2"),
             )
         ),
+        [*PYTEST, "tests/test_small_world.py"],
     ],
     "spiders": [
         *(
@@ -75,8 +80,9 @@ JUDGES = {
         [*PYTEST, "tests/test_spiders.py"],
     ],
 }
-# Why a surviving mutant is equivalent, by (module, line of code, mutation): it changes
-# no result of any input, only the path or the cost.
+# Why a surviving mutant is equivalent, by (module, enclosing function, line of code
+# without its comment, mutation): it changes no result of any input, only the path or
+# the cost.  tests/test_mutants.py checks that each key names a live mutant.
 _FAR = (
     "the far points stay past n(1)**2, so past every product of the fixed values; the"
     " closed forms are the interpolants at any two such points, so the verdict is the same"
@@ -87,84 +93,79 @@ _NO_LEGS = "l = 0 only with k = 0, and then the range is empty at any step"
 EQUIVALENT = {
     (
         "closed_form",
+        "_alpha_lines",
         "return [(1, 1, c, 0), (2, l + 1, a, b), (l + 2, 2 * l + 1, a2, b2),"
         " (2 * l + 2, n - 1, 0, 0)]",
         "- -> +",
     ): "the report clips every line to j <= n - 1, so a line that ends past it holds only zeros",
-    ("closed_form", "if first <= min(last, n - 1)", "- -> +"):
+    ("closed_form", "closed_form_report", "if first <= min(last, n - 1)", "- -> +"):
         "a line that starts past n - 1 stands for no entry, clipped to n - 1 or not",
-    ("small_world", "far = 2**64 * next(walk)[0] ** 2", "* -> +"): _FAR,
-    ("small_world", "far = 2**64 * next(walk)[0] ** 2", "2 -> 3"): _FAR,
-    ("small_world", "far = 2**64 * next(walk)[0] ** 2", "64 -> 65"): _FAR,
-    ("small_world", "far_points = (far, far + 1)", "1 -> 2"): _FAR,
-    ("graph_core", "_SHORT_BITS = 64 * 31", "* -> +"):
-        "the threshold only picks an int or a bytearray for the same lanes",
-    ("graph_core", "_SHORT_BITS = 64 * 31", "64 -> 65"):
-        "the threshold only picks an int or a bytearray for the same lanes",
-    ("graph_core", "_SHORT_BITS = 64 * 31", "31 -> 32"):
-        "the threshold only picks an int or a bytearray for the same lanes",
-    ("graph_core", "weight[u] = 0", "0 -> 1"):
+    ("small_world", "classify", "far = 2**64 * next(walk)[0] ** 2", "* -> +"): _FAR,
+    ("small_world", "classify", "far = 2**64 * next(walk)[0] ** 2", "2 -> 3"): _FAR,
+    ("small_world", "classify", "far = 2**64 * next(walk)[0] ** 2", "64 -> 65"): _FAR,
+    ("small_world", "classify", "far_points = (far, far + 1)", "1 -> 2"): _FAR,
+    ("graph_core", "_distance_lanes", "weight[u] = 0", "0 -> 1"):
         "a peeled node that is not a root is never read again",
-    ("graph_core", "weight[u] = 1", "1 -> 2"):
-        "lane 0 of a root is never read: the n pairs at distance 0 are counted as n",
-    ("graph_core", "elif w.bit_length() <= _SHORT_BITS:", "<= -> >"):
-        "the test only picks an int or a bytearray for the same lanes",
-    (
-        "graph_core",
-        'w = bytearray(w.to_bytes(-(-w.bit_length() // 64) * 8, "big")) + _LANE_ONE',
-        "8 -> 9",
-    ): "leading zero bytes leave the value that int.from_bytes reads unchanged",
-    (
-        "graph_core",
-        'w = bytearray(w.to_bytes(-(-w.bit_length() // 64) * 8, "big")) + _LANE_ONE',
-        "// -> *",
-    ): "leading zero bytes leave the value that int.from_bytes reads unchanged",
-    ("graph_core", "unseen = [0] * n", "0 -> 1"):
+    ("graph_core", "_distance_lanes", "if w == 1 and not steps:", "1 -> 2"):
+        "a leaf folded as a product counts the same lanes; the count of leaves only saves it",
+    ("graph_core", "_core_pairs", "unseen = [0] * n", "0 -> 1"):
         "unseen is read only for 2-core nodes, each of which is set before the sweep",
-    ("graph_core", "if any(count < 0 for _, count in groups):", "0 -> 1"):
+    ("graph_core", "h_index_of_groups", "if any(count < 0 for _, count in groups):", "0 -> 1"):
         "groups of count 0 are already dropped, so count < 1 means count < 0",
-    ("graph_core", "total_distance=sum(map(operator.mul, alpha, range(1, d + 1))),", "1 -> 2"):
-        "the d + 1 bound: map stops at the d entries of alpha",
-    ("spiders", "CHUNK = 2**16", "16 -> 17"): _PACKING,
+    (
+        "graph_core",
+        "all_indicators",
+        "total_distance=sum(map(operator.mul, alpha, range(1, d + 1))),",
+        "1 -> 2",
+    ): "the d + 1 bound: map stops at the d entries of alpha",
+    ("spiders", "<module>", "CHUNK = 2**16", "16 -> 17"): _PACKING,
     (
         "spiders",
+        "build_spider",
         "core[:c] + core[c + 1:] + tuple(range(m + c * span, m + (c + 1) * span, l or 1))",
         "1 -> 2",
     ): _NO_LEGS,
-    ("spiders", "firsts = range(m, n, l or 1)  # k per core node", "1 -> 2"): _NO_LEGS,
+    ("spiders", "export_spider", "firsts = range(m, n, l or 1)", "1 -> 2"): _NO_LEGS,
     **{
-        ("spiders", "legs = list(zip(range(m - 1, end - 1), range(m + 1, end + 1)))", mutation):
-            _SHORTER
+        (
+            "spiders",
+            "build_spider",
+            "legs = list(zip(range(m - 1, end - 1), range(m + 1, end + 1)))",
+            mutation,
+        ): _SHORTER
         for mutation in ("- -> +", "1 -> 2")
     },
     **{
         (
             "spiders",
-            "successors = map(operator.mod, range(1, n - m + 1), itertools.repeat(l))"
-            "  # 0 at a terminal",
+            "export_spider",
+            "successors = map(operator.mod, range(1, n - m + 1), itertools.repeat(l))",
             mutation,
         ): _SHORTER
         for mutation in ("- -> +", "1 -> 2")
     },
     (
         "spiders",
-        "digits = int((value.bit_length() - 1) * 0.3010299956639812) + 1  # log10(2)",
+        "decimal_digits",
+        "digits = int((value.bit_length() - 1) * 0.3010299956639812) + 1",
         "1 -> 2",
     ): "the estimate stays within one digit of the count, and the two corrections fix either side",
-    ("spiders", "return f\"a {digits}-digit {'negative ' if value < 0 else ''}integer\"", "0 -> 1"):
-        "only values of more than SHOWN digits reach this test, and none of them is 0",
     (
         "spiders",
+        "decimal_text",
+        "return f\"a {digits}-digit {'negative ' if value < 0 else ''}integer\"",
+        "0 -> 1",
+    ): "only values of more than SHOWN digits reach this test, and none of them is 0",
+    (
+        "spiders",
+        "export_spider",
         "return _chunks(_adjacency_rows(build_spider(p)), max(1, CHUNK // (2 * n)))",
         "2 -> 3",
     ): _PACKING,
+    ("spiders", "export_spider", "width = decimal_digits(n - 1)", "1 -> 2"): _PACKING,
     (
         "spiders",
-        "width = decimal_digits(n - 1)  # of the largest id: it sets how many lines a chunk holds",
-        "1 -> 2",
-    ): _PACKING,
-    (
-        "spiders",
+        "export_spider",
         'return _chunks((f"{u} {v}\\n" for u, v in edges), max(1, CHUNK // (2 * width + 2)))',
         "2 -> 3",
     ): _PACKING,
@@ -212,6 +213,25 @@ def mutants(source: str) -> list[Mutant]:
         elif _is_int(node):
             found.append(Mutant(site, 0, node.lineno, f"{node.value} -> {node.value + 1}"))
     return sorted(found, key=lambda mutant: (mutant.line, mutant.site, mutant.slot))
+
+
+def contexts(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, code without its comment) of each line of source, by line - 1.
+
+    A line outside every function is in "<module>", and a nested function's lines in it.
+    """
+    code = source.splitlines()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            row, col = token.start
+            code[row - 1] = code[row - 1][:col]
+    functions = ["<module>"] * len(code)
+    for node in ast.walk(ast.parse(source)):  # outer functions before the ones they nest
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions[node.lineno - 1:node.end_lineno] = [node.name] * (
+                node.end_lineno - node.lineno + 1
+            )
+    return [(function, line.strip()) for function, line in zip(functions, code)]
 
 
 def mutate(source: str, mutant: Mutant) -> str:
@@ -276,6 +296,7 @@ def score(module: str, chosen=None, command=None, timeout: float = TIMEOUT_S) ->
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
         lines = source.splitlines()
+        context = contexts(source)
         baseline = judge(commands, src, timeout)
         if baseline == "timeout" or any(code != 0 for code, _ in baseline):
             raise SystemExit(f"the judge fails on the unmutated {module}: {baseline!r}")
@@ -288,7 +309,7 @@ def score(module: str, chosen=None, command=None, timeout: float = TIMEOUT_S) ->
                 outcome = "survived" if outcome == baseline else "killed"
             code = lines[mutant.line - 1].strip()
             rows.append({**mutant._asdict(), "code": code, "outcome": outcome})
-            reason = EQUIVALENT.get((module, code, mutant.mutation))
+            reason = EQUIVALENT.get((module, *context[mutant.line - 1], mutant.mutation))
             if outcome == "survived" and reason:
                 rows[-1]["equivalent"] = reason
     killed = sum(row["outcome"] != "survived" for row in rows)
